@@ -4,10 +4,12 @@ lines as they complete."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
 import time
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -309,8 +311,31 @@ def test_lora_identity_and_scale():
     )
 
 
-def test_pipeline_determinism(tmp_path, capsys):
-    """Identical seeds reproduce every artifact byte for byte."""
+# SHA-256 of every artifact of ``test_pipeline_determinism``'s pipeline.
+# Re-pin only in a change that means to alter output bytes, and say so in
+# CHANGES.md. Float artifacts depend on numpy's BLAS build: a host whose
+# BLAS sums in another order can differ in the last bits.
+GOLDEN_DIGESTS = {
+    "manifest": "e1e0dc3a8793da84c3f7d59151167d58df03c789db23a26af10728bb6c55d770",
+    "triplets": "6463e300278741c206792ba58f03b2f936ddeafb018ad745e4260602a34d3944",
+    "checkpoint": "874487424e86ab6e033889c70bca883753f051fd02fc32f21dd760e51d0abf20",
+    "checkpoint_epoch2": "cad4437d8a0b2b3d8c838c6c9e54acdff297e8ba098f740674b3e772b9383073",
+    "log": "ab0682601620654337638feb3d631125672fd82dbbe4642a46e4110ce39170cf",
+    "train_report": "e10516f07098ed0c23b157b8f04848b50cbb63683c6f24057f71812d225253b8",
+    "lora_checkpoint": "d4e0b352fafed73766a7f4650742a79de3875e9d69b578f1395979ef5b28342d",
+    "lora_log": "c39b5b1549474becdee058852500efe640e5f8cdb2960319359d1317ec7a98a8",
+    "embeddings": "54dd61ad3bdd352dceb4b5d6d65eb9b2e307c52f64a505d44db4cb334befcd46",
+    "ids": "5a4cbcb135390e3347098e2634188d3df8d7be7fc55b03c9b0b2b763489f00d3",
+    "embeddings_last_token": "4a42a77aedfecf7bcc21b85e765a41a03b0d3716e8c886e652a64e20485b8013",
+    "report": "3200cfe657fb515b97bcc3d2a7949126a96652089f0c9832563a3d8bda7a7c82",
+    "report_qrels": "d73f581bf4176a1c9bbe161d4e5aebd896b8c6af12b87603dab7df765de58ad1",
+    "gradcheck": "15f6d997ffc3ae8bef2ae5eea9d05a889c1de1bf5bdb9114f3625b1e5a0bbd02",
+}
+
+
+def test_pipeline_determinism(tmp_path, capsys, monkeypatch):
+    """Identical seeds reproduce every artifact byte for byte, and the bytes
+    match the pinned golden digests."""
     records = two_cluster_records(40, seed=17)
     by_source: dict[str, list[str]] = {}
     for r in records:
@@ -321,40 +346,60 @@ def test_pipeline_determinism(tmp_path, capsys):
             fh.write(json.dumps({"doc_id": source, "source_name": source, "text": "\n\n".join(texts)}) + "\n")
     config_path = tmp_path / "config.json"
     config_path.write_text(
-        json.dumps({"epochs": 1, "batch_size": 8, "pooling": "mean",
+        json.dumps({"epochs": 2, "batch_size": 8, "pooling": "mean",
                     "vocab_size": 1024, "d_emb": 16, "d_hid": 24, "d_out": 12, "lora_rank": 4}),
         encoding="utf-8",
     )
 
+    def stdout_of(argv: list[str]) -> bytes:
+        capsys.readouterr()
+        assert cli_run(argv) == 0
+        return capsys.readouterr().out.encode()
+
     def one_run(name: str) -> dict[str, bytes]:
+        # Relative paths: train-report.jsonl records the checkpoint paths.
         work = tmp_path / name
         work.mkdir()
-        corpus = work / "corpus.jsonl"
-        trips = work / "triplets.jsonl"
-        out_dir = work / "train"
-        emb = work / "emb.cevx"
+        monkeypatch.chdir(work)
+        corpus = Path("corpus.jsonl")
+        trips = Path("triplets.jsonl")
+        out_dir = Path("train")
+        lora_dir = Path("train-lora")
+        emb = Path("emb.cevx")
+        emb_last = Path("emb-last.cevx")
         assert cli_run(["prepare", "--in", str(docs), "--out", str(corpus),
-                        "--train-frac", "0.8", "--test-frac", "0.2", "--seed", "17"]) == 0
+                        "--train-frac", "0.6", "--test-frac", "0.2", "--seed", "17"]) == 0
         assert cli_run(["triplets", "--corpus", str(corpus), "--out", str(trips),
                         "--min-distance", "1", "--cross-source", "--seed", "17"]) == 0
         assert cli_run(["train", "--triplets", str(trips), "--config", str(config_path),
                         "--out-dir", str(out_dir), "--seed", "17"]) == 0
+        assert cli_run(["train", "--triplets", str(trips), "--config", str(config_path),
+                        "--out-dir", str(lora_dir), "--seed", "17", "--lora-only"]) == 0
         assert cli_run(["embed", "--checkpoint", str(out_dir / "epoch-1.cemb"),
                         "--texts", str(trips), "--out", str(emb), "--pooling", "mean"]) == 0
-        pairs = work / "pairs.tsv"
+        assert cli_run(["embed", "--checkpoint", str(out_dir / "epoch-2.cemb"),
+                        "--texts", str(trips), "--out", str(emb_last)]) == 0
         test_rows = [r for r in json.loads("[" + ",".join(trips.read_text().splitlines()) + "]") if r["split"] == "test"]
+        pairs = Path("pairs.tsv")
         pairs.write_text("".join(f"{r['anchor_id']}\tpos::{r['anchor_id']}\n" for r in test_rows), encoding="utf-8")
-        capsys.readouterr()
-        assert cli_run(["eval", "--embeddings", str(emb), "--pairs", str(pairs)]) == 0
-        report = capsys.readouterr().out
+        qrels = Path("qrels.tsv")
+        qrels.write_text("".join(f"{r['anchor_id']}\tpos::{r['anchor_id']}\t1\n" for r in test_rows), encoding="utf-8")
         return {
             "manifest": corpus.read_bytes(),
             "triplets": trips.read_bytes(),
             "checkpoint": (out_dir / "epoch-1.cemb").read_bytes(),
+            "checkpoint_epoch2": (out_dir / "epoch-2.cemb").read_bytes(),
             "log": (out_dir / "train-log.jsonl").read_bytes(),
+            "train_report": (out_dir / "train-report.jsonl").read_bytes(),
+            "lora_checkpoint": (lora_dir / "epoch-2.cemb").read_bytes(),
+            "lora_log": (lora_dir / "train-log.jsonl").read_bytes(),
             "embeddings": emb.read_bytes(),
-            "ids": (work / "emb.cevx.ids").read_bytes(),
-            "report": report.encode(),
+            "ids": Path("emb.cevx.ids").read_bytes(),
+            "embeddings_last_token": emb_last.read_bytes(),
+            "report": stdout_of(["eval", "--embeddings", str(emb), "--pairs", str(pairs)]),
+            "report_qrels": stdout_of(["eval", "--embeddings", str(emb), "--qrels", str(qrels)]),
+            "gradcheck": stdout_of(["gradcheck", "--checkpoint", str(out_dir / "epoch-2.cemb"),
+                                    "--batch", str(trips), "--samples", "20", "--seed", "17"]),
         }
 
     first = one_run("first")
@@ -364,6 +409,13 @@ def test_pipeline_determinism(tmp_path, capsys):
         "pipeline determinism: repeated prepare/triplets/train/embed/eval is byte-identical",
         not mismatched,
         f"mismatched={mismatched}" if mismatched else "all artifacts identical",
+    )
+    digests = {k: hashlib.sha256(v).hexdigest() for k, v in first.items()}
+    changed = sorted(k for k in digests if digests[k] != GOLDEN_DIGESTS.get(k))
+    _verdict(
+        "golden digests: every pipeline artifact matches its pinned SHA-256",
+        not changed and digests.keys() == GOLDEN_DIGESTS.keys(),
+        f"changed={changed}" if changed else f"{len(digests)} artifacts match",
     )
 
 
