@@ -15,6 +15,7 @@ import sys
 import time
 from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -80,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-frac", type=float, default=0.9, help="per-source training fraction")
     p.add_argument("--test-frac", type=float, default=0.0, help="per-source test fraction (carved before val)")
     p.add_argument("--seed", type=int, required=True, help="split permutation seed")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for per-document cleaning")
     p.set_defaults(func=_cmd_prepare)
 
     p = sub.add_parser(
@@ -94,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cross-source", action="store_true", help="prefer negatives from a different source")
     p.add_argument("--provider", default=None, help="paraphrase provider command (line-JSON protocol); omit for the deterministic built-in fallback")
     p.add_argument("--seed", type=int, required=True, help="negative sampling seed")
-    p.add_argument("--threads", type=int, default=1, help="max in-flight paraphrase requests")
     p.set_defaults(func=_cmd_triplets)
 
     p = sub.add_parser(
@@ -166,24 +165,21 @@ def _load_documents(input_path: str) -> list[corpus.RawDocument]:
     if path.is_dir():
         docs = []
         for file in sorted(path.glob("*.txt")):
-            docs.append(corpus.RawDocument(doc_id=file.stem, source_name=file.stem, text=file.read_text(encoding="utf-8")))
+            docs.append(corpus.RawDocument(doc_id=file.stem, source_name=file.stem, text=storage.read_text(file)))
         if not docs:
             raise UsageError(f"no .txt files in {path}")
         return docs
     if not path.exists():
         raise UsageError(f"input {path} does not exist")
     if path.suffix == ".jsonl":
-        return [
-            corpus.RawDocument(doc_id=str(r["doc_id"]), source_name=str(r["source_name"]), text=str(r["text"]))
-            for r in storage.read_jsonl(path)
-        ]
-    return [corpus.RawDocument(doc_id=path.stem, source_name=path.stem, text=path.read_text(encoding="utf-8"))]
+        return storage.read_jsonl(path, corpus.RawDocument.from_row)
+    return [corpus.RawDocument(doc_id=path.stem, source_name=path.stem, text=storage.read_text(path))]
 
 
 def _cmd_prepare(args: argparse.Namespace) -> int:
     started = time.monotonic()
     docs = _load_documents(args.input)
-    manifest = corpus.build_manifest(docs, min_chars=args.min_chars, threads=args.threads)
+    manifest = corpus.build_manifest(docs, min_chars=args.min_chars)
     manifest = corpus.stratified_split(manifest, train_frac=args.train_frac, seed=args.seed, test_frac=args.test_frac)
     storage.write_jsonl(args.out, corpus.manifest_to_rows(manifest))
     storage.write_run_metadata(
@@ -193,7 +189,6 @@ def _cmd_prepare(args: argparse.Namespace) -> int:
             "min_chars": args.min_chars,
             "train_frac": args.train_frac,
             "test_frac": args.test_frac,
-            "threads": args.threads,
         },
         seed=args.seed,
         inputs=[],
@@ -207,7 +202,7 @@ def _cmd_prepare(args: argparse.Namespace) -> int:
 
 def _cmd_triplets(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    manifest = corpus.manifest_from_rows(storage.read_jsonl(args.corpus))
+    manifest = corpus.CorpusManifest(records=storage.read_jsonl(args.corpus, corpus.SentenceRecord.from_row))
     policy = triplets.NegativePolicy(
         min_index_distance=args.min_distance,
         require_different_source=args.cross_source,
@@ -215,9 +210,9 @@ def _cmd_triplets(args: argparse.Namespace) -> int:
     )
     if args.provider:
         with triplets.SubprocessProvider(args.provider) as provider:
-            result = triplets.build_triplets(manifest, policy, provider, threads=args.threads)
+            result = triplets.build_triplets(manifest, policy, provider)
     else:
-        result = triplets.build_triplets(manifest, policy, threads=args.threads)
+        result = triplets.build_triplets(manifest, policy)
     storage.write_jsonl(args.out, triplets.triplets_to_rows(result.triplets))
     storage.write_run_metadata(
         args.out + ".meta.json",
@@ -226,7 +221,6 @@ def _cmd_triplets(args: argparse.Namespace) -> int:
             "min_distance": args.min_distance,
             "cross_source": args.cross_source,
             "provider": args.provider,
-            "threads": args.threads,
             "skipped_paraphrase": result.skipped_paraphrase,
             "skipped_negative": result.skipped_negative,
         },
@@ -243,12 +237,26 @@ def _cmd_triplets(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_config_type(key: str, value: object, expected: type) -> None:
+    # An int may stand for a float. bool is a subclass of int, so it is
+    # ruled out separately for every key that is not a bool.
+    accepted = (int, float) if expected is float else expected
+    if isinstance(value, bool) != (expected is bool) or not isinstance(value, accepted):
+        raise UsageError(f"config key {key!r} must be {expected.__name__}, got {value!r}")
+
+
 def _train_config_from(args: argparse.Namespace) -> tuple[trainer.TrainConfig, dict]:
-    """Defaults, then flags, then config-file keys (highest precedence)."""
+    """Defaults, then flags, then config-file keys (highest precedence).
+
+    Each config value must have the type of the ``TrainConfig`` field or of
+    the ``init_params`` default that it overrides.
+    """
     values = {f.name: f.default for f in fields(trainer.TrainConfig)}
     values["seed"] = args.seed
     values["train_lora_only"] = args.lora_only
     encoder_cfg = dict(_ENCODER_CONFIG_KEYS)
+    types = get_type_hints(trainer.TrainConfig)
+    types.update({key: type(default) for key, default in _ENCODER_CONFIG_KEYS.items()})
     if args.config:
         try:
             overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -257,23 +265,20 @@ def _train_config_from(args: argparse.Namespace) -> tuple[trainer.TrainConfig, d
         if not isinstance(overrides, dict):
             raise UsageError(f"config {args.config} must be a JSON object")
         for key, value in overrides.items():
-            if key in values:
-                values[key] = value
-            elif key in encoder_cfg:
-                encoder_cfg[key] = value
-            else:
+            if key not in types:
                 raise UsageError(f"unknown config key {key!r}")
+            _check_config_type(key, value, types[key])
+            (values if key in values else encoder_cfg)[key] = value
     return trainer.TrainConfig(**values), encoder_cfg
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
     started = time.monotonic()
     config, encoder_cfg = _train_config_from(args)
-    rows = storage.read_jsonl(args.triplets)
-    all_triplets = triplets.triplets_from_rows(rows)
+    all_triplets = storage.read_jsonl(args.triplets, triplets.Triplet.from_row)
     train_rows = [t for t in all_triplets if t.split == "train"]
     if args.val:
-        val_rows = triplets.triplets_from_rows(storage.read_jsonl(args.val))
+        val_rows = storage.read_jsonl(args.val, triplets.Triplet.from_row)
     else:
         val_rows = [t for t in all_triplets if t.split == "val"]
     params = init_params(config.seed, **encoder_cfg)
@@ -301,24 +306,27 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _row_texts(row: dict) -> list[tuple[str | None, str]]:
+    """(id, text) pairs of one row: a triplet row's anchor and positive, the
+    positive id prefixed with ``pos::``, or a manifest row's text, with id
+    None when the row has no ``sent_id``."""
+    if "anchor_id" in row:
+        anchor_id = str(row["anchor_id"])
+        return [(anchor_id, str(row["anchor_text"])), (f"pos::{anchor_id}", str(row["positive_text"]))]
+    return [(str(row["sent_id"]) if "sent_id" in row else None, str(row["text"]))]
+
+
 def _load_texts(path_str: str) -> tuple[list[str], list[str]]:
-    """Texts to embed: manifest rows, triplet rows (anchor plus positive,
-    the positive id prefixed with ``pos::``), or plain lines."""
+    """Texts to embed: .jsonl rows (see ``_row_texts``) or plain lines."""
     path = Path(path_str)
     if path.suffix == ".jsonl":
-        rows = storage.read_jsonl(path)
         ids, texts = [], []
-        for i, row in enumerate(rows):
-            if "anchor_id" in row:
-                ids.append(str(row["anchor_id"]))
-                texts.append(str(row["anchor_text"]))
-                ids.append(f"pos::{row['anchor_id']}")
-                texts.append(str(row["positive_text"]))
-            else:
-                ids.append(str(row.get("sent_id", f"line-{i + 1:06d}")))
-                texts.append(str(row["text"]))
+        for i, pairs in enumerate(storage.read_jsonl(path, _row_texts)):
+            for text_id, text in pairs:
+                ids.append(f"line-{i + 1:06d}" if text_id is None else text_id)
+                texts.append(text)
         return ids, texts
-    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
+    lines = storage.read_lines(path)
     return [f"line-{i + 1:06d}" for i in range(len(lines))], lines
 
 
@@ -328,7 +336,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     ids, texts = _load_texts(args.texts)
     vectors = np.vstack(
         [encode_batch(texts[i : i + 256], params, pooling=args.pooling) for i in range(0, len(texts), 256)]
-    ) if texts else np.zeros((0, params.w2.shape[1]))
+    ) if texts else np.zeros((0, params.tensors["W2"].shape[1]))
     storage.write_embeddings(args.out, ids, vectors)
     storage.write_run_metadata(
         args.out + ".meta.json",
@@ -401,7 +409,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    manifest = corpus.manifest_from_rows(storage.read_jsonl(args.corpus))
+    manifest = corpus.CorpusManifest(records=storage.read_jsonl(args.corpus, corpus.SentenceRecord.from_row))
     stats = corpus.corpus_stats(manifest, Tokenizer(vocab_size=args.vocab_size))
     print(json.dumps(stats.to_dict(), indent=2, sort_keys=True))
     return 0
@@ -409,7 +417,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
     params = load_checkpoint(args.checkpoint)
-    batch = triplets.triplets_from_rows(storage.read_jsonl(args.batch))[: args.batch_size]
+    batch = storage.read_jsonl(args.batch, triplets.Triplet.from_row)[: args.batch_size]
     if not batch:
         raise PipelineError("E_EMPTY_BATCH", f"no triplets in {args.batch}")
     config = trainer.TrainConfig(seed=args.seed, train_lora_only=args.lora_only)

@@ -12,7 +12,7 @@ freshly initialized encoder computes exactly the base-weight forward pass.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -69,19 +69,26 @@ def tokenize(text: str, vocab_size: int = DEFAULT_VOCAB_SIZE) -> list[int]:
     return Tokenizer(vocab_size=vocab_size)(text)
 
 
+def tensor_shapes(vocab: int, d_emb: int, d_hid: int, d_out: int, rank: int) -> dict[str, tuple[int, ...]]:
+    """Shape of every tensor, in ``TENSOR_NAMES`` order."""
+    return {
+        "E": (vocab, d_emb),
+        "W1": (d_emb, d_hid),
+        "b1": (d_hid,),
+        "W2": (d_hid, d_out),
+        "b2": (d_out,),
+        "lora_A1": (rank, d_emb),
+        "lora_B1": (d_hid, rank),
+        "lora_A2": (rank, d_hid),
+        "lora_B2": (d_out, rank),
+    }
+
+
 @dataclass
 class EncoderParams:
-    """All trainable tensors plus the adapter hyperparameters."""
+    """All trainable tensors, keyed in ``TENSOR_NAMES`` order, plus the adapter hyperparameters."""
 
-    emb: np.ndarray
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    lora_a1: np.ndarray
-    lora_b1: np.ndarray
-    lora_a2: np.ndarray
-    lora_b2: np.ndarray
+    tensors: dict[str, np.ndarray]
     lora_rank: int = DEFAULT_LORA_RANK
     lora_alpha: float = DEFAULT_LORA_ALPHA
     lora_dropout: float = DEFAULT_LORA_DROPOUT
@@ -89,7 +96,7 @@ class EncoderParams:
 
     def __post_init__(self) -> None:
         if self.tokenizer is None:
-            self.tokenizer = Tokenizer(vocab_size=self.emb.shape[0])
+            self.tokenizer = Tokenizer(vocab_size=self.tensors["E"].shape[0])
         if self.lora_rank < 1:
             raise DataError("E_BAD_RANK", f"lora_rank must be >= 1, got {self.lora_rank}")
 
@@ -97,39 +104,11 @@ class EncoderParams:
     def scale(self) -> float:
         return self.lora_alpha / self.lora_rank
 
-    def tensors(self) -> dict[str, np.ndarray]:
-        """Named tensors in canonical order."""
-        return {
-            "E": self.emb,
-            "W1": self.w1,
-            "b1": self.b1,
-            "W2": self.w2,
-            "b2": self.b2,
-            "lora_A1": self.lora_a1,
-            "lora_B1": self.lora_b1,
-            "lora_A2": self.lora_a2,
-            "lora_B2": self.lora_b2,
-        }
-
     def trainable_names(self, lora_only: bool) -> tuple[str, ...]:
         return ADAPTER_NAMES if lora_only else TENSOR_NAMES
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            emb=self.emb.copy(),
-            w1=self.w1.copy(),
-            b1=self.b1.copy(),
-            w2=self.w2.copy(),
-            b2=self.b2.copy(),
-            lora_a1=self.lora_a1.copy(),
-            lora_b1=self.lora_b1.copy(),
-            lora_a2=self.lora_a2.copy(),
-            lora_b2=self.lora_b2.copy(),
-            lora_rank=self.lora_rank,
-            lora_alpha=self.lora_alpha,
-            lora_dropout=self.lora_dropout,
-            tokenizer=self.tokenizer,
-        )
+        return replace(self, tensors={name: t.copy() for name, t in self.tensors.items()})
 
 
 def init_params(
@@ -155,16 +134,11 @@ def init_params(
     def gaussian(shape):
         return rng.normal(0.0, INIT_ADAPTER_SD, shape).astype(np.float32).astype(np.float64)
 
+    # Drawn in TENSOR_NAMES order from one generator; biases and B start at zero.
+    draws = {"E": uniform, "W1": uniform, "W2": uniform, "lora_A1": gaussian, "lora_A2": gaussian}
+    shapes = tensor_shapes(vocab_size, d_emb, d_hid, d_out, lora_rank)
     return EncoderParams(
-        emb=uniform((vocab_size, d_emb)),
-        w1=uniform((d_emb, d_hid)),
-        b1=np.zeros(d_hid),
-        w2=uniform((d_hid, d_out)),
-        b2=np.zeros(d_out),
-        lora_a1=gaussian((lora_rank, d_emb)),
-        lora_b1=np.zeros((d_hid, lora_rank)),
-        lora_a2=gaussian((lora_rank, d_hid)),
-        lora_b2=np.zeros((d_out, lora_rank)),
+        tensors={name: draws.get(name, np.zeros)(shape) for name, shape in shapes.items()},
         lora_rank=lora_rank,
         lora_alpha=lora_alpha,
         lora_dropout=lora_dropout,
@@ -207,8 +181,9 @@ def forward_batch(
     """Encode texts and keep activations for backpropagation."""
     if pooling not in POOLINGS:
         raise DataError("E_BAD_POOLING", f"pooling must be one of {POOLINGS}, got {pooling!r}")
+    t = params.tensors
     n = len(texts)
-    d_emb = params.emb.shape[1]
+    d_emb = t["E"].shape[1]
     pooled = np.empty((n, d_emb))
     token_ids: list[list[int]] = []
     for i, text in enumerate(texts):
@@ -216,24 +191,24 @@ def forward_batch(
         if not ids:
             raise DataError("E_EMPTY_TOKENS", f"text {i} produced no tokens: {text!r}")
         token_ids.append(ids)
-        rows = params.emb[ids]
+        rows = t["E"][ids]
         pooled[i] = rows.mean(axis=0) if pooling == POOLING_MEAN else rows[-1]
 
     p = params.lora_dropout
     if train_mode and p > 0.0:
         rng = np.random.default_rng(seed)
         mask1 = _dropout_masks((n, d_emb), p, rng)
-        mask2 = _dropout_masks((n, params.w1.shape[1]), p, rng)
+        mask2 = _dropout_masks((n, t["W1"].shape[1]), p, rng)
     else:
         mask1 = np.ones((n, d_emb))
-        mask2 = np.ones((n, params.w1.shape[1]))
+        mask2 = np.ones((n, t["W1"].shape[1]))
 
     scale = params.scale
-    adapter1 = params.lora_a1.T @ params.lora_b1.T
-    adapter2 = params.lora_a2.T @ params.lora_b2.T
-    pre_act = pooled @ params.w1 + params.b1 + scale * ((pooled * mask1) @ adapter1)
+    adapter1 = t["lora_A1"].T @ t["lora_B1"].T
+    adapter2 = t["lora_A2"].T @ t["lora_B2"].T
+    pre_act = pooled @ t["W1"] + t["b1"] + scale * ((pooled * mask1) @ adapter1)
     hidden = np.tanh(pre_act)
-    raw_out = hidden @ params.w2 + params.b2 + scale * ((hidden * mask2) @ adapter2)
+    raw_out = hidden @ t["W2"] + t["b2"] + scale * ((hidden * mask2) @ adapter2)
     norms = np.linalg.norm(raw_out, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise NumericError("E_ZERO_VECTOR", "encoder produced a zero vector before normalization")
@@ -260,6 +235,7 @@ def backward_batch(
     lora_only: bool = False,
 ) -> None:
     """Accumulate parameter gradients given d(loss)/d(normalized outputs)."""
+    t = params.tensors
     scale = params.scale
     y, norms = cache.outputs, cache.norms
     # Through y = u / ||u||: project out the radial component, divide by norm.
@@ -270,11 +246,11 @@ def backward_batch(
         grads["W2"] += hidden.T @ grad_u
         grads["b2"] += grad_u.sum(axis=0)
     g2 = hidden_d.T @ grad_u
-    grads["lora_A2"] += scale * (g2 @ params.lora_b2).T
-    grads["lora_B2"] += scale * g2.T @ params.lora_a2.T
+    grads["lora_A2"] += scale * (g2 @ t["lora_B2"]).T
+    grads["lora_B2"] += scale * g2.T @ t["lora_A2"].T
 
-    adapter2 = params.lora_a2.T @ params.lora_b2.T
-    grad_hidden = grad_u @ params.w2.T + (scale * grad_u @ adapter2.T) * cache.mask2
+    adapter2 = t["lora_A2"].T @ t["lora_B2"].T
+    grad_hidden = grad_u @ t["W2"].T + (scale * grad_u @ adapter2.T) * cache.mask2
     grad_pre = grad_hidden * (1.0 - hidden * hidden)
 
     pooled, pooled_d = cache.pooled, cache.pooled * cache.mask1
@@ -282,12 +258,12 @@ def backward_batch(
         grads["W1"] += pooled.T @ grad_pre
         grads["b1"] += grad_pre.sum(axis=0)
     g1 = pooled_d.T @ grad_pre
-    grads["lora_A1"] += scale * (g1 @ params.lora_b1).T
-    grads["lora_B1"] += scale * g1.T @ params.lora_a1.T
+    grads["lora_A1"] += scale * (g1 @ t["lora_B1"]).T
+    grads["lora_B1"] += scale * g1.T @ t["lora_A1"].T
 
     if not lora_only:
-        adapter1 = params.lora_a1.T @ params.lora_b1.T
-        grad_pooled = grad_pre @ params.w1.T + (scale * grad_pre @ adapter1.T) * cache.mask1
+        adapter1 = t["lora_A1"].T @ t["lora_B1"].T
+        grad_pooled = grad_pre @ t["W1"].T + (scale * grad_pre @ adapter1.T) * cache.mask1
         for i, ids in enumerate(cache.token_ids):
             if cache.pooling == POOLING_MEAN:
                 np.add.at(grads["E"], ids, grad_pooled[i] / len(ids))
@@ -321,47 +297,40 @@ _SCALAR_FIELDS = ("lora_rank", "lora_alpha", "lora_dropout")
 
 def save_checkpoint(params: EncoderParams, path: str | Path) -> None:
     """Write all tensors plus adapter hyperparameters in CEMB format."""
-    tensors = dict(params.tensors())
-    tensors["lora_rank"] = np.array([params.lora_rank], dtype=np.float32)
-    tensors["lora_alpha"] = np.array([params.lora_alpha], dtype=np.float32)
-    tensors["lora_dropout"] = np.array([params.lora_dropout], dtype=np.float32)
+    tensors = dict(params.tensors)
+    for name in _SCALAR_FIELDS:
+        tensors[name] = np.array([getattr(params, name)], dtype=np.float32)
     storage.write_tensors(path, tensors)
 
 
 def load_checkpoint(path: str | Path) -> EncoderParams:
-    """Read a CEMB checkpoint back into encoder parameters."""
-    tensors = storage.read_tensors(path)
-    missing = [n for n in (*TENSOR_NAMES, *_SCALAR_FIELDS) if n not in tensors]
+    """Read a CEMB checkpoint back into encoder parameters.
+
+    Every tensor's rank is checked before any of its dimensions is read,
+    then every shape against ``tensor_shapes``.
+    """
+    stored = storage.read_tensors(path)
+    missing = [n for n in (*TENSOR_NAMES, *_SCALAR_FIELDS) if n not in stored]
     if missing:
         raise DataError("E_SHAPE_MISMATCH", f"{path}: missing tensors {missing}")
-
-    def arr(name: str) -> np.ndarray:
-        return tensors[name].astype(np.float64)
-
-    params = EncoderParams(
-        emb=arr("E"),
-        w1=arr("W1"),
-        b1=arr("b1"),
-        w2=arr("W2"),
-        b2=arr("b2"),
-        lora_a1=arr("lora_A1"),
-        lora_b1=arr("lora_B1"),
-        lora_a2=arr("lora_A2"),
-        lora_b2=arr("lora_B2"),
-        lora_rank=int(tensors["lora_rank"][0]),
-        lora_alpha=float(tensors["lora_alpha"][0]),
-        lora_dropout=float(tensors["lora_dropout"][0]),
+    # Ranks first: the dimensions checked below are read off E and W2.
+    ranks = {name: len(shape) for name, shape in tensor_shapes(0, 0, 0, 0, 0).items()}
+    wrong_rank = [n for n, rank in ranks.items() if stored[n].ndim != rank]
+    wrong_rank += [n for n in _SCALAR_FIELDS if stored[n].shape != (1,)]
+    if wrong_rank:
+        raise DataError("E_SHAPE_MISMATCH", f"{path}: tensors of the wrong rank {wrong_rank}")
+    lora_rank = float(stored["lora_rank"][0])
+    if not lora_rank.is_integer():
+        raise DataError("E_BAD_RANK", f"{path}: lora_rank must be an integer, got {lora_rank}")
+    vocab, d_emb = stored["E"].shape
+    d_hid, d_out = stored["W2"].shape
+    shapes = tensor_shapes(vocab, d_emb, d_hid, d_out, int(lora_rank))
+    bad = [n for n, shape in shapes.items() if stored[n].shape != shape]
+    if bad:
+        raise DataError("E_SHAPE_MISMATCH", f"{path}: inconsistent tensor shapes {bad}")
+    return EncoderParams(
+        tensors={name: stored[name].astype(np.float64) for name in TENSOR_NAMES},
+        lora_rank=int(lora_rank),
+        lora_alpha=float(stored["lora_alpha"][0]),
+        lora_dropout=float(stored["lora_dropout"][0]),
     )
-    shapes_ok = (
-        params.w1.shape[0] == params.emb.shape[1]
-        and params.b1.shape == (params.w1.shape[1],)
-        and params.w2.shape[0] == params.w1.shape[1]
-        and params.b2.shape == (params.w2.shape[1],)
-        and params.lora_a1.shape == (params.lora_rank, params.emb.shape[1])
-        and params.lora_b1.shape == (params.w1.shape[1], params.lora_rank)
-        and params.lora_a2.shape == (params.lora_rank, params.w1.shape[1])
-        and params.lora_b2.shape == (params.w2.shape[1], params.lora_rank)
-    )
-    if not shapes_ok:
-        raise DataError("E_SHAPE_MISMATCH", f"{path}: inconsistent tensor shapes")
-    return params

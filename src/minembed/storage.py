@@ -20,7 +20,7 @@ import os
 import struct
 import tempfile
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -73,19 +73,43 @@ def write_jsonl(path: str | Path, rows: Iterable[Mapping]) -> None:
     write_atomic(path, payload.encode("utf-8"))
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
+def read_text(path: str | Path) -> str:
+    """A UTF-8 text file's contents; any failure to read or decode it is E_IO."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError("E_IO", f"cannot read {path}: {exc}") from exc
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """The non-blank lines of a UTF-8 text file."""
+    return [ln for ln in read_text(path).splitlines() if ln.strip()]
+
+
+def read_jsonl(path: str | Path, decode: Callable[[dict], Any] | None = None) -> list:
+    """One JSON object per non-blank line, each passed through ``decode`` if given.
+
+    A line that is not a JSON object, or that ``decode`` rejects because a
+    key is missing or a value has the wrong type, is E_IO with its line.
+    """
     rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            rows.append(json.loads(line))
+            row = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError("E_IO", f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(row, dict):
+            raise DataError("E_IO", f"{path}:{lineno}: expected a JSON object")
+        if decode is not None:
+            try:
+                row = decode(row)
+            except KeyError as exc:
+                raise DataError("E_IO", f"{path}:{lineno}: missing key {exc.args[0]!r}") from exc
+            except (TypeError, ValueError) as exc:
+                raise DataError("E_IO", f"{path}:{lineno}: bad value: {exc}") from exc
+        rows.append(row)
     return rows
 
 
@@ -218,7 +242,7 @@ def read_embeddings(path: str | Path) -> tuple[list[str], np.ndarray]:
 def read_qrels(path: str | Path) -> dict[tuple[str, str], int]:
     """Read tab-separated (query_id, cand_id, grade) relevance judgments."""
     qrels: dict[tuple[str, str], int] = {}
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         cols = line.split("\t")
         if len(cols) != 3:
             raise DataError("E_IO", f"{path}:{lineno}: expected 3 tab-separated columns")
@@ -235,7 +259,7 @@ def read_qrels(path: str | Path) -> dict[tuple[str, str], int]:
 def read_pairs(path: str | Path) -> list[tuple[str, str, float | None]]:
     """Read pair lines: (query_id, cand_id) or (query_id, cand_id, gold_score)."""
     pairs: list[tuple[str, str, float | None]] = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         cols = line.split("\t")
         if len(cols) == 2:
             pairs.append((cols[0], cols[1], None))
@@ -247,14 +271,6 @@ def read_pairs(path: str | Path) -> list[tuple[str, str, float | None]]:
         else:
             raise DataError("E_IO", f"{path}:{lineno}: expected 2 or 3 tab-separated columns")
     return pairs
-
-
-def _read_lines(path: str | Path) -> list[str]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError("E_IO", f"cannot read {path}: {exc}") from exc
-    return [ln for ln in text.splitlines() if ln.strip()]
 
 
 # -- Run metadata ------------------------------------------------------------

@@ -18,7 +18,7 @@ All arithmetic runs in double precision; checkpoints store float32.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -28,6 +28,7 @@ from . import storage
 from .encoder import (
     POOLING_LAST,
     POOLINGS,
+    EncodeCache,
     EncoderParams,
     backward_batch,
     forward_batch,
@@ -70,7 +71,7 @@ class TrainConfig:
             raise DataError("E_BAD_POOLING", f"pooling must be one of {POOLINGS}, got {self.pooling!r}")
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
 
 
 @dataclass
@@ -84,10 +85,9 @@ class OptimizerState:
 
 def init_optimizer_state(params: EncoderParams, lora_only: bool = False) -> OptimizerState:
     names = params.trainable_names(lora_only)
-    tensors = params.tensors()
     return OptimizerState(
-        m={n: np.zeros_like(tensors[n]) for n in names},
-        v={n: np.zeros_like(tensors[n]) for n in names},
+        m={n: np.zeros_like(params.tensors[n]) for n in names},
+        v={n: np.zeros_like(params.tensors[n]) for n in names},
     )
 
 
@@ -129,6 +129,14 @@ def _per_anchor_losses(logits: np.ndarray) -> np.ndarray:
     return (max_logit - target) + np.log1p(shifted_exp.sum(axis=1))
 
 
+def _loss_stats(logits: np.ndarray, tau: float) -> tuple[float, float, float]:
+    """Mean loss, mean positive similarity and mean negative similarity."""
+    batch = logits.shape[0]
+    rows = np.arange(batch)
+    loss = math.fsum(_per_anchor_losses(logits)) / batch
+    return loss, float(np.mean(logits[rows, rows])) * tau, float(np.mean(logits[:, batch])) * tau
+
+
 def _as_matrix(vectors: Sequence[np.ndarray]) -> np.ndarray:
     return np.asarray(vectors, dtype=np.float64)
 
@@ -150,8 +158,7 @@ def infonce_loss(
     if tau <= 0.0:
         raise DataError("E_BAD_TEMPERATURE", f"temperature must be > 0, got {tau}")
     a, p, n = _as_matrix(anchors), _as_matrix(positives), _as_matrix(negatives)
-    losses = _per_anchor_losses(_logits_matrix(a, p, n, tau))
-    return math.fsum(losses) / len(losses)
+    return _loss_stats(_logits_matrix(a, p, n, tau), tau)[0]
 
 
 def _loss_and_embedding_grads(
@@ -160,8 +167,7 @@ def _loss_and_embedding_grads(
     """Loss plus gradients with respect to the normalized embeddings."""
     batch = a.shape[0]
     logits = _logits_matrix(a, p, n, tau)
-    losses = _per_anchor_losses(logits)
-    loss = math.fsum(losses) / batch
+    loss, mean_pos, mean_neg = _loss_stats(logits, tau)
 
     shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs = shifted / shifted.sum(axis=1, keepdims=True)
@@ -174,15 +180,23 @@ def _loss_and_embedding_grads(
     grad_a = d_pos @ p + d_neg[:, None] * n
     grad_p = d_pos.T @ a
     grad_n = d_neg[:, None] * a
-
-    mean_pos = float(np.mean(logits[np.arange(batch), np.arange(batch)])) * tau
-    mean_neg = float(np.mean(logits[:, batch])) * tau
     return loss, grad_a, grad_p, grad_n, mean_pos, mean_neg
 
 
 def _role_seed(seed: int, role: int) -> int:
     # Fixed stream splitting: one dropout stream per encode role.
     return int(np.random.SeedSequence([seed, role]).generate_state(1)[0])
+
+
+def _encode_roles(
+    batch: Sequence[Triplet], params: EncoderParams, config: TrainConfig, train_mode: bool, seed: int
+) -> list[tuple[np.ndarray, EncodeCache]]:
+    """Forward the anchor, positive and negative texts, in that order."""
+    roles = ([t.anchor_text for t in batch], [t.positive_text for t in batch], [t.negative_text for t in batch])
+    return [
+        forward_batch(texts, params, config.pooling, train_mode, _role_seed(seed, role))
+        for role, texts in enumerate(roles)
+    ]
 
 
 def batch_loss(
@@ -195,17 +209,9 @@ def batch_loss(
     """Forward-only loss evaluation (used by validation and gradient checks)."""
     if not batch:
         raise DataError("E_EMPTY_BATCH", "cannot evaluate an empty batch")
-    a = forward_batch([t.anchor_text for t in batch], params, config.pooling, train_mode, _role_seed(seed, 0))[0]
-    p = forward_batch([t.positive_text for t in batch], params, config.pooling, train_mode, _role_seed(seed, 1))[0]
-    n = forward_batch([t.negative_text for t in batch], params, config.pooling, train_mode, _role_seed(seed, 2))[0]
-    logits = _logits_matrix(a, p, n, config.temperature)
-    losses = _per_anchor_losses(logits)
-    batch_n = len(batch)
-    return BatchLossReport(
-        loss=math.fsum(losses) / batch_n,
-        mean_pos_sim=float(np.mean(logits[np.arange(batch_n), np.arange(batch_n)])) * config.temperature,
-        mean_neg_sim=float(np.mean(logits[:, batch_n])) * config.temperature,
-    )
+    (a, _), (p, _), (n, _) = _encode_roles(batch, params, config, train_mode, seed)
+    loss, mean_pos, mean_neg = _loss_stats(_logits_matrix(a, p, n, config.temperature), config.temperature)
+    return BatchLossReport(loss=loss, mean_pos_sim=mean_pos, mean_neg_sim=mean_neg)
 
 
 def infonce_gradient(
@@ -218,18 +224,14 @@ def infonce_gradient(
     """Exact analytic gradient of the batch loss for every trained tensor."""
     if not batch:
         raise DataError("E_EMPTY_BATCH", "cannot take gradients of an empty batch")
-    pooling = config.pooling
-    a, cache_a = forward_batch([t.anchor_text for t in batch], params, pooling, train_mode, _role_seed(seed, 0))
-    p, cache_p = forward_batch([t.positive_text for t in batch], params, pooling, train_mode, _role_seed(seed, 1))
-    n, cache_n = forward_batch([t.negative_text for t in batch], params, pooling, train_mode, _role_seed(seed, 2))
-
+    roles = _encode_roles(batch, params, config, train_mode, seed)
+    (a, _), (p, _), (n, _) = roles
     loss, grad_a, grad_p, grad_n, mean_pos, mean_neg = _loss_and_embedding_grads(a, p, n, config.temperature)
 
-    tensors = params.tensors()
-    grads = {name: np.zeros_like(tensors[name]) for name in params.trainable_names(config.train_lora_only)}
-    backward_batch(grad_a, cache_a, params, grads, config.train_lora_only)
-    backward_batch(grad_p, cache_p, params, grads, config.train_lora_only)
-    backward_batch(grad_n, cache_n, params, grads, config.train_lora_only)
+    lora_only = config.train_lora_only
+    grads = {name: np.zeros_like(params.tensors[name]) for name in params.trainable_names(lora_only)}
+    for (_, cache), grad in zip(roles, (grad_a, grad_p, grad_n)):
+        backward_batch(grad, cache, params, grads, lora_only)
 
     grad_norm = math.sqrt(math.fsum(float(np.sum(g * g)) for g in grads.values()))
     return grads, BatchLossReport(loss=loss, mean_pos_sim=mean_pos, mean_neg_sim=mean_neg, grad_norm=grad_norm)
@@ -260,7 +262,7 @@ def adamw_step(
     config: TrainConfig,
 ) -> tuple[EncoderParams, OptimizerState]:
     """One decoupled-weight-decay Adam update, in place."""
-    tensors = params.tensors()
+    tensors = params.tensors
     for name, grad in grads.items():
         if name not in state.m:
             raise DataError("E_SHAPE_MISMATCH", f"gradient for untracked tensor {name!r}")
@@ -381,7 +383,7 @@ def gradient_check(
     grads, _ = infonce_gradient(batch, params, config, train_mode=True, seed=seed)
 
     names = list(params.trainable_names(config.train_lora_only))
-    tensors = params.tensors()
+    tensors = params.tensors
     sizes = np.array([tensors[n].size for n in names])
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     total = int(sizes.sum())

@@ -282,27 +282,28 @@ def test_scheduler_exactness():
 def test_lora_identity_and_scale():
     """B = 0 reproduces the base forward bitwise; adapters scale by alpha/r = 2."""
     params = init_params(300)
+    t = params.tensors
     assert params.lora_rank == 16 and params.lora_alpha == 32.0
     texts = ["aortic valve gradient severe", "normal sinus rhythm today", "left atrium dilated"]
 
-    pooled = np.empty((len(texts), params.emb.shape[1]))
+    pooled = np.empty((len(texts), t["E"].shape[1]))
     for i, text in enumerate(texts):
-        pooled[i] = params.emb[params.tokenizer(text)][-1]
-    hidden = np.tanh(pooled @ params.w1 + params.b1)
-    raw = hidden @ params.w2 + params.b2
+        pooled[i] = t["E"][params.tokenizer(text)][-1]
+    hidden = np.tanh(pooled @ t["W1"] + t["b1"])
+    raw = hidden @ t["W2"] + t["b2"]
     base = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     bitwise_equal = np.array_equal(encode_batch(texts, params), base)
 
     rng = np.random.default_rng(301)
-    params.lora_b1 = rng.normal(0, 0.1, params.lora_b1.shape)
-    params.lora_b2 = rng.normal(0, 0.1, params.lora_b2.shape)
-    pre_adapted = pooled @ params.w1 + params.b1 + pooled @ (2.0 * (params.lora_a1.T @ params.lora_b1.T))
-    pre_direct = pooled @ params.w1 + params.b1 + (params.lora_alpha / params.lora_rank) * (
-        pooled @ (params.lora_a1.T @ params.lora_b1.T)
+    t["lora_B1"] = rng.normal(0, 0.1, t["lora_B1"].shape)
+    t["lora_B2"] = rng.normal(0, 0.1, t["lora_B2"].shape)
+    pre_adapted = pooled @ t["W1"] + t["b1"] + pooled @ (2.0 * (t["lora_A1"].T @ t["lora_B1"].T))
+    pre_direct = pooled @ t["W1"] + t["b1"] + (params.lora_alpha / params.lora_rank) * (
+        pooled @ (t["lora_A1"].T @ t["lora_B1"].T)
     )
     scale_err = float(np.max(np.abs(pre_adapted - pre_direct)))
-    contribution = (params.lora_alpha / params.lora_rank) * (params.lora_a1.T @ params.lora_b1.T)
-    explicit = 2.0 * (params.lora_a1.T @ params.lora_b1.T)
+    contribution = (params.lora_alpha / params.lora_rank) * (t["lora_A1"].T @ t["lora_B1"].T)
+    explicit = 2.0 * (t["lora_A1"].T @ t["lora_B1"].T)
     scale_err = max(scale_err, float(np.max(np.abs(contribution - explicit))))
     _verdict(
         "adapter identity: B = 0 equals base forward bitwise; r=16, alpha=32 scales the low-rank product by exactly 2.0 (within 1e-12)",

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from minembed.cli import build_parser, report_tables, run
-from minembed.storage import read_embeddings, read_jsonl
+from minembed.encoder import init_params, save_checkpoint
+from minembed.storage import read_embeddings, read_jsonl, write_tensors
 
 from conftest import two_cluster_records
 
@@ -109,6 +114,87 @@ def test_no_command_exits_one():
 def test_missing_input_exits_one(tmp_path):
     out = tmp_path / "corpus.jsonl"
     assert run(["prepare", "--in", str(tmp_path / "absent"), "--out", str(out), "--seed", "1"]) == 1
+
+
+def tiny_checkpoint(tmp_path):
+    path = tmp_path / "tiny.cemb"
+    save_checkpoint(init_params(0, vocab_size=64, d_emb=4, d_hid=6, d_out=4, lora_rank=2), path)
+    return path
+
+
+TRIPLET_ROW = {"anchor_id": "a", "anchor_text": "x y", "positive_text": "y x",
+               "negative_id": "n", "negative_text": "z w", "split": "train"}
+# name: (file name, its one JSONL row, command line, what stderr must name)
+MALFORMED_INPUTS = {
+    "prepare-missing-source": ("docs.jsonl", {"doc_id": "d", "text": "t"},
+                               ["prepare", "--in", "{file}", "--out", "{tmp}/c.jsonl", "--seed", "1"],
+                               ["docs.jsonl:1", "'source_name'"]),
+    "stats-on-triplets": ("trips.jsonl", TRIPLET_ROW,
+                          ["stats", "--corpus", "{file}"],
+                          ["trips.jsonl:1", "'sent_id'"]),
+    "train-missing-anchor-text": ("trips.jsonl", {k: v for k, v in TRIPLET_ROW.items() if k != "anchor_text"},
+                                  ["train", "--triplets", "{file}", "--out-dir", "{tmp}/out", "--seed", "1"],
+                                  ["trips.jsonl:1", "'anchor_text'"]),
+    "embed-missing-text": ("texts.jsonl", {"sent_id": "s1"},
+                           ["embed", "--checkpoint", "{ckpt}", "--texts", "{file}", "--out", "{tmp}/e.cevx"],
+                           ["texts.jsonl:1", "'text'"]),
+    "embed-missing-plain-text": (None, None,
+                                 ["embed", "--checkpoint", "{ckpt}", "--texts", "{tmp}/nope.txt", "--out", "{tmp}/e.cevx"],
+                                 ["nope.txt"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_bad_input_file_exits_two_with_e_io(tmp_path, capsys, case):
+    name, row, argv, expected = MALFORMED_INPUTS[case]
+    file = tmp_path / name if name else None
+    if file:
+        file.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    fill = {"file": str(file), "tmp": str(tmp_path), "ckpt": str(tiny_checkpoint(tmp_path))}
+    assert run([arg.format(**fill) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("E_IO: ") and "Traceback" not in err
+    for fragment in expected:
+        assert fragment in err
+
+
+@pytest.mark.parametrize(
+    "override",
+    [{"epochs": "2"}, {"epochs": 2.0}, {"batch_size": True}, {"peak_lr": "1e-3"},
+     {"train_lora_only": 1}, {"pooling": None}, {"lora_rank": 4.0}, {"lora_alpha": False}],
+)
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, override):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(override), encoding="utf-8")
+    trips = tmp_path / "trips.jsonl"
+    trips.write_text(json.dumps(TRIPLET_ROW) + "\n", encoding="utf-8")
+    assert run(["train", "--triplets", str(trips), "--config", str(config),
+                "--out-dir", str(tmp_path / "out"), "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("E_USAGE: ") and repr(next(iter(override))) in err
+
+
+@pytest.mark.parametrize(
+    "corrupt, code",
+    [
+        ({"E": np.zeros(64, dtype=np.float32)}, "E_SHAPE_MISMATCH"),
+        ({"lora_rank": np.zeros((1, 1), dtype=np.float32)}, "E_SHAPE_MISMATCH"),
+        ({"lora_A1": np.zeros((3, 4), dtype=np.float32)}, "E_SHAPE_MISMATCH"),
+        ({"lora_rank": np.array([np.nan], dtype=np.float32)}, "E_BAD_RANK"),
+    ],
+)
+def test_embed_on_malformed_checkpoint_exits_two(tmp_path, capsys, corrupt, code):
+    params = init_params(0, vocab_size=64, d_emb=4, d_hid=6, d_out=4, lora_rank=2)
+    tensors = {**params.tensors, "lora_rank": np.array([2.0]), "lora_alpha": np.array([4.0]),
+               "lora_dropout": np.array([0.0]), **corrupt}
+    checkpoint = tmp_path / "bad.cemb"
+    write_tensors(checkpoint, tensors)
+    texts = tmp_path / "texts.txt"
+    texts.write_text("left atrium normal\n", encoding="utf-8")
+    assert run(["embed", "--checkpoint", str(checkpoint), "--texts", str(texts),
+                "--out", str(tmp_path / "e.cevx")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{code}: ") and "Traceback" not in err
 
 
 def test_train_on_empty_triplets_exits_two(tmp_path):
@@ -261,7 +347,7 @@ def test_config_file_overrides_flags(tmp_path):
     trips = tmp_path / "triplets.jsonl"
     run(["prepare", "--in", str(docs), "--out", str(corpus), "--seed", "4"])
     run(["triplets", "--corpus", str(corpus), "--out", str(trips), "--min-distance", "1", "--seed", "4"])
-    config = small_train_config(tmp_path, seed=123)
+    config = small_train_config(tmp_path, seed=123, lora_alpha=8)  # an int stands for a float
     out_dir = tmp_path / "train"
     assert run(["train", "--triplets", str(trips), "--config", str(config),
                 "--out-dir", str(out_dir), "--seed", "99"]) == 0
@@ -321,3 +407,42 @@ def test_report_tables_empty_report_is_header_only():
     lines = report_tables({}).splitlines()
     assert lines[0].split() == ["Task", "Metric", "Score"]
     assert len(lines) == 2  # header and rule, no data rows
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_benchmark_tracing_hooks_find_their_functions(tmp_path):
+    """perfbench/tracing.py wraps minembed functions it finds by name and
+    reads some of their positional arguments; a traced train and embed
+    must still run, record their spans, and count forward rows."""
+    rows = []
+    for i, r in enumerate(two_cluster_records(6, seed=1)):
+        rows.append({"anchor_id": r.sent_id, "anchor_text": r.text, "positive_text": r.text.upper(),
+                     "negative_id": f"n{i}", "negative_text": r.text[::-1], "split": "train" if i % 3 else "val"})
+    trips = tmp_path / "trips.jsonl"
+    trips.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    config = small_train_config(tmp_path, batch_size=4, vocab_size=64, d_emb=4, d_hid=6, d_out=4, lora_rank=2)
+    pythonpath = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath,
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    stages = {
+        "train": (["train", "--triplets", str(trips), "--config", str(config),
+                   "--out-dir", str(tmp_path / "out"), "--seed", "0"],
+                  {"trainer.forward_batch", "trainer.backward_batch", "trainer.infonce_gradient",
+                   "trainer.adamw_step", "trainer.save_checkpoint", "trainer.evaluation_loss"}),
+        "embed": (["embed", "--checkpoint", str(tmp_path / "out" / "epoch-1.cemb"), "--texts", str(trips),
+                   "--out", str(tmp_path / "e.cevx"), "--pooling", "mean"],
+                  {"cli.encode_batch", "cli.load_checkpoint", "encoder.forward_batch"}),
+    }
+    for stage, (argv, expected_spans) in stages.items():
+        spans_file = tmp_path / f"{stage}-spans.json"
+        proc = subprocess.run([sys.executable, str(REPO_ROOT / "perfbench" / "tracing.py"), str(spans_file), *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(spans_file.read_text())
+        assert expected_spans <= {span[0] for span in data["spans"]}, stage
+        if stage == "train":
+            assert data["counts"]["trainer.steps"] == 2  # 8 train rows, batch size 4
+        else:
+            assert data["counts"]["encoder.forward_rows"] == 2 * len(rows)

@@ -18,7 +18,6 @@ from minembed.corpus import (
     corpus_stats,
     deduplicate,
     filter_short,
-    manifest_from_rows,
     manifest_to_rows,
     normalized_form,
     segment_sentences,
@@ -26,6 +25,7 @@ from minembed.corpus import (
 )
 from minembed.encoder import Tokenizer
 from minembed.errors import DataError
+from minembed.storage import read_jsonl, write_jsonl
 
 
 def record(sent_id: str, text: str, source: str = "src", split: str = "unassigned") -> SentenceRecord:
@@ -332,24 +332,16 @@ def test_build_manifest_orders_by_source_then_position():
     assert manifest.per_source_counts == {"alpha-book": 1, "zebra-book": 2}
 
 
-def test_build_manifest_threads_match_serial():
-    docs = [
-        RawDocument(f"d{i}", f"src{i % 3}", f"Document {i} first sentence is long enough. And a second one follows here.")
-        for i in range(9)
-    ]
-    assert manifest_to_rows(build_manifest(docs, threads=4)) == manifest_to_rows(build_manifest(docs))
-
-
 def test_build_manifest_rejects_duplicate_doc_ids():
     docs = [RawDocument("d", "s", "text one is long enough."), RawDocument("d", "s", "text two is long enough.")]
     with pytest.raises(DataError):
         build_manifest(docs)
 
 
-def test_manifest_rows_roundtrip():
+def test_manifest_rows_roundtrip(tmp_path):
     manifest = manifest_with_sources({"s1": 3})
-    rows = manifest_to_rows(manifest)
-    assert manifest_from_rows(rows).records == manifest.records
+    write_jsonl(tmp_path / "m.jsonl", manifest_to_rows(manifest))
+    assert read_jsonl(tmp_path / "m.jsonl", SentenceRecord.from_row) == manifest.records
 
 
 def test_empty_document_yields_no_records():

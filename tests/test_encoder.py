@@ -95,8 +95,8 @@ def test_train_mode_dropout_seeded(small_params):
     # Dropout gates the adapter input, so it only shows once B is nonzero.
     params = small_params.copy()
     rng = np.random.default_rng(8)
-    params.lora_b1 = rng.normal(0, 0.5, params.lora_b1.shape)
-    params.lora_b2 = rng.normal(0, 0.5, params.lora_b2.shape)
+    params.tensors["lora_B1"] = rng.normal(0, 0.5, params.tensors["lora_B1"].shape)
+    params.tensors["lora_B2"] = rng.normal(0, 0.5, params.tensors["lora_B2"].shape)
     texts = ["left ventricular ejection fraction"]
     a = encode_batch(texts, params, train_mode=True, seed=5)
     b = encode_batch(texts, params, train_mode=True, seed=5)
@@ -113,12 +113,13 @@ def base_forward(texts, params, pooling="last_token"):
     Uses the same batched matrix shapes as the encoder so that BLAS kernel
     selection cannot introduce low-bit differences.
     """
-    pooled = np.empty((len(texts), params.emb.shape[1]))
+    t = params.tensors
+    pooled = np.empty((len(texts), t["E"].shape[1]))
     for i, text in enumerate(texts):
-        emb = params.emb[params.tokenizer(text)]
+        emb = t["E"][params.tokenizer(text)]
         pooled[i] = emb.mean(axis=0) if pooling == "mean" else emb[-1]
-    hidden = np.tanh(pooled @ params.w1 + params.b1)
-    raw = hidden @ params.w2 + params.b2
+    hidden = np.tanh(pooled @ t["W1"] + t["b1"])
+    raw = hidden @ t["W2"] + t["b2"]
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
@@ -134,21 +135,22 @@ def test_lora_identity_b_zero_bitwise(small_params):
 
 def test_adapter_scale_is_alpha_over_rank():
     params = init_params(3, vocab_size=128, d_emb=8, d_hid=12, d_out=6, lora_rank=16, lora_alpha=32.0)
+    t = params.tensors
     rng = np.random.default_rng(0)
-    params.lora_b1 = rng.normal(0, 0.1, params.lora_b1.shape)
-    params.lora_b2 = rng.normal(0, 0.1, params.lora_b2.shape)
+    t["lora_B1"] = rng.normal(0, 0.1, t["lora_B1"].shape)
+    t["lora_B2"] = rng.normal(0, 0.1, t["lora_B2"].shape)
 
-    w_eff = effective_weight(params.w1, params.lora_a1, params.lora_b1, 32.0, 16)
-    explicit = params.lora_a1.T @ params.lora_b1.T
-    assert np.max(np.abs((w_eff - params.w1) - 2.0 * explicit)) <= 1e-12
+    w_eff = effective_weight(t["W1"], t["lora_A1"], t["lora_B1"], 32.0, 16)
+    explicit = t["lora_A1"].T @ t["lora_B1"].T
+    assert np.max(np.abs((w_eff - t["W1"]) - 2.0 * explicit)) <= 1e-12
 
     # End to end: the forward built on effective weights matches encode_batch.
     texts = ["pulmonary artery pressure elevated"]
     ours = encode_batch(texts, params)
     ids = params.tokenizer(texts[0])
-    x = params.emb[ids][-1]
-    h = np.tanh(x @ effective_weight(params.w1, params.lora_a1, params.lora_b1, 32.0, 16) + params.b1)
-    y = h @ effective_weight(params.w2, params.lora_a2, params.lora_b2, 32.0, 16) + params.b2
+    x = t["E"][ids][-1]
+    h = np.tanh(x @ effective_weight(t["W1"], t["lora_A1"], t["lora_B1"], 32.0, 16) + t["b1"])
+    y = h @ effective_weight(t["W2"], t["lora_A2"], t["lora_B2"], 32.0, 16) + t["b2"]
     assert np.max(np.abs(ours[0] - y / np.linalg.norm(y))) <= 1e-12
 
 
@@ -209,8 +211,8 @@ def test_checkpoint_roundtrip_bitwise(tmp_path, small_params):
     path = tmp_path / "model.cemb"
     save_checkpoint(small_params, path)
     loaded = load_checkpoint(path)
-    for name, tensor in small_params.tensors().items():
-        assert np.array_equal(loaded.tensors()[name], tensor), name
+    for name, tensor in small_params.tensors.items():
+        assert np.array_equal(loaded.tensors[name], tensor), name
     assert loaded.lora_rank == small_params.lora_rank
     assert loaded.lora_alpha == small_params.lora_alpha
     assert loaded.lora_dropout == pytest.approx(small_params.lora_dropout, abs=1e-7)
@@ -263,7 +265,7 @@ def test_checkpoint_wrong_magic(tmp_path, small_params):
 
 
 def test_checkpoint_missing_tensor(tmp_path, small_params):
-    tensors = dict(small_params.tensors())
+    tensors = dict(small_params.tensors)
     tensors["lora_rank"] = np.array([4.0], dtype=np.float32)
     tensors["lora_alpha"] = np.array([8.0], dtype=np.float32)
     del tensors["W2"]
@@ -277,10 +279,10 @@ def test_checkpoint_missing_tensor(tmp_path, small_params):
 def test_init_params_deterministic():
     a = init_params(42, vocab_size=64, d_emb=4, d_hid=6, d_out=4)
     b = init_params(42, vocab_size=64, d_emb=4, d_hid=6, d_out=4)
-    for name in a.tensors():
-        assert np.array_equal(a.tensors()[name], b.tensors()[name])
-    assert np.all(a.lora_b1 == 0.0) and np.all(a.lora_b2 == 0.0)
-    assert np.max(np.abs(a.emb)) <= 0.05
+    for name in a.tensors:
+        assert np.array_equal(a.tensors[name], b.tensors[name])
+    assert np.all(a.tensors["lora_B1"] == 0.0) and np.all(a.tensors["lora_B2"] == 0.0)
+    assert np.max(np.abs(a.tensors["E"])) <= 0.05
 
 
 def test_tensor_file_roundtrip(tmp_path):

@@ -109,6 +109,13 @@ def test_jsonl_invalid_line(tmp_path):
         read_jsonl(path)
     assert err.value.code == "E_IO"
 
+    # A line that is not an object, or a value the decoder cannot convert.
+    for content, decode in (('{"ok": 1}\n[1, 2]\n', None), ('{"ok": 1}\n{"ok": "x"}\n', lambda row: int(row["ok"]))):
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(DataError) as err:
+            read_jsonl(path, decode)
+        assert err.value.code == "E_IO" and f"{path}:2:" in str(err.value)
+
 
 def test_embeddings_roundtrip(tmp_path):
     rng = np.random.default_rng(0)

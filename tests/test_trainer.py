@@ -151,7 +151,7 @@ def test_overflow_safety_extreme_sims():
 
 
 def finite_difference_probe(params, batch, config, name, index, h=1e-6, seed=0):
-    tensor = params.tensors()[name]
+    tensor = params.tensors[name]
     original = tensor.flat[index]
     tensor.flat[index] = original + h
     up = batch_loss(batch, params, config, train_mode=True, seed=seed).loss
@@ -168,7 +168,7 @@ def test_gradient_matches_finite_differences(small_params):
     assert math.isfinite(report.loss) and report.loss >= 0.0
     rng = np.random.default_rng(2)
     for name in ("E", "W1", "b1", "W2", "b2", "lora_A1", "lora_B1", "lora_A2", "lora_B2"):
-        tensor = small_params.tensors()[name]
+        tensor = small_params.tensors[name]
         candidates = np.flatnonzero(np.abs(grads[name]) > 1e-12)
         picks = rng.choice(candidates if candidates.size else tensor.size, size=3, replace=False)
         for index in picks:
@@ -331,7 +331,7 @@ def hand_adamw_single_step(theta, grad, lr, beta1, beta2, eps, wd):
 
 def one_tensor_setup(value: float):
     params = init_params(0, vocab_size=4, d_emb=2, d_hid=2, d_out=2, lora_rank=1)
-    for t in params.tensors().values():
+    for t in params.tensors.values():
         t[:] = value
     state = init_optimizer_state(params)
     return params, state
@@ -340,11 +340,11 @@ def one_tensor_setup(value: float):
 def test_adamw_single_step_hand_oracle():
     config = TrainConfig(weight_decay=0.0)
     params, state = one_tensor_setup(0.0)
-    grads = {name: np.ones_like(t) for name, t in params.tensors().items()}
+    grads = {name: np.ones_like(t) for name, t in params.tensors.items()}
     adamw_step(params, grads, state, lr=1e-3, config=config)
     expected = hand_adamw_single_step(0.0, 1.0, 1e-3, 0.9, 0.999, 1e-8, 0.0)
     assert expected == pytest.approx(-9.99999990e-4, rel=1e-6)
-    for t in params.tensors().values():
+    for t in params.tensors.values():
         assert np.allclose(t, expected, rtol=0, atol=1e-18)
     assert state.t == 1
 
@@ -352,24 +352,24 @@ def test_adamw_single_step_hand_oracle():
 def test_adamw_zero_grad_no_motion():
     config = TrainConfig(weight_decay=0.0)
     params, state = one_tensor_setup(0.7)
-    grads = {name: np.zeros_like(t) for name, t in params.tensors().items()}
+    grads = {name: np.zeros_like(t) for name, t in params.tensors.items()}
     adamw_step(params, grads, state, lr=1e-3, config=config)
-    for t in params.tensors().values():
+    for t in params.tensors.values():
         assert np.all(t == 0.7)
 
 
 def test_adamw_pure_decay():
     config = TrainConfig(weight_decay=0.01)
     params, state = one_tensor_setup(0.5)
-    grads = {name: np.zeros_like(t) for name, t in params.tensors().items()}
+    grads = {name: np.zeros_like(t) for name, t in params.tensors.items()}
     adamw_step(params, grads, state, lr=0.1, config=config)
-    for t in params.tensors().values():
+    for t in params.tensors.values():
         assert np.allclose(t, 0.5 * (1 - 0.1 * 0.01), rtol=0, atol=1e-15)
 
 
 def test_adamw_rejects_nonfinite():
     params, state = one_tensor_setup(0.0)
-    grads = {name: np.zeros_like(t) for name, t in params.tensors().items()}
+    grads = {name: np.zeros_like(t) for name, t in params.tensors.items()}
     grads["W1"][0, 0] = np.nan
     with pytest.raises(NumericError) as err:
         adamw_step(params, grads, state, lr=1e-3, config=TrainConfig())
@@ -393,14 +393,14 @@ def test_adamw_matches_multistep_reference():
     rng = np.random.default_rng(0)
     for step in range(1, 4):
         g = float(rng.normal())
-        grads = {name: np.full_like(t, g) for name, t in params.tensors().items()}
+        grads = {name: np.full_like(t, g) for name, t in params.tensors.items()}
         adamw_step(params, grads, state, lr=2e-3, config=config)
         m_ref = 0.9 * m_ref + 0.1 * g
         v_ref = 0.999 * v_ref + 0.001 * g * g
         m_hat = m_ref / (1 - 0.9**step)
         v_hat = v_ref / (1 - 0.999**step)
         theta_ref = theta_ref - 2e-3 * (m_hat / (math.sqrt(v_hat) + 1e-8) + 0.01 * theta_ref)
-        assert params.w1[0, 0] == pytest.approx(theta_ref, rel=1e-12)
+        assert params.tensors["W1"][0, 0] == pytest.approx(theta_ref, rel=1e-12)
 
 
 # -- train loop --------------------------------------------------------------------
@@ -428,10 +428,10 @@ def test_train_loss_decreases_on_toy_corpus(tmp_path):
 
 def test_train_zero_epochs_unchanged(small_params):
     batch = make_batch(4, seed=1)
-    before = {k: v.copy() for k, v in small_params.tensors().items()}
+    before = {k: v.copy() for k, v in small_params.tensors.items()}
     params, reports = train(batch, small_params, small_config(epochs=0))
     assert reports == []
-    for name, tensor in params.tensors().items():
+    for name, tensor in params.tensors.items():
         assert np.array_equal(tensor, before[name])
 
 
@@ -463,8 +463,8 @@ def test_train_lora_only_freezes_base(tmp_path):
     params, _ = small_toy_run(tmp_path, seed=13, train_lora_only=True)
     fresh = init_params(13, vocab_size=2048, d_emb=32, d_hid=48, d_out=24)
     for name in ("E", "W1", "b1", "W2", "b2"):
-        assert np.array_equal(params.tensors()[name], fresh.tensors()[name]), name
-    assert not np.array_equal(params.lora_b1, fresh.lora_b1)
+        assert np.array_equal(params.tensors[name], fresh.tensors[name]), name
+    assert not np.array_equal(params.tensors["lora_B1"], fresh.tensors["lora_B1"])
 
 
 def test_config_validation():

@@ -9,6 +9,7 @@ import pytest
 
 from minembed.corpus import CorpusManifest, SentenceRecord
 from minembed.errors import DataError
+from minembed.storage import read_jsonl, write_jsonl
 from minembed.triplets import (
     FALLBACK_STOPWORDS,
     NegativePolicy,
@@ -18,7 +19,6 @@ from minembed.triplets import (
     fallback_paraphrase,
     generate_positive,
     sample_hard_negative,
-    triplets_from_rows,
     triplets_to_rows,
 )
 
@@ -207,12 +207,6 @@ def test_build_reproducible_byte_identical():
     assert rows_a == rows_b
 
 
-def test_build_threads_match_serial():
-    manifest = two_cluster_manifest(20, seed=5, split="train")
-    policy = NegativePolicy(min_index_distance=1, seed=9)
-    assert build_triplets(manifest, policy, threads=4).triplets == build_triplets(manifest, policy).triplets
-
-
 def test_build_counts_unparaphrasable_anchors():
     records = distant_records(6)
     records.append(record("src:single", "antidisestablishmentarianism"))
@@ -250,6 +244,7 @@ def test_cross_source_invariant_on_multisource_corpus():
         assert source_of[t.anchor_id] != source_of[t.negative_id]
 
 
-def test_triplet_rows_roundtrip():
+def test_triplet_rows_roundtrip(tmp_path):
     t = Triplet("a", "anchor text", "positive text", "n", "negative text", "train")
-    assert triplets_from_rows(triplets_to_rows([t])) == [t]
+    write_jsonl(tmp_path / "t.jsonl", triplets_to_rows([t]))
+    assert read_jsonl(tmp_path / "t.jsonl", Triplet.from_row) == [t]
