@@ -10,6 +10,7 @@ SHA-256 digests of inputs and outputs.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -20,38 +21,20 @@ from typing import get_type_hints
 import numpy as np
 
 from . import corpus, metrics, storage, trainer, triplets
-from .encoder import (
-    DEFAULT_D_EMB,
-    DEFAULT_D_HID,
-    DEFAULT_D_OUT,
-    DEFAULT_LORA_ALPHA,
-    DEFAULT_LORA_DROPOUT,
-    DEFAULT_LORA_RANK,
-    DEFAULT_VOCAB_SIZE,
-    POOLING_LAST,
-    POOLING_MEAN,
-    Tokenizer,
-    encode_batch,
-    init_params,
-    load_checkpoint,
-)
+from .encoder import POOLINGS, Tokenizer, encode_batch, init_params, load_checkpoint
 from .errors import PipelineError, UsageError
 
+# Config keys and their defaults: every TrainConfig field, then every
+# init_params keyword except the seed, which TrainConfig already carries.
+_TRAIN_CONFIG_KEYS = {f.name: f.default for f in fields(trainer.TrainConfig)}
 _ENCODER_CONFIG_KEYS = {
-    "vocab_size": DEFAULT_VOCAB_SIZE,
-    "d_emb": DEFAULT_D_EMB,
-    "d_hid": DEFAULT_D_HID,
-    "d_out": DEFAULT_D_OUT,
-    "lora_rank": DEFAULT_LORA_RANK,
-    "lora_alpha": DEFAULT_LORA_ALPHA,
-    "lora_dropout": DEFAULT_LORA_DROPOUT,
+    name: param.default for name, param in inspect.signature(init_params).parameters.items() if name != "seed"
 }
 
 _TRAIN_DEFAULTS_HELP = (
-    "Hyperparameter defaults: epochs 2, batch size 128, peak learning rate 2e-4, "
-    "warmup fraction 0.1, min learning rate 0, temperature 0.05, weight decay 0.01, "
-    "betas (0.9, 0.999), eps 1e-8, adapter rank r=16, adapter alpha 32, adapter dropout 0.05, "
-    "pooling last_token. A JSON config file passed via --config overrides flags."
+    "Config keys and their defaults: "
+    + ", ".join(f"{key}={value}" for key, value in {**_TRAIN_CONFIG_KEYS, **_ENCODER_CONFIG_KEYS}.items())
+    + ". A JSON config file passed via --config overrides flags."
 )
 
 
@@ -118,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, help="CEMB checkpoint")
     p.add_argument("--texts", required=True, help="manifest/triplet-style .jsonl with sent_id and text, or plain text lines")
     p.add_argument("--out", required=True, help="output embedding file (CEVX; ids go to <out>.ids)")
-    p.add_argument("--pooling", choices=[POOLING_LAST, POOLING_MEAN], default=POOLING_LAST, help="sentence pooling strategy")
+    p.add_argument("--pooling", choices=POOLINGS, default=None, help="pooling the checkpoint must store; a mismatch exits 2 with E_POOLING_MISMATCH (default: %(default)s, the checkpoint's own)")
     p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser(
@@ -137,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="corpus statistics for a manifest", formatter_class=fmt)
     p.add_argument("--corpus", required=True, help="manifest produced by prepare")
-    p.add_argument("--vocab-size", type=int, default=DEFAULT_VOCAB_SIZE, help="tokenizer vocabulary size")
+    p.add_argument("--vocab-size", type=int, default=_ENCODER_CONFIG_KEYS["vocab_size"], help="tokenizer vocabulary size")
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser(
@@ -251,7 +234,7 @@ def _train_config_from(args: argparse.Namespace) -> tuple[trainer.TrainConfig, d
     Each config value must have the type of the ``TrainConfig`` field or of
     the ``init_params`` default that it overrides.
     """
-    values = {f.name: f.default for f in fields(trainer.TrainConfig)}
+    values = dict(_TRAIN_CONFIG_KEYS)
     values["seed"] = args.seed
     values["train_lora_only"] = args.lora_only
     encoder_cfg = dict(_ENCODER_CONFIG_KEYS)
@@ -259,9 +242,9 @@ def _train_config_from(args: argparse.Namespace) -> tuple[trainer.TrainConfig, d
     types.update({key: type(default) for key, default in _ENCODER_CONFIG_KEYS.items()})
     if args.config:
         try:
-            overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config {args.config}: {exc}") from exc
+            overrides = json.loads(storage.read_text(args.config))
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"cannot parse config {args.config}: {exc}") from exc
         if not isinstance(overrides, dict):
             raise UsageError(f"config {args.config} must be a JSON object")
         for key, value in overrides.items():
@@ -333,15 +316,19 @@ def _load_texts(path_str: str) -> tuple[list[str], list[str]]:
 def _cmd_embed(args: argparse.Namespace) -> int:
     started = time.monotonic()
     params = load_checkpoint(args.checkpoint)
+    if args.pooling not in (None, params.pooling):
+        raise PipelineError(
+            "E_POOLING_MISMATCH", f"{args.checkpoint} stores {params.pooling} pooling, not {args.pooling}"
+        )
     ids, texts = _load_texts(args.texts)
     vectors = np.vstack(
-        [encode_batch(texts[i : i + 256], params, pooling=args.pooling) for i in range(0, len(texts), 256)]
+        [encode_batch(texts[i : i + 256], params) for i in range(0, len(texts), 256)]
     ) if texts else np.zeros((0, params.tensors["W2"].shape[1]))
     storage.write_embeddings(args.out, ids, vectors)
     storage.write_run_metadata(
         args.out + ".meta.json",
         command="embed",
-        config={"pooling": args.pooling},
+        config={"pooling": params.pooling},
         seed=None,
         inputs=[args.checkpoint, args.texts],
         outputs=[args.out, storage.ids_sidecar(args.out)],

@@ -58,7 +58,6 @@ class Tokenizer:
     """Hash tokenizer: lowercase, split on non-alphanumeric runs, FNV-1a mod vocab."""
 
     vocab_size: int = DEFAULT_VOCAB_SIZE
-    scheme: str = "fnv1a64"
 
     def __call__(self, text: str) -> list[int]:
         return [fnv1a_64(tok.encode("utf-8")) % self.vocab_size for tok in _TOKEN_RE.findall(text.lower())]
@@ -86,19 +85,22 @@ def tensor_shapes(vocab: int, d_emb: int, d_hid: int, d_out: int, rank: int) -> 
 
 @dataclass
 class EncoderParams:
-    """All trainable tensors, keyed in ``TENSOR_NAMES`` order, plus the adapter hyperparameters."""
+    """All trainable tensors, keyed in ``TENSOR_NAMES`` order, plus the
+    adapter hyperparameters and the pooling rule the model was built with."""
 
     tensors: dict[str, np.ndarray]
     lora_rank: int = DEFAULT_LORA_RANK
     lora_alpha: float = DEFAULT_LORA_ALPHA
     lora_dropout: float = DEFAULT_LORA_DROPOUT
-    tokenizer: Tokenizer = field(default=None)  # type: ignore[assignment]
+    pooling: str = POOLING_LAST
+    tokenizer: Tokenizer = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.tokenizer is None:
-            self.tokenizer = Tokenizer(vocab_size=self.tensors["E"].shape[0])
+        self.tokenizer = Tokenizer(vocab_size=self.tensors["E"].shape[0])
         if self.lora_rank < 1:
             raise DataError("E_BAD_RANK", f"lora_rank must be >= 1, got {self.lora_rank}")
+        if self.pooling not in POOLINGS:
+            raise DataError("E_BAD_POOLING", f"pooling must be one of {POOLINGS}, got {self.pooling!r}")
 
     @property
     def scale(self) -> float:
@@ -120,6 +122,7 @@ def init_params(
     lora_rank: int = DEFAULT_LORA_RANK,
     lora_alpha: float = DEFAULT_LORA_ALPHA,
     lora_dropout: float = DEFAULT_LORA_DROPOUT,
+    pooling: str = POOLING_LAST,
 ) -> EncoderParams:
     """Seeded initialization: uniform base weights, Gaussian A, zero B.
 
@@ -142,7 +145,7 @@ def init_params(
         lora_rank=lora_rank,
         lora_alpha=lora_alpha,
         lora_dropout=lora_dropout,
-        tokenizer=Tokenizer(vocab_size=vocab_size),
+        pooling=pooling,
     )
 
 
@@ -160,10 +163,8 @@ class EncodeCache:
     mask1: np.ndarray
     mask2: np.ndarray
     hidden: np.ndarray
-    raw_out: np.ndarray
     norms: np.ndarray
     outputs: np.ndarray
-    pooling: str
 
 
 def _dropout_masks(shape: tuple[int, int], p: float, rng: np.random.Generator) -> np.ndarray:
@@ -174,13 +175,11 @@ def _dropout_masks(shape: tuple[int, int], p: float, rng: np.random.Generator) -
 def forward_batch(
     texts: Sequence[str],
     params: EncoderParams,
-    pooling: str = POOLING_LAST,
     train_mode: bool = False,
     seed: int = 0,
 ) -> tuple[np.ndarray, EncodeCache]:
-    """Encode texts and keep activations for backpropagation."""
-    if pooling not in POOLINGS:
-        raise DataError("E_BAD_POOLING", f"pooling must be one of {POOLINGS}, got {pooling!r}")
+    """Encode texts with the params' pooling and keep activations for backpropagation."""
+    mean_pool = params.pooling == POOLING_MEAN
     t = params.tensors
     n = len(texts)
     d_emb = t["E"].shape[1]
@@ -192,7 +191,7 @@ def forward_batch(
             raise DataError("E_EMPTY_TOKENS", f"text {i} produced no tokens: {text!r}")
         token_ids.append(ids)
         rows = t["E"][ids]
-        pooled[i] = rows.mean(axis=0) if pooling == POOLING_MEAN else rows[-1]
+        pooled[i] = rows.mean(axis=0) if mean_pool else rows[-1]
 
     p = params.lora_dropout
     if train_mode and p > 0.0:
@@ -214,15 +213,7 @@ def forward_batch(
         raise NumericError("E_ZERO_VECTOR", "encoder produced a zero vector before normalization")
     outputs = raw_out / norms
     cache = EncodeCache(
-        token_ids=token_ids,
-        pooled=pooled,
-        mask1=mask1,
-        mask2=mask2,
-        hidden=hidden,
-        raw_out=raw_out,
-        norms=norms,
-        outputs=outputs,
-        pooling=pooling,
+        token_ids=token_ids, pooled=pooled, mask1=mask1, mask2=mask2, hidden=hidden, norms=norms, outputs=outputs
     )
     return outputs, cache
 
@@ -264,8 +255,9 @@ def backward_batch(
     if not lora_only:
         adapter1 = t["lora_A1"].T @ t["lora_B1"].T
         grad_pooled = grad_pre @ t["W1"].T + (scale * grad_pre @ adapter1.T) * cache.mask1
+        mean_pool = params.pooling == POOLING_MEAN
         for i, ids in enumerate(cache.token_ids):
-            if cache.pooling == POOLING_MEAN:
+            if mean_pool:
                 np.add.at(grads["E"], ids, grad_pooled[i] / len(ids))
             else:
                 grads["E"][ids[-1]] += grad_pooled[i]
@@ -274,12 +266,11 @@ def backward_batch(
 def encode_batch(
     texts: Sequence[str],
     params: EncoderParams,
-    pooling: str = POOLING_LAST,
     train_mode: bool = False,
     seed: int = 0,
 ) -> np.ndarray:
     """Encode texts into unit-norm embedding vectors, one row per text."""
-    outputs, _ = forward_batch(texts, params, pooling, train_mode, seed)
+    outputs, _ = forward_batch(texts, params, train_mode, seed)
     return outputs
 
 
@@ -292,14 +283,17 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.dot(u, v) / (nu * nv))
 
 
-_SCALAR_FIELDS = ("lora_rank", "lora_alpha", "lora_dropout")
+# Hyperparameters stored as f32 scalar tensors; pooling as its index in POOLINGS.
+_SCALAR_FIELDS = ("lora_rank", "lora_alpha", "lora_dropout", "pooling")
 
 
 def save_checkpoint(params: EncoderParams, path: str | Path) -> None:
-    """Write all tensors plus adapter hyperparameters in CEMB format."""
+    """Write all tensors plus the hyperparameter scalars in CEMB format."""
+    scalars = {name: getattr(params, name) for name in _SCALAR_FIELDS}
+    scalars["pooling"] = POOLINGS.index(params.pooling)
     tensors = dict(params.tensors)
-    for name in _SCALAR_FIELDS:
-        tensors[name] = np.array([getattr(params, name)], dtype=np.float32)
+    for name, value in scalars.items():
+        tensors[name] = np.array([value], dtype=np.float32)
     storage.write_tensors(path, tensors)
 
 
@@ -307,9 +301,12 @@ def load_checkpoint(path: str | Path) -> EncoderParams:
     """Read a CEMB checkpoint back into encoder parameters.
 
     Every tensor's rank is checked before any of its dimensions is read,
-    then every shape against ``tensor_shapes``.
+    then every shape against ``tensor_shapes``. A checkpoint without a
+    ``pooling`` scalar predates it and loads as last_token, which is how
+    such checkpoints were embedded.
     """
     stored = storage.read_tensors(path)
+    stored.setdefault("pooling", np.array([POOLINGS.index(POOLING_LAST)], dtype=np.float32))
     missing = [n for n in (*TENSOR_NAMES, *_SCALAR_FIELDS) if n not in stored]
     if missing:
         raise DataError("E_SHAPE_MISMATCH", f"{path}: missing tensors {missing}")
@@ -322,6 +319,9 @@ def load_checkpoint(path: str | Path) -> EncoderParams:
     lora_rank = float(stored["lora_rank"][0])
     if not lora_rank.is_integer():
         raise DataError("E_BAD_RANK", f"{path}: lora_rank must be an integer, got {lora_rank}")
+    pooling = float(stored["pooling"][0])
+    if not pooling.is_integer() or not 0 <= pooling < len(POOLINGS):
+        raise DataError("E_BAD_POOLING", f"{path}: pooling must be an index into {POOLINGS}, got {pooling}")
     vocab, d_emb = stored["E"].shape
     d_hid, d_out = stored["W2"].shape
     shapes = tensor_shapes(vocab, d_emb, d_hid, d_out, int(lora_rank))
@@ -333,4 +333,5 @@ def load_checkpoint(path: str | Path) -> EncoderParams:
         lora_rank=int(lora_rank),
         lora_alpha=float(stored["lora_alpha"][0]),
         lora_dropout=float(stored["lora_dropout"][0]),
+        pooling=POOLINGS[int(pooling)],
     )

@@ -29,6 +29,12 @@ class RetrievalTask:
     gold: dict[str, str]
 
     def __post_init__(self) -> None:
+        # A repeated query would have only one gold answer, so reject it.
+        seen: set[str] = set()
+        for qid, _ in self.queries:
+            if qid in seen:
+                raise DataError("E_DUPLICATE_QUERY", f"query id {qid!r} appears more than once")
+            seen.add(qid)
         cand_ids = {cid for cid, _ in self.candidates}
         missing = [g for g in self.gold.values() if g not in cand_ids]
         if missing:

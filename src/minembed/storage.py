@@ -81,9 +81,14 @@ def read_text(path: str | Path) -> str:
         raise DataError("E_IO", f"cannot read {path}: {exc}") from exc
 
 
+def _numbered_lines(path: str | Path) -> list[tuple[int, str]]:
+    """(physical line number, line) for each non-blank line of a UTF-8 text file."""
+    return [(lineno, ln) for lineno, ln in enumerate(read_text(path).splitlines(), start=1) if ln.strip()]
+
+
 def read_lines(path: str | Path) -> list[str]:
     """The non-blank lines of a UTF-8 text file."""
-    return [ln for ln in read_text(path).splitlines() if ln.strip()]
+    return [ln for _, ln in _numbered_lines(path)]
 
 
 def read_jsonl(path: str | Path, decode: Callable[[dict], Any] | None = None) -> list:
@@ -93,9 +98,7 @@ def read_jsonl(path: str | Path, decode: Callable[[dict], Any] | None = None) ->
     key is missing or a value has the wrong type, is E_IO with its line.
     """
     rows = []
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in _numbered_lines(path):
         try:
             row = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -242,7 +245,7 @@ def read_embeddings(path: str | Path) -> tuple[list[str], np.ndarray]:
 def read_qrels(path: str | Path) -> dict[tuple[str, str], int]:
     """Read tab-separated (query_id, cand_id, grade) relevance judgments."""
     qrels: dict[tuple[str, str], int] = {}
-    for lineno, line in enumerate(read_lines(path), start=1):
+    for lineno, line in _numbered_lines(path):
         cols = line.split("\t")
         if len(cols) != 3:
             raise DataError("E_IO", f"{path}:{lineno}: expected 3 tab-separated columns")
@@ -259,7 +262,7 @@ def read_qrels(path: str | Path) -> dict[tuple[str, str], int]:
 def read_pairs(path: str | Path) -> list[tuple[str, str, float | None]]:
     """Read pair lines: (query_id, cand_id) or (query_id, cand_id, gold_score)."""
     pairs: list[tuple[str, str, float | None]] = []
-    for lineno, line in enumerate(read_lines(path), start=1):
+    for lineno, line in _numbered_lines(path):
         cols = line.split("\t")
         if len(cols) == 2:
             pairs.append((cols[0], cols[1], None))

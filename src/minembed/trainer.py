@@ -25,15 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import storage
-from .encoder import (
-    POOLING_LAST,
-    POOLINGS,
-    EncodeCache,
-    EncoderParams,
-    backward_batch,
-    forward_batch,
-    save_checkpoint,
-)
+from .encoder import EncodeCache, EncoderParams, backward_batch, forward_batch, save_checkpoint
 from .errors import DataError, NumericError
 from .triplets import Triplet
 
@@ -54,7 +46,6 @@ class TrainConfig:
     eps: float = 1e-8
     seed: int = 0
     train_lora_only: bool = False
-    pooling: str = POOLING_LAST
 
     def __post_init__(self) -> None:
         if self.temperature <= 0.0:
@@ -67,8 +58,6 @@ class TrainConfig:
             raise DataError("E_BAD_BATCH", f"epochs must be >= 0, got {self.epochs}")
         if self.seed < 0:
             raise DataError("E_BAD_SEED", f"seed must be nonnegative, got {self.seed}")
-        if self.pooling not in POOLINGS:
-            raise DataError("E_BAD_POOLING", f"pooling must be one of {POOLINGS}, got {self.pooling!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -189,14 +178,11 @@ def _role_seed(seed: int, role: int) -> int:
 
 
 def _encode_roles(
-    batch: Sequence[Triplet], params: EncoderParams, config: TrainConfig, train_mode: bool, seed: int
+    batch: Sequence[Triplet], params: EncoderParams, train_mode: bool, seed: int
 ) -> list[tuple[np.ndarray, EncodeCache]]:
     """Forward the anchor, positive and negative texts, in that order."""
     roles = ([t.anchor_text for t in batch], [t.positive_text for t in batch], [t.negative_text for t in batch])
-    return [
-        forward_batch(texts, params, config.pooling, train_mode, _role_seed(seed, role))
-        for role, texts in enumerate(roles)
-    ]
+    return [forward_batch(texts, params, train_mode, _role_seed(seed, role)) for role, texts in enumerate(roles)]
 
 
 def batch_loss(
@@ -209,7 +195,7 @@ def batch_loss(
     """Forward-only loss evaluation (used by validation and gradient checks)."""
     if not batch:
         raise DataError("E_EMPTY_BATCH", "cannot evaluate an empty batch")
-    (a, _), (p, _), (n, _) = _encode_roles(batch, params, config, train_mode, seed)
+    (a, _), (p, _), (n, _) = _encode_roles(batch, params, train_mode, seed)
     loss, mean_pos, mean_neg = _loss_stats(_logits_matrix(a, p, n, config.temperature), config.temperature)
     return BatchLossReport(loss=loss, mean_pos_sim=mean_pos, mean_neg_sim=mean_neg)
 
@@ -224,7 +210,7 @@ def infonce_gradient(
     """Exact analytic gradient of the batch loss for every trained tensor."""
     if not batch:
         raise DataError("E_EMPTY_BATCH", "cannot take gradients of an empty batch")
-    roles = _encode_roles(batch, params, config, train_mode, seed)
+    roles = _encode_roles(batch, params, train_mode, seed)
     (a, _), (p, _), (n, _) = roles
     loss, grad_a, grad_p, grad_n, mean_pos, mean_neg = _loss_and_embedding_grads(a, p, n, config.temperature)
 

@@ -102,9 +102,9 @@ def test_loss_closed_forms():
     )
 
 
-def _pair_metrics(params, pairs: list[Triplet], pooling: str) -> tuple[float, float]:
-    anchors = encode_batch([t.anchor_text for t in pairs], params, pooling=pooling)
-    positives = encode_batch([t.positive_text for t in pairs], params, pooling=pooling)
+def _pair_metrics(params, pairs: list[Triplet]) -> tuple[float, float]:
+    anchors = encode_batch([t.anchor_text for t in pairs], params)
+    positives = encode_batch([t.positive_text for t in pairs], params)
     task = RetrievalTask(
         queries=[(t.anchor_id, anchors[i]) for i, t in enumerate(pairs)],
         candidates=[(f"pos::{t.anchor_id}", positives[i]) for i, t in enumerate(pairs)],
@@ -138,11 +138,11 @@ def test_two_cluster_training_gain():
     train_triplets = [t for t in built.triplets if t.split == "train"]
     test_pairs = [t for t in built.triplets if t.split == "test"]
 
-    params = init_params(seed)
-    config = TrainConfig(batch_size=32, seed=seed, pooling="mean")
-    pre_acc, pre_mrr = _pair_metrics(params, test_pairs, config.pooling)
+    params = init_params(seed, pooling="mean")
+    config = TrainConfig(batch_size=32, seed=seed)
+    pre_acc, pre_mrr = _pair_metrics(params, test_pairs)
     train(train_triplets, params, config)
-    post_acc, post_mrr = _pair_metrics(params, test_pairs, config.pooling)
+    post_acc, post_mrr = _pair_metrics(params, test_pairs)
     elapsed = time.monotonic() - started
 
     ok = (
@@ -319,18 +319,18 @@ def test_lora_identity_and_scale():
 GOLDEN_DIGESTS = {
     "manifest": "e1e0dc3a8793da84c3f7d59151167d58df03c789db23a26af10728bb6c55d770",
     "triplets": "6463e300278741c206792ba58f03b2f936ddeafb018ad745e4260602a34d3944",
-    "checkpoint": "874487424e86ab6e033889c70bca883753f051fd02fc32f21dd760e51d0abf20",
-    "checkpoint_epoch2": "cad4437d8a0b2b3d8c838c6c9e54acdff297e8ba098f740674b3e772b9383073",
+    "checkpoint": "daf9afffb40e0978c75dfa5d993614c1cd972ff417a6010bf410fbafdd67cd99",
+    "checkpoint_epoch2": "3e5d5559d25a136acde3170a148bca319b3daf62ed0f3e0c1db70d54903ee442",
     "log": "ab0682601620654337638feb3d631125672fd82dbbe4642a46e4110ce39170cf",
     "train_report": "e10516f07098ed0c23b157b8f04848b50cbb63683c6f24057f71812d225253b8",
-    "lora_checkpoint": "d4e0b352fafed73766a7f4650742a79de3875e9d69b578f1395979ef5b28342d",
+    "lora_checkpoint": "41a842344fab01b0e1205fb467a1ab18dcd48b6a4393db303119cde17192e0da",
     "lora_log": "c39b5b1549474becdee058852500efe640e5f8cdb2960319359d1317ec7a98a8",
     "embeddings": "54dd61ad3bdd352dceb4b5d6d65eb9b2e307c52f64a505d44db4cb334befcd46",
     "ids": "5a4cbcb135390e3347098e2634188d3df8d7be7fc55b03c9b0b2b763489f00d3",
-    "embeddings_last_token": "4a42a77aedfecf7bcc21b85e765a41a03b0d3716e8c886e652a64e20485b8013",
+    "embeddings_default": "247a7c6898e932abe3725656dfec8164d702a03479328120d6b9bc70e2b5fc5f",
     "report": "3200cfe657fb515b97bcc3d2a7949126a96652089f0c9832563a3d8bda7a7c82",
     "report_qrels": "d73f581bf4176a1c9bbe161d4e5aebd896b8c6af12b87603dab7df765de58ad1",
-    "gradcheck": "15f6d997ffc3ae8bef2ae5eea9d05a889c1de1bf5bdb9114f3625b1e5a0bbd02",
+    "gradcheck": "446d86453ec87ffb9894302a61fd3ce81f4e9ccb2a2b3fd95461c494c05263f4",
 }
 
 
@@ -367,7 +367,7 @@ def test_pipeline_determinism(tmp_path, capsys, monkeypatch):
         out_dir = Path("train")
         lora_dir = Path("train-lora")
         emb = Path("emb.cevx")
-        emb_last = Path("emb-last.cevx")
+        emb_default = Path("emb-default.cevx")
         assert cli_run(["prepare", "--in", str(docs), "--out", str(corpus),
                         "--train-frac", "0.6", "--test-frac", "0.2", "--seed", "17"]) == 0
         assert cli_run(["triplets", "--corpus", str(corpus), "--out", str(trips),
@@ -379,7 +379,7 @@ def test_pipeline_determinism(tmp_path, capsys, monkeypatch):
         assert cli_run(["embed", "--checkpoint", str(out_dir / "epoch-1.cemb"),
                         "--texts", str(trips), "--out", str(emb), "--pooling", "mean"]) == 0
         assert cli_run(["embed", "--checkpoint", str(out_dir / "epoch-2.cemb"),
-                        "--texts", str(trips), "--out", str(emb_last)]) == 0
+                        "--texts", str(trips), "--out", str(emb_default)]) == 0
         test_rows = [r for r in json.loads("[" + ",".join(trips.read_text().splitlines()) + "]") if r["split"] == "test"]
         pairs = Path("pairs.tsv")
         pairs.write_text("".join(f"{r['anchor_id']}\tpos::{r['anchor_id']}\n" for r in test_rows), encoding="utf-8")
@@ -396,7 +396,7 @@ def test_pipeline_determinism(tmp_path, capsys, monkeypatch):
             "lora_log": (lora_dir / "train-log.jsonl").read_bytes(),
             "embeddings": emb.read_bytes(),
             "ids": Path("emb.cevx.ids").read_bytes(),
-            "embeddings_last_token": emb_last.read_bytes(),
+            "embeddings_default": emb_default.read_bytes(),
             "report": stdout_of(["eval", "--embeddings", str(emb), "--pairs", str(pairs)]),
             "report_qrels": stdout_of(["eval", "--embeddings", str(emb), "--qrels", str(qrels)]),
             "gradcheck": stdout_of(["gradcheck", "--checkpoint", str(out_dir / "epoch-2.cemb"),

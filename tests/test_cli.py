@@ -13,7 +13,7 @@ import pytest
 
 from minembed.cli import build_parser, report_tables, run
 from minembed.encoder import init_params, save_checkpoint
-from minembed.storage import read_embeddings, read_jsonl, write_tensors
+from minembed.storage import ids_sidecar, read_embeddings, read_jsonl, write_embeddings, write_tensors
 
 from conftest import two_cluster_records
 
@@ -181,6 +181,9 @@ def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, override):
         ({"lora_rank": np.zeros((1, 1), dtype=np.float32)}, "E_SHAPE_MISMATCH"),
         ({"lora_A1": np.zeros((3, 4), dtype=np.float32)}, "E_SHAPE_MISMATCH"),
         ({"lora_rank": np.array([np.nan], dtype=np.float32)}, "E_BAD_RANK"),
+        ({"pooling": np.array([2.0])}, "E_BAD_POOLING"),
+        ({"pooling": np.array([0.5])}, "E_BAD_POOLING"),
+        ({"pooling": np.array([np.nan])}, "E_BAD_POOLING"),
     ],
 )
 def test_embed_on_malformed_checkpoint_exits_two(tmp_path, capsys, corrupt, code):
@@ -195,6 +198,36 @@ def test_embed_on_malformed_checkpoint_exits_two(tmp_path, capsys, corrupt, code
                 "--out", str(tmp_path / "e.cevx")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"{code}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "content, code, status",
+    [(b"\xff\xfe{}", "E_IO", 2), (None, "E_IO", 2), (b"{not json", "E_USAGE", 1), (b"[1]", "E_USAGE", 1)],
+)
+def test_config_file_errors(tmp_path, capsys, content, code, status):
+    # An unreadable or undecodable config is an input error; bad JSON is a usage error.
+    config = tmp_path / "config.json"
+    if content is not None:
+        config.write_bytes(content)
+    trips = tmp_path / "trips.jsonl"
+    trips.write_text(json.dumps(TRIPLET_ROW) + "\n", encoding="utf-8")
+    assert run(["train", "--triplets", str(trips), "--config", str(config),
+                "--out-dir", str(tmp_path / "out"), "--seed", "1"]) == status
+    err = capsys.readouterr().err
+    assert err.startswith(f"{code}: ") and "config.json" in err and "Traceback" not in err
+
+
+def test_eval_duplicate_query_ids_exit_two(tmp_path, capsys):
+    emb = tmp_path / "e.cevx"
+    write_embeddings(emb, ["q1", "q2", "c1", "c2", "c3"], np.random.default_rng(0).normal(size=(5, 4)))
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("q1\tc1\nq2\tc2\nq1\tc3\n", encoding="utf-8")
+    assert run(["eval", "--embeddings", str(emb), "--pairs", str(pairs)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("E_DUPLICATE_QUERY: ") and "'q1'" in err
+    # Similarity pairs may repeat an id.
+    pairs.write_text("q1\tc1\t0.5\nq2\tc2\t0.1\nq1\tc3\t0.9\n", encoding="utf-8")
+    assert run(["eval", "--embeddings", str(emb), "--pairs", str(pairs)]) == 0
 
 
 def test_train_on_empty_triplets_exits_two(tmp_path):
@@ -229,7 +262,8 @@ def test_help_exits_zero_and_documents_defaults(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["train", "--help"])
     text = capsys.readouterr().out
-    for needle in ("0.05", "2e-4", "0.1", "128", "r=16", "alpha 32", "epochs 2"):
+    for needle in ("epochs=2", "batch_size=128", "peak_lr=0.0002", "warmup_frac=0.1", "temperature=0.05",
+                   "lora_rank=16", "lora_alpha=32.0", "lora_dropout=0.05", "pooling=last_token"):
         assert needle in text, needle
 
 
@@ -330,6 +364,23 @@ def test_embed_plain_text_lines(tmp_path):
     assert ids == ["line-000001", "line-000002"]
     assert matrix.shape == (2, 12)
     assert np.allclose(np.linalg.norm(matrix, axis=1), 1.0, atol=1e-5)
+
+
+def test_embed_uses_the_checkpoints_pooling(tmp_path, capsys):
+    # run_pipeline trains with mean pooling and embeds with --pooling mean.
+    corpus, trips, checkpoint, emb = run_pipeline(tmp_path)
+    default = tmp_path / "default.cevx"
+    assert run(["embed", "--checkpoint", str(checkpoint), "--texts", str(trips), "--out", str(default)]) == 0
+    assert default.read_bytes() == emb.read_bytes()
+    assert ids_sidecar(default).read_bytes() == ids_sidecar(emb).read_bytes()
+
+    capsys.readouterr()
+    mismatch = tmp_path / "last.cevx"
+    assert run(["embed", "--checkpoint", str(checkpoint), "--texts", str(trips), "--out", str(mismatch),
+                "--pooling", "last_token"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("E_POOLING_MISMATCH: ") and "Traceback" not in err
+    assert not mismatch.exists()
 
 
 def test_pipeline_reruns_byte_identical(tmp_path):

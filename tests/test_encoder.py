@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minembed.encoder import (
+    POOLINGS,
     EncoderParams,
     Tokenizer,
     cosine_similarity,
@@ -128,7 +131,7 @@ def test_lora_identity_b_zero_bitwise(small_params):
     # base-weight forward bit for bit.
     texts = ["aortic stenosis detected", "normal sinus rhythm"]
     for pooling in ("last_token", "mean"):
-        ours = encode_batch(texts, small_params, pooling=pooling)
+        ours = encode_batch(texts, replace(small_params, pooling=pooling))
         manual = base_forward(texts, small_params, pooling)
         assert np.array_equal(ours, manual)
 
@@ -158,20 +161,21 @@ def test_pooling_strategies_differ(small_params):
     # Multi-token text whose token embeddings differ: mean and last-token
     # pooling must produce different pre-projection vectors.
     text = "alpha beta gamma delta"
-    _, cache_mean = forward_batch([text], small_params, pooling="mean")
-    _, cache_last = forward_batch([text], small_params, pooling="last_token")
+    _, cache_mean = forward_batch([text], replace(small_params, pooling="mean"))
+    _, cache_last = forward_batch([text], replace(small_params, pooling="last_token"))
     assert not np.array_equal(cache_mean.pooled, cache_last.pooled)
 
 
 def test_single_token_pooling_agrees(small_params):
-    _, cache_mean = forward_batch(["word"], small_params, pooling="mean")
-    _, cache_last = forward_batch(["word"], small_params, pooling="last_token")
+    _, cache_mean = forward_batch(["word"], replace(small_params, pooling="mean"))
+    _, cache_last = forward_batch(["word"], replace(small_params, pooling="last_token"))
     assert np.array_equal(cache_mean.pooled, cache_last.pooled)
 
 
 def test_bad_pooling_rejected(small_params):
-    with pytest.raises(DataError):
-        encode_batch(["text"], small_params, pooling="cls")
+    with pytest.raises(DataError) as err:
+        replace(small_params, pooling="cls")
+    assert err.value.code == "E_BAD_POOLING"
 
 
 # -- cosine similarity -----------------------------------------------------------
@@ -274,6 +278,30 @@ def test_checkpoint_missing_tensor(tmp_path, small_params):
     with pytest.raises(DataError) as err:
         load_checkpoint(path)
     assert err.value.code == "E_SHAPE_MISMATCH"
+
+
+@pytest.mark.parametrize("pooling", POOLINGS)
+def test_checkpoint_pooling_roundtrip(tmp_path, small_params, pooling):
+    path = tmp_path / "model.cemb"
+    save_checkpoint(replace(small_params, pooling=pooling), path)
+    assert read_tensors(path)["pooling"].tolist() == [float(POOLINGS.index(pooling))]
+    loaded = load_checkpoint(path)
+    assert loaded.pooling == pooling
+    second = tmp_path / "model2.cemb"
+    save_checkpoint(loaded, second)
+    assert path.read_bytes() == second.read_bytes()
+
+
+def test_checkpoint_without_pooling_loads_last_token(tmp_path, small_params):
+    # Checkpoints written before pooling was stored were embedded with last_token.
+    path = tmp_path / "old.cemb"
+    save_checkpoint(small_params, path)
+    tensors = read_tensors(path)
+    del tensors["pooling"]
+    write_tensors(path, tensors)
+    loaded = load_checkpoint(path)
+    assert loaded.pooling == "last_token"
+    assert np.array_equal(encode_batch(["mitral valve"], loaded), encode_batch(["mitral valve"], small_params))
 
 
 def test_init_params_deterministic():

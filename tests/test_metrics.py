@@ -422,6 +422,14 @@ def test_evaluate_full_report_fields():
     assert -1.0 <= data["spearman"] <= 1.0
 
 
+def test_duplicate_query_ids_rejected():
+    v = np.ones(2)
+    with pytest.raises(DataError) as err:
+        RetrievalTask(queries=[("q1", v), ("q2", v), ("q1", v)], candidates=[("c1", v), ("c2", v), ("c3", v)],
+                      gold={"q1": "c3", "q2": "c2"})
+    assert err.value.code == "E_DUPLICATE_QUERY" and "'q1'" in str(err.value)
+
+
 def test_gold_target_must_exist():
     with pytest.raises(DataError):
         RetrievalTask(queries=[("q", np.ones(2))], candidates=[("c", np.ones(2))], gold={"q": "missing"})

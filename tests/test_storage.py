@@ -208,6 +208,19 @@ def test_pairs_two_and_three_columns(tmp_path):
         read_pairs(path)
 
 
+def test_tsv_errors_name_the_physical_line(tmp_path):
+    # Blank lines are skipped but still counted.
+    path = tmp_path / "p.tsv"
+    path.write_text("q1\tc1\n\nq2\n", encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        read_pairs(path)
+    assert err.value.code == "E_IO" and f"{path}:3:" in str(err.value)
+    path.write_text("q1\tc1\t1\n\nq2\tc2\n", encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        read_qrels(path)
+    assert err.value.code == "E_IO" and f"{path}:3:" in str(err.value)
+
+
 def test_run_metadata_digests_recomputable(tmp_path):
     source = tmp_path / "in.txt"
     source.write_text("input data", encoding="utf-8")

@@ -46,7 +46,7 @@ def make_batch(n: int, seed: int = 0) -> list[Triplet]:
 
 
 def small_config(**kw) -> TrainConfig:
-    base = dict(batch_size=4, epochs=2, seed=3, pooling="last_token")
+    base = dict(batch_size=4, epochs=2, seed=3)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -412,8 +412,8 @@ def small_toy_run(tmp_path, seed=7, **config_kw):
     manifest = two_cluster_manifest(40, seed=seed, split="train")
     policy = NegativePolicy(min_index_distance=1, require_different_source=True, seed=seed)
     triplets = build_triplets(manifest, policy).triplets
-    params = init_params(seed, vocab_size=2048, d_emb=32, d_hid=48, d_out=24)
-    config = TrainConfig(batch_size=16, epochs=2, seed=seed, pooling="mean", **config_kw)
+    params = init_params(seed, vocab_size=2048, d_emb=32, d_hid=48, d_out=24, pooling="mean")
+    config = TrainConfig(batch_size=16, epochs=2, seed=seed, **config_kw)
     return train(triplets, params, config, val_triplets=triplets[:16], out_dir=tmp_path)
 
 
@@ -474,8 +474,9 @@ def test_config_validation():
         TrainConfig(warmup_frac=1.0)
     with pytest.raises(DataError):
         TrainConfig(batch_size=1)
-    with pytest.raises(DataError):
-        TrainConfig(pooling="cls")
+    with pytest.raises(DataError) as err:
+        init_params(0, vocab_size=16, d_emb=2, d_hid=2, d_out=2, lora_rank=1, pooling="cls")
+    assert err.value.code == "E_BAD_POOLING"
 
 
 def test_evaluation_loss_matches_batch_loss(small_params):
