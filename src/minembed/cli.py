@@ -365,7 +365,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     retrieval_task = graded_task = sts_task = None
     if args.pairs:
         pair_rows = storage.read_pairs(args.pairs)
-        if pair_rows and all(score is not None for _, _, score in pair_rows):
+        if pair_rows and pair_rows[0][2] is not None:
             sts_task = metrics.STSTask(pairs=[(vec(q), vec(c), float(s)) for q, c, s in pair_rows])
         else:
             gold = {q: c for q, c, _ in pair_rows}

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -18,6 +18,8 @@ from .errors import DataError
 GAIN_LINEAR = "linear"
 GAIN_EXP = "exp"
 NDCG_CUTOFF = 10
+# Per query id: the 1-based rank of each judged candidate id (see rank_candidates).
+Ranks = Mapping[str, Mapping[str, int]]
 
 
 @dataclass
@@ -96,39 +98,49 @@ def _unit_rows(pairs: Sequence[tuple[str, np.ndarray]]) -> tuple[list[str], np.n
     return ids, matrix / norms
 
 
-def rank_candidates(task: RetrievalTask | GradedTask) -> dict[str, list[str]]:
-    """Per query: candidate ids sorted by descending cosine, ties by id."""
+def rank_candidates(task: RetrievalTask | GradedTask) -> dict[str, dict[str, int]]:
+    """Per query: the 1-based rank of each judged candidate in the pool.
+
+    Judged: the gold of a RetrievalTask, or each candidate graded above 0 in
+    a GradedTask; one missing from the pool gets no rank. A candidate with
+    cosine s ranks 1 + #(cos > s) + #(cos == s and id < its id), its place
+    in descending cosine order with ties broken by ascending id.
+    """
     if not task.candidates:
         raise DataError("E_EMPTY_CANDIDATES", "no candidates to rank")
     if not task.queries:
         raise DataError("E_EMPTY_CANDIDATES", "no queries to rank")
     query_ids, query_mat = _unit_rows(task.queries)
     cand_ids, cand_mat = _unit_rows(task.candidates)
+    index = {cid: ci for ci, cid in enumerate(cand_ids)}
+    if len(index) != len(cand_ids):
+        repeated = next(cid for ci, cid in enumerate(cand_ids) if index[cid] != ci)
+        raise DataError("E_DUPLICATE_CANDIDATE", f"candidate id {repeated!r} appears more than once")
+    judged = _group_relevant(task.qrels) if isinstance(task, GradedTask) else {q: [task.gold[q]] for q in query_ids}
     sims = query_mat @ cand_mat.T
-    order_by_id = np.argsort(np.array(cand_ids, dtype=object), kind="stable")
-    rankings: dict[str, list[str]] = {}
+    ranks: dict[str, dict[str, int]] = {}
     for qi, qid in enumerate(query_ids):
-        # Stable sort over id-sorted candidates implements the tie rule.
-        by_sim = order_by_id[np.argsort(-sims[qi][order_by_id], kind="stable")]
-        rankings[qid] = [cand_ids[ci] for ci in by_sim]
-    return rankings
+        row = sims[qi]
+        ranks[qid] = {}
+        for cid in judged.get(qid, ()):
+            if cid in index:
+                s = row[index[cid]]
+                ties = sum(cand_ids[ci] < cid for ci in np.flatnonzero(row == s))
+                ranks[qid][cid] = 1 + int(np.count_nonzero(row > s)) + ties
+    return ranks
 
 
-def _gold_rank(ranking: list[str], gold_id: str) -> int:
-    return ranking.index(gold_id) + 1
-
-
-def accuracy_at_k(rankings: Mapping[str, list[str]], gold: Mapping[str, str], k: int) -> float:
-    """Fraction of queries whose gold candidate appears in the top k."""
+def accuracy_at_k(ranks: Ranks, gold: Mapping[str, str], k: int) -> float:
+    """Fraction of queries whose gold candidate ranks within the top k."""
     if k < 1:
         raise DataError("E_BAD_K", f"k must be >= 1, got {k}")
-    hits = sum(1 for qid, ranking in rankings.items() if _gold_rank(ranking, gold[qid]) <= k)
-    return hits / len(rankings)
+    hits = sum(1 for qid, by_cand in ranks.items() if by_cand[gold[qid]] <= k)
+    return hits / len(ranks)
 
 
-def mean_reciprocal_rank(rankings: Mapping[str, list[str]], gold: Mapping[str, str]) -> float:
+def mean_reciprocal_rank(ranks: Ranks, gold: Mapping[str, str]) -> float:
     """Mean of 1 / rank(gold) over all queries."""
-    return math.fsum(1.0 / _gold_rank(ranking, gold[qid]) for qid, ranking in rankings.items()) / len(rankings)
+    return math.fsum(1.0 / by_cand[gold[qid]] for qid, by_cand in ranks.items()) / len(ranks)
 
 
 def mean_positive_similarity(task: RetrievalTask) -> tuple[float, float]:
@@ -160,49 +172,37 @@ def _group_relevant(qrels: Mapping[tuple[str, str], int]) -> dict[str, dict[str,
     return by_query
 
 
-def ndcg_at_10(
-    rankings: Mapping[str, list[str]],
-    qrels: Mapping[tuple[str, str], int],
-    gain: str = GAIN_LINEAR,
-) -> float:
-    """Mean NDCG at cutoff 10 over queries that have relevant candidates."""
+def _mean_over_relevant(ranks: Ranks, qrels: Mapping[tuple[str, str], int], score: Callable) -> float:
+    """Mean of score(query's ranks, its relevant grades) over queries with relevant candidates."""
     by_query = _group_relevant(qrels)
-    scores: list[float] = []
-    for qid, ranking in rankings.items():
-        relevant = by_query.get(qid)
-        if not relevant:
-            continue
-        dcg = 0.0
-        for i, cid in enumerate(ranking[:NDCG_CUTOFF], start=1):
-            if cid in relevant:
-                dcg += _gain(relevant[cid], gain) / math.log2(i + 1)
-        ideal = sorted(relevant.values(), reverse=True)[:NDCG_CUTOFF]
-        idcg = sum(_gain(g, gain) / math.log2(i + 1) for i, g in enumerate(ideal, start=1))
-        scores.append(dcg / idcg)
+    scores = [score(by_cand, by_query[qid]) for qid, by_cand in ranks.items() if by_query.get(qid)]
     if not scores:
         raise DataError("E_NO_RELEVANT", "no query has a relevant candidate")
     return math.fsum(scores) / len(scores)
 
 
-def recall_at_k(
-    rankings: Mapping[str, list[str]],
-    qrels: Mapping[tuple[str, str], int],
-    k: int,
-) -> float:
-    """Mean fraction of each query's relevant candidates found in the top k."""
+def ndcg_at_10(ranks: Ranks, qrels: Mapping[tuple[str, str], int], gain: str = GAIN_LINEAR) -> float:
+    """Mean NDCG at cutoff 10 over queries that have relevant candidates."""
+
+    def ndcg(by_cand: Mapping[str, int], relevant: dict[str, int]) -> float:
+        dcg = 0.0
+        for rank, cid in sorted((r, cid) for cid, r in by_cand.items() if r <= NDCG_CUTOFF and cid in relevant):
+            dcg += _gain(relevant[cid], gain) / math.log2(rank + 1)
+        ideal = sorted(relevant.values(), reverse=True)[:NDCG_CUTOFF]
+        return dcg / sum(_gain(g, gain) / math.log2(i + 1) for i, g in enumerate(ideal, start=1))
+
+    return _mean_over_relevant(ranks, qrels, ndcg)
+
+
+def recall_at_k(ranks: Ranks, qrels: Mapping[tuple[str, str], int], k: int) -> float:
+    """Mean fraction of each query's relevant candidates ranked within the top k."""
     if k < 1:
         raise DataError("E_BAD_K", f"k must be >= 1, got {k}")
-    by_query = _group_relevant(qrels)
-    scores: list[float] = []
-    for qid, ranking in rankings.items():
-        relevant = by_query.get(qid)
-        if not relevant:
-            continue
-        found = sum(1 for cid in ranking[:k] if cid in relevant)
-        scores.append(found / len(relevant))
-    if not scores:
-        raise DataError("E_NO_RELEVANT", "no query has a relevant candidate")
-    return math.fsum(scores) / len(scores)
+
+    def recall(by_cand: Mapping[str, int], relevant: dict[str, int]) -> float:
+        return sum(1 for cid, r in by_cand.items() if r <= k and cid in relevant) / len(relevant)
+
+    return _mean_over_relevant(ranks, qrels, recall)
 
 
 def _average_ranks(values: Sequence[float]) -> np.ndarray:
@@ -245,18 +245,18 @@ def evaluate(
     """Compute every applicable metric for the supplied tasks."""
     report = MetricReport(gain=gain)
     if retrieval is not None:
-        rankings = rank_candidates(retrieval)
-        report.n_queries += len(rankings)
-        report.acc_at = {k: accuracy_at_k(rankings, retrieval.gold, k) for k in ks}
-        report.mrr = mean_reciprocal_rank(rankings, retrieval.gold)
+        ranks = rank_candidates(retrieval)
+        report.n_queries += len(ranks)
+        report.acc_at = {k: accuracy_at_k(ranks, retrieval.gold, k) for k in ks}
+        report.mrr = mean_reciprocal_rank(ranks, retrieval.gold)
         report.mean_pos_sim, report.sd_pos_sim = mean_positive_similarity(retrieval)
     if graded is not None:
-        rankings = rank_candidates(graded)
+        ranks = rank_candidates(graded)
         by_query = _group_relevant(graded.qrels)
-        report.n_queries += len(rankings)
+        report.n_queries += len(ranks)
         report.n_skipped_no_relevant = sum(1 for qid, _ in graded.queries if not by_query.get(qid))
-        report.ndcg_at_10 = ndcg_at_10(rankings, graded.qrels, gain)
-        report.recall_at = {k: recall_at_k(rankings, graded.qrels, k) for k in ks}
+        report.ndcg_at_10 = ndcg_at_10(ranks, graded.qrels, gain)
+        report.recall_at = {k: recall_at_k(ranks, graded.qrels, k) for k in ks}
     if sts is not None:
         if len(sts.pairs) < 3:
             raise DataError("E_LENGTH_MISMATCH", "need at least 3 pairs for a defined correlation")

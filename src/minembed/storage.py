@@ -230,12 +230,17 @@ def read_embeddings(path: str | Path) -> tuple[list[str], np.ndarray]:
         raise DataError("E_SHAPE_MISMATCH", f"{path}: {len(data) - r.pos} trailing bytes")
     matrix = np.frombuffer(raw, dtype="<f4").reshape(count, dim).copy()
     sidecar = ids_sidecar(path)
-    try:
-        ids = sidecar.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataError("E_IO", f"cannot read {sidecar}: {exc}") from exc
+    ids = read_text(sidecar).splitlines()
     if len(ids) != count:
         raise DataError("E_SHAPE_MISMATCH", f"{sidecar}: {len(ids)} ids for {count} vectors")
+    first_line: dict[str, int] = {}
+    for lineno, sid in enumerate(ids, start=1):
+        if sid in first_line:
+            raise DataError("E_IO", f"{sidecar}:{lineno}: id {sid!r} repeats line {first_line[sid]}")
+        first_line[sid] = lineno
+    nonfinite = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if nonfinite.size:
+        raise DataError("E_IO", f"{path}: the vector of id {ids[nonfinite[0]]!r} is not finite")
     return ids, matrix
 
 
@@ -243,7 +248,7 @@ def read_embeddings(path: str | Path) -> tuple[list[str], np.ndarray]:
 
 
 def read_qrels(path: str | Path) -> dict[tuple[str, str], int]:
-    """Read tab-separated (query_id, cand_id, grade) relevance judgments."""
+    """Read tab-separated (query_id, cand_id, grade) relevance judgments, each pair once."""
     qrels: dict[tuple[str, str], int] = {}
     for lineno, line in _numbered_lines(path):
         cols = line.split("\t")
@@ -255,24 +260,27 @@ def read_qrels(path: str | Path) -> dict[tuple[str, str], int]:
             raise DataError("E_IO", f"{path}:{lineno}: grade must be an integer") from exc
         if grade < 0:
             raise DataError("E_IO", f"{path}:{lineno}: grade must be nonnegative")
+        if (cols[0], cols[1]) in qrels:
+            raise DataError("E_IO", f"{path}:{lineno}: pair ({cols[0]!r}, {cols[1]!r}) is judged twice")
         qrels[(cols[0], cols[1])] = grade
     return qrels
 
 
 def read_pairs(path: str | Path) -> list[tuple[str, str, float | None]]:
-    """Read pair lines: (query_id, cand_id) or (query_id, cand_id, gold_score)."""
+    """Read pair lines: all (query_id, cand_id) or all (query_id, cand_id, gold_score)."""
     pairs: list[tuple[str, str, float | None]] = []
+    width = None
     for lineno, line in _numbered_lines(path):
         cols = line.split("\t")
-        if len(cols) == 2:
-            pairs.append((cols[0], cols[1], None))
-        elif len(cols) == 3:
-            try:
-                pairs.append((cols[0], cols[1], float(cols[2])))
-            except ValueError as exc:
-                raise DataError("E_IO", f"{path}:{lineno}: third column must be numeric") from exc
-        else:
+        if len(cols) not in (2, 3):
             raise DataError("E_IO", f"{path}:{lineno}: expected 2 or 3 tab-separated columns")
+        width = width or len(cols)
+        if len(cols) != width:
+            raise DataError("E_IO", f"{path}:{lineno}: {len(cols)} columns, but the first row has {width}")
+        try:
+            pairs.append((cols[0], cols[1], float(cols[2]) if width == 3 else None))
+        except ValueError as exc:
+            raise DataError("E_IO", f"{path}:{lineno}: third column must be numeric") from exc
     return pairs
 
 

@@ -19,6 +19,7 @@ from minembed.cli import run as cli_run
 from minembed.corpus import CorpusManifest, SentenceRecord, deduplicate, normalized_form, stratified_split
 from minembed.encoder import encode_batch, init_params
 from minembed.metrics import (
+    GradedTask,
     RetrievalTask,
     accuracy_at_k,
     mean_positive_similarity,
@@ -196,24 +197,33 @@ def _naive_graded_metrics(rankings, qrels, k, gain):
 
 
 def test_metric_oracles():
-    """All five metrics match naive recomputation on 100 random instances."""
+    """All five metrics match naive recomputation on 100 random instances and
+    one tie-heavy instance."""
     rng = np.random.default_rng(200)
     worst = 0.0
-    for _ in range(100):
+    for instance in range(101):
         n_q = int(rng.integers(2, 51))
         n_c = int(rng.integers(n_q, 201))
         dim = int(rng.integers(3, 12))
-        candidates = [(f"c{j:04d}", rng.normal(size=dim)) for j in range(n_c)]
-        queries = [(f"q{i:03d}", rng.normal(size=dim)) for i in range(n_q)]
+        if instance < 100:
+            vector = lambda: rng.normal(size=dim)
+            cand_order = range(n_c)
+        else:
+            # Rows of +-identity: every cosine is exactly -1, 0 or 1, so the id
+            # tie-break, over ids in shuffled pool order, decides most ranks.
+            vector = lambda: rng.choice([-1.0, 1.0]) * np.eye(dim)[rng.integers(dim)]
+            cand_order = rng.permutation(n_c)
+        candidates = [(f"c{j:04d}", vector()) for j in cand_order]
+        queries = [(f"q{i:03d}", vector()) for i in range(n_q)]
         gold = {qid: f"c{rng.integers(n_c):04d}" for qid, _ in queries}
         task = RetrievalTask(queries=queries, candidates=candidates, gold=gold)
 
-        rankings = rank_candidates(task)
+        ranks = rank_candidates(task)
         naive_rankings, naive_acc, naive_mrr = _naive_retrieval_metrics(task, (1, 5, 10))
-        assert rankings == naive_rankings
+        assert ranks == {qid: {gold[qid]: naive_rankings[qid].index(gold[qid]) + 1} for qid, _ in queries}
         for k in (1, 5, 10):
-            worst = max(worst, abs(accuracy_at_k(rankings, gold, k) - naive_acc[k]))
-        worst = max(worst, abs(mean_reciprocal_rank(rankings, gold) - naive_mrr))
+            worst = max(worst, abs(accuracy_at_k(ranks, gold, k) - naive_acc[k]))
+        worst = max(worst, abs(mean_reciprocal_rank(ranks, gold) - naive_mrr))
 
         mean, sd = mean_positive_similarity(task)
         cand = {cid: c for cid, c in candidates}
@@ -227,12 +237,15 @@ def test_metric_oracles():
         for qid, _ in queries:
             for j in rng.choice(n_c, size=int(rng.integers(1, 5)), replace=False):
                 qrels[(qid, f"c{j:04d}")] = int(rng.integers(0, 4))
+        if instance == 100:
+            qrels[(queries[0][0], "not-in-pool")] = 2  # relevant, but never ranked
         if any(g > 0 for g in qrels.values()):
             gain = "linear" if rng.random() < 0.5 else "exp"
             k = int(rng.integers(1, 15))
-            naive_ndcg, naive_recall = _naive_graded_metrics(rankings, qrels, k, gain)
-            worst = max(worst, abs(ndcg_at_10(rankings, qrels, gain) - naive_ndcg))
-            worst = max(worst, abs(recall_at_k(rankings, qrels, k) - naive_recall))
+            graded_ranks = rank_candidates(GradedTask(queries=queries, candidates=candidates, qrels=qrels))
+            naive_ndcg, naive_recall = _naive_graded_metrics(naive_rankings, qrels, k, gain)
+            worst = max(worst, abs(ndcg_at_10(graded_ranks, qrels, gain) - naive_ndcg))
+            worst = max(worst, abs(recall_at_k(graded_ranks, qrels, k) - naive_recall))
 
         x = rng.normal(size=max(int(n_q), 3))
         y = rng.normal(size=len(x)) + 0.3 * x
@@ -245,12 +258,13 @@ def test_metric_oracles():
     perm_values = {}
     for perm in itertools.permutations([3, 2, 1]):
         qrels = {("q", "c3"): 3, ("q", "c2"): 2, ("q", "c1"): 1}
-        perm_values[perm] = ndcg_at_10({"q": [f"c{g}" for g in perm]}, qrels)
+        perm_values[perm] = ndcg_at_10({"q": {f"c{g}": r for r, g in enumerate(perm, start=1)}}, qrels)
     ndcg_ok = perm_values[(3, 2, 1)] == 1.0 and max(perm_values.values()) == 1.0 and all(
         v < 1.0 for p, v in perm_values.items() if p != (3, 2, 1)
     )
     _verdict(
-        "metric oracles: Acc@K / MRR / NDCG@10 / Recall@K / Spearman within 1e-9 of naive on 100 instances; NDCG max exactly 1.0 at ideal order",
+        "metric oracles: Acc@K / MRR / NDCG@10 / Recall@K / Spearman within 1e-9 of naive on 100 instances "
+        "plus one tie-heavy instance; NDCG max exactly 1.0 at ideal order",
         worst <= 1e-9 and ndcg_ok,
         f"max abs diff={worst:.2e}",
     )

@@ -230,6 +230,31 @@ def test_eval_duplicate_query_ids_exit_two(tmp_path, capsys):
     assert run(["eval", "--embeddings", str(emb), "--pairs", str(pairs)]) == 0
 
 
+# name: (ids sidecar bytes, matrix row 1 entry, --pairs or --qrels, its TSV text, what stderr must name)
+MALFORMED_EVAL_INPUTS = {
+    "ids-not-utf8": (b"q1\n\xff\xfe\nc1\nc2\n", 0.5, "--pairs", "q1\tc1\n", "e.cevx.ids"),
+    "ids-repeated": (b"q1\nq2\nc1\nq2\n", 0.5, "--pairs", "q1\tc1\n", "e.cevx.ids:4: id 'q2' repeats line 2"),
+    "vector-nan": (b"q1\nq2\nc1\nc2\n", float("nan"), "--pairs", "q1\tc1\n", "'q2'"),
+    "pairs-mixed-width": (b"q1\nq2\nc1\nc2\n", 0.5, "--pairs", "q1\tc1\t0.5\nq2\tc2\n", "t.tsv:2:"),
+    "qrels-judged-twice": (b"q1\nq2\nc1\nc2\n", 0.5, "--qrels", "q1\tc1\t2\nq1\tc1\t0\n", "t.tsv:2:"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_EVAL_INPUTS))
+def test_eval_on_malformed_inputs_exits_two(tmp_path, capsys, case):
+    ids, entry, flag, tsv, expected = MALFORMED_EVAL_INPUTS[case]
+    emb = tmp_path / "e.cevx"
+    matrix = np.random.default_rng(0).normal(size=(4, 3))
+    matrix[1, 0] = entry
+    write_embeddings(emb, ["q1", "q2", "c1", "c2"], matrix)
+    ids_sidecar(emb).write_bytes(ids)
+    task = tmp_path / "t.tsv"
+    task.write_text(tsv, encoding="utf-8")
+    assert run(["eval", "--embeddings", str(emb), flag, str(task)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("E_IO: ") and expected in err and "Traceback" not in err
+
+
 def test_train_on_empty_triplets_exits_two(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", encoding="utf-8")
@@ -465,8 +490,9 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 def test_benchmark_tracing_hooks_find_their_functions(tmp_path):
     """perfbench/tracing.py wraps minembed functions it finds by name and
-    reads some of their positional arguments; a traced train and embed
-    must still run, record their spans, and count forward rows."""
+    reads some of their positional arguments; a traced train, embed and
+    eval must still run, record their spans, and count forward rows and
+    ranked entries."""
     rows = []
     for i, r in enumerate(two_cluster_records(6, seed=1)):
         rows.append({"anchor_id": r.sent_id, "anchor_text": r.text, "positive_text": r.text.upper(),
@@ -477,6 +503,11 @@ def test_benchmark_tracing_hooks_find_their_functions(tmp_path):
     pythonpath = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": pythonpath,
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    anchors = [row["anchor_id"] for row in rows]
+    pairs, qrels = tmp_path / "pairs.tsv", tmp_path / "qrels.tsv"
+    pairs.write_text("".join(f"{a}\tpos::{a}\n" for a in anchors[:4]), encoding="utf-8")
+    qrels.write_text("".join(f"{a}\tpos::{a}\t1\n{a}\tpos::{b}\t0\n" for a, b in zip(anchors[:3], anchors[1:])),
+                     encoding="utf-8")
     stages = {
         "train": (["train", "--triplets", str(trips), "--config", str(config),
                    "--out-dir", str(tmp_path / "out"), "--seed", "0"],
@@ -485,7 +516,16 @@ def test_benchmark_tracing_hooks_find_their_functions(tmp_path):
         "embed": (["embed", "--checkpoint", str(tmp_path / "out" / "epoch-1.cemb"), "--texts", str(trips),
                    "--out", str(tmp_path / "e.cevx"), "--pooling", "mean"],
                   {"cli.encode_batch", "cli.load_checkpoint", "encoder.forward_batch"}),
+        "eval-pairs": (["eval", "--embeddings", str(tmp_path / "e.cevx"), "--pairs", str(pairs)],
+                       {"metrics.rank_candidates", "metrics.accuracy_at_k", "metrics.mean_reciprocal_rank",
+                        "metrics.mean_positive_similarity", "storage.read_embeddings", "storage.read_pairs"}),
+        "eval-qrels": (["eval", "--embeddings", str(tmp_path / "e.cevx"), "--qrels", str(qrels)],
+                       {"metrics.rank_candidates", "metrics.ndcg_at_10", "metrics.recall_at_k",
+                        "storage.read_embeddings", "storage.read_qrels"}),
     }
+    # queries x candidates: 4 pairs against their 4 positives; 3 graded queries
+    # against every other embedded text (2 texts per triplet row).
+    rank_entries = {"eval-pairs": 4 * 4, "eval-qrels": 3 * (2 * len(rows) - 3)}
     for stage, (argv, expected_spans) in stages.items():
         spans_file = tmp_path / f"{stage}-spans.json"
         proc = subprocess.run([sys.executable, str(REPO_ROOT / "perfbench" / "tracing.py"), str(spans_file), *argv],
@@ -495,5 +535,7 @@ def test_benchmark_tracing_hooks_find_their_functions(tmp_path):
         assert expected_spans <= {span[0] for span in data["spans"]}, stage
         if stage == "train":
             assert data["counts"]["trainer.steps"] == 2  # 8 train rows, batch size 4
-        else:
+        elif stage == "embed":
             assert data["counts"]["encoder.forward_rows"] == 2 * len(rows)
+        else:
+            assert data["counts"]["metrics.rank_entries"] == rank_entries[stage]

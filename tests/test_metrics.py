@@ -48,6 +48,27 @@ def random_graded_task(rng: np.random.Generator, n_queries=10, n_candidates=40, 
     return GradedTask(queries=queries, candidates=candidates, qrels=qrels)
 
 
+def axis_vectors(rng: np.random.Generator, n: int, dim=3) -> list[np.ndarray]:
+    """Rows of +-identity: every cosine is exactly -1, 0 or 1, so most candidates tie."""
+    return [rng.choice([-1.0, 1.0]) * np.eye(dim)[rng.integers(dim)] for _ in range(n)]
+
+
+def tied_retrieval_task(rng: np.random.Generator, n_queries=12, n_candidates=30) -> RetrievalTask:
+    # Ids in shuffled order, so the id tie-break is not the pool order.
+    cand_ids = [f"c{j:03d}" for j in rng.permutation(n_candidates)]
+    candidates = list(zip(cand_ids, axis_vectors(rng, n_candidates)))
+    queries = [(f"q{i:03d}", v) for i, v in enumerate(axis_vectors(rng, n_queries))]
+    gold = {qid: cand_ids[rng.integers(n_candidates)] for qid, _ in queries}
+    return RetrievalTask(queries=queries, candidates=candidates, gold=gold)
+
+
+def tied_graded_task(rng: np.random.Generator) -> GradedTask:
+    task = tied_retrieval_task(rng)
+    qrels = {(qid, cid): int(rng.integers(0, 4)) for qid, _ in task.queries for cid, _ in task.candidates[::4]}
+    qrels[(task.queries[0][0], "not-in-pool")] = 2  # counted as relevant, never ranked
+    return GradedTask(queries=task.queries, candidates=task.candidates, qrels=qrels)
+
+
 # -- naive oracles -------------------------------------------------------------
 
 
@@ -61,6 +82,18 @@ def naive_rankings(task) -> dict[str, list[str]]:
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
         out[qid] = [cid for cid, _ in scored]
     return out
+
+
+def naive_ranks(task) -> dict[str, dict[str, int]]:
+    """Each judged candidate's rank read off the naive full sort as index + 1."""
+    if isinstance(task, GradedTask):
+        judged = {pair for pair, grade in task.qrels.items() if grade > 0}
+    else:
+        judged = set(task.gold.items())
+    return {
+        qid: {cid: i + 1 for i, cid in enumerate(ranking) if (qid, cid) in judged}
+        for qid, ranking in naive_rankings(task).items()
+    }
 
 
 def naive_acc_at_k(rankings, gold, k):
@@ -107,23 +140,32 @@ def test_identical_vector_ranked_first():
         candidates=[("a", unit([3.0, -1.0, 0.2])), ("b", q.copy()), ("c", unit([-1.0, 0.5, 0.1]))],
         gold={"q": "b"},
     )
-    assert rank_candidates(task)["q"][0] == "b"
+    assert rank_candidates(task)["q"] == {"b": 1}
 
 
 def test_tie_broken_by_candidate_id():
     v = unit([1.0, 0.0])
-    task = RetrievalTask(
+    task = GradedTask(
         queries=[("q", v)],
         candidates=[("z", v.copy()), ("a", v.copy()), ("m", v.copy())],
-        gold={"q": "a"},
+        qrels={("q", "z"): 1, ("q", "a"): 1, ("q", "m"): 1},
     )
-    assert rank_candidates(task)["q"] == ["a", "m", "z"]
+    assert rank_candidates(task)["q"] == {"a": 1, "m": 2, "z": 3}
 
 
 def test_rankings_match_naive_sort():
     rng = np.random.default_rng(0)
-    task = random_retrieval_task(rng)
-    assert rank_candidates(task) == naive_rankings(task)
+    tasks = [random_retrieval_task(rng), random_graded_task(rng), tied_retrieval_task(rng), tied_graded_task(rng)]
+    for task in tasks:
+        assert rank_candidates(task) == naive_ranks(task)
+
+
+def test_duplicate_candidate_rejected():
+    v = unit([1.0, 2.0])
+    task = RetrievalTask(queries=[("q", v)], candidates=[("a", v), ("b", -v), ("a", v)], gold={"q": "a"})
+    with pytest.raises(DataError) as err:
+        rank_candidates(task)
+    assert err.value.code == "E_DUPLICATE_CANDIDATE" and "'a'" in str(err.value)
 
 
 def test_empty_candidates_rejected():
@@ -148,11 +190,7 @@ def test_ranking_invariant_under_rescaling():
 
 def fixed_rankings():
     # gold ranks: q1 -> 1, q2 -> 3, q3 -> 12
-    rankings = {
-        "q1": ["g1"] + [f"x{i}" for i in range(19)],
-        "q2": ["x0", "x1", "g2"] + [f"y{i}" for i in range(17)],
-        "q3": [f"z{i}" for i in range(11)] + ["g3"] + [f"w{i}" for i in range(8)],
-    }
+    rankings = {"q1": {"g1": 1}, "q2": {"g2": 3}, "q3": {"g3": 12}}
     gold = {"q1": "g1", "q2": "g2", "q3": "g3"}
     return rankings, gold
 
@@ -166,7 +204,7 @@ def test_accuracy_at_k_direct_counts():
 
 
 def test_accuracy_all_rank_one():
-    rankings = {f"q{i}": [f"g{i}", "x"] for i in range(4)}
+    rankings = {f"q{i}": {f"g{i}": 1} for i in range(4)}
     gold = {f"q{i}": f"g{i}" for i in range(4)}
     for k in (1, 2, 5):
         assert accuracy_at_k(rankings, gold, k) == 1.0
@@ -178,29 +216,28 @@ def test_accuracy_k_beyond_pool_is_one():
 
 
 def test_mrr_hand_value():
-    rankings = {
-        "q1": ["g1", "x"],
-        "q2": ["x", "g2"],
-        "q3": ["x", "y", "z", "g3"],
-    }
+    rankings = {"q1": {"g1": 1}, "q2": {"g2": 2}, "q3": {"g3": 4}}
     gold = {"q1": "g1", "q2": "g2", "q3": "g3"}
     assert mean_reciprocal_rank(rankings, gold) == pytest.approx((1 + 0.5 + 0.25) / 3)
 
 
 def test_mrr_all_rank_one_is_one():
-    rankings = {f"q{i}": [f"g{i}", "x"] for i in range(3)}
+    rankings = {f"q{i}": {f"g{i}": 1} for i in range(3)}
     gold = {f"q{i}": f"g{i}" for i in range(3)}
     assert mean_reciprocal_rank(rankings, gold) == 1.0
 
 
 def test_metrics_match_naive_on_random_tasks():
     rng = np.random.default_rng(1)
-    for _ in range(20):
-        task = random_retrieval_task(rng, n_queries=int(rng.integers(2, 30)), n_candidates=int(rng.integers(5, 80)))
-        rankings = rank_candidates(task)
+    tasks = [
+        random_retrieval_task(rng, n_queries=int(rng.integers(2, 30)), n_candidates=int(rng.integers(5, 80)))
+        for _ in range(20)
+    ]
+    for task in [*tasks, tied_retrieval_task(rng)]:
+        ranks, naive = rank_candidates(task), naive_rankings(task)
         for k in (1, 3, 10):
-            assert abs(accuracy_at_k(rankings, task.gold, k) - naive_acc_at_k(rankings, task.gold, k)) <= 1e-9
-        assert abs(mean_reciprocal_rank(rankings, task.gold) - naive_mrr(rankings, task.gold)) <= 1e-9
+            assert abs(accuracy_at_k(ranks, task.gold, k) - naive_acc_at_k(naive, task.gold, k)) <= 1e-9
+        assert abs(mean_reciprocal_rank(ranks, task.gold) - naive_mrr(naive, task.gold)) <= 1e-9
 
 
 def test_acc1_le_mrr_le_accmax():
@@ -265,9 +302,8 @@ def test_mean_pos_sim_matches_naive():
 
 
 def rankings_with_single_relevant(rank: int):
-    ranking = [f"c{i}" for i in range(15)]
     qrels = {("q", f"c{rank - 1}"): 1}
-    return {"q": ranking}, qrels
+    return {"q": {f"c{rank - 1}": rank}}, qrels
 
 
 def test_ndcg_single_relevant_at_rank_three():
@@ -287,51 +323,49 @@ def test_ndcg_permutations_of_graded_list():
     for gain in ("linear", "exp"):
         results = {}
         for perm in itertools.permutations([3, 2, 1]):
-            ranking = [f"c{g}" for g in perm]
+            ranks = {f"c{g}": r for r, g in enumerate(perm, start=1)}
             qrels = {("q", "c3"): 3, ("q", "c2"): 2, ("q", "c1"): 1}
-            results[perm] = ndcg_at_10({"q": ranking}, qrels, gain=gain)
+            results[perm] = ndcg_at_10({"q": ranks}, qrels, gain=gain)
         assert results[(3, 2, 1)] == pytest.approx(1.0, abs=1e-12)
         assert all(v <= 1.0 + 1e-12 for v in results.values())
         assert all(results[p] < 1.0 for p in results if p != (3, 2, 1))
 
 
 def test_ndcg_no_relevant_query_skipped():
-    rankings = {"q1": ["a", "b"], "q2": ["a", "b"]}
+    rankings = {"q1": {"a": 1}, "q2": {}}
     qrels = {("q1", "a"): 1, ("q2", "a"): 0}
     assert ndcg_at_10(rankings, qrels) == pytest.approx(1.0)
     with pytest.raises(DataError) as err:
-        ndcg_at_10({"q2": ["a", "b"]}, {("q2", "a"): 0})
+        ndcg_at_10({"q2": {}}, {("q2", "a"): 0})
     assert err.value.code == "E_NO_RELEVANT"
 
 
 def test_ndcg_matches_naive():
     rng = np.random.default_rng(6)
-    for _ in range(10):
-        task = random_graded_task(rng)
-        rankings = rank_candidates(task)
+    for task in [*(random_graded_task(rng) for _ in range(10)), tied_graded_task(rng)]:
+        ranks, naive = rank_candidates(task), naive_rankings(task)
         for gain in ("linear", "exp"):
-            assert abs(ndcg_at_10(rankings, task.qrels, gain) - naive_ndcg10(rankings, task.qrels, gain)) <= 1e-9
+            assert abs(ndcg_at_10(ranks, task.qrels, gain) - naive_ndcg10(naive, task.qrels, gain)) <= 1e-9
 
 
 def test_recall_half_found():
-    rankings = {"q": [f"c{i}" for i in range(20)]}
+    rankings = {"q": {"c0": 1, "c15": 16}}
     qrels = {("q", "c0"): 1, ("q", "c15"): 2}
     assert recall_at_k(rankings, qrels, 10) == pytest.approx(0.5)
 
 
 def test_recall_all_found():
-    rankings = {"q": [f"c{i}" for i in range(20)]}
+    rankings = {"q": {"c0": 1, "c3": 4}}
     qrels = {("q", "c0"): 1, ("q", "c3"): 2}
     assert recall_at_k(rankings, qrels, 5) == pytest.approx(1.0)
 
 
 def test_recall_matches_naive():
     rng = np.random.default_rng(7)
-    for _ in range(10):
-        task = random_graded_task(rng)
-        rankings = rank_candidates(task)
+    for task in [*(random_graded_task(rng) for _ in range(10)), tied_graded_task(rng)]:
+        ranks, naive = rank_candidates(task), naive_rankings(task)
         for k in (1, 5, 10):
-            assert abs(recall_at_k(rankings, task.qrels, k) - naive_recall_at_k(rankings, task.qrels, k)) <= 1e-9
+            assert abs(recall_at_k(ranks, task.qrels, k) - naive_recall_at_k(naive, task.qrels, k)) <= 1e-9
 
 
 # -- Spearman ---------------------------------------------------------------------------

@@ -162,6 +162,26 @@ def test_embeddings_sidecar_count_mismatch(tmp_path):
     with pytest.raises(DataError) as err:
         read_embeddings(path)
     assert err.value.code == "E_SHAPE_MISMATCH"
+    # A sidecar that is not UTF-8, or that repeats an id, is an input error.
+    ids_sidecar(path).write_bytes(b"\xff\xfe\nb\n")
+    with pytest.raises(DataError) as err:
+        read_embeddings(path)
+    assert err.value.code == "E_IO" and str(ids_sidecar(path)) in str(err.value)
+    write_embeddings(path, ["a", "b", "a"], np.ones((3, 3), dtype=np.float32))
+    with pytest.raises(DataError) as err:
+        read_embeddings(path)
+    assert err.value.code == "E_IO" and f"{ids_sidecar(path)}:3: id 'a' repeats line 1" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_embeddings_nonfinite_rejected(tmp_path, bad):
+    path = tmp_path / "emb.cevx"
+    matrix = np.ones((3, 2), dtype=np.float32)
+    matrix[1, 0] = bad
+    write_embeddings(path, ["a", "b", "c"], matrix)
+    with pytest.raises(DataError) as err:
+        read_embeddings(path)
+    assert err.value.code == "E_IO" and str(path) in str(err.value) and "'b'" in str(err.value)
 
 
 def test_embeddings_id_count_must_match(tmp_path):
@@ -195,6 +215,11 @@ def test_qrels_validation(tmp_path):
     path.write_text("q1\tc1\tNaN\n", encoding="utf-8")
     with pytest.raises(DataError):
         read_qrels(path)
+    # A pair judged twice would silently keep its last grade.
+    path.write_text("q1\tc1\t2\nq1\tc2\t1\nq1\tc1\t0\n", encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        read_qrels(path)
+    assert err.value.code == "E_IO" and f"{path}:3:" in str(err.value)
 
 
 def test_pairs_two_and_three_columns(tmp_path):
@@ -206,6 +231,12 @@ def test_pairs_two_and_three_columns(tmp_path):
     path.write_text("q1\n", encoding="utf-8")
     with pytest.raises(DataError):
         read_pairs(path)
+    # Every row has the first row's width: retrieval pairs or scored pairs, never both.
+    for content in ("q1\tc1\t0.5\nq2\tc2\n", "q1\tc1\nq2\tc2\t0.5\n"):
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(DataError) as err:
+            read_pairs(path)
+        assert err.value.code == "E_IO" and f"{path}:2:" in str(err.value)
 
 
 def test_tsv_errors_name_the_physical_line(tmp_path):
