@@ -1,7 +1,6 @@
 """Desk-scale contrastive sentence-embedding pipeline."""
 
 from .corpus import (
-    CorpusManifest,
     CorpusStats,
     RawDocument,
     SentenceRecord,

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import corpus, metrics, storage, trainer, triplets
 from .encoder import POOLINGS, Tokenizer, encode_batch, init_params, load_checkpoint
-from .errors import PipelineError, UsageError
+from .errors import DataError, PipelineError, UsageError
 
 # Config keys and their defaults: every TrainConfig field, then every
 # init_params keyword except the seed, which TrainConfig already carries.
@@ -120,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="corpus statistics for a manifest", formatter_class=fmt)
     p.add_argument("--corpus", required=True, help="manifest produced by prepare")
-    p.add_argument("--vocab-size", type=int, default=_ENCODER_CONFIG_KEYS["vocab_size"], help="tokenizer vocabulary size")
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser(
@@ -162,9 +161,9 @@ def _load_documents(input_path: str) -> list[corpus.RawDocument]:
 def _cmd_prepare(args: argparse.Namespace) -> int:
     started = time.monotonic()
     docs = _load_documents(args.input)
-    manifest = corpus.build_manifest(docs, min_chars=args.min_chars)
-    manifest = corpus.stratified_split(manifest, train_frac=args.train_frac, seed=args.seed, test_frac=args.test_frac)
-    storage.write_jsonl(args.out, corpus.manifest_to_rows(manifest))
+    records = corpus.build_manifest(docs, min_chars=args.min_chars)
+    records = corpus.stratified_split(records, train_frac=args.train_frac, seed=args.seed, test_frac=args.test_frac)
+    storage.write_jsonl(args.out, [r.to_row() for r in records])
     storage.write_run_metadata(
         args.out + ".meta.json",
         command="prepare",
@@ -178,14 +177,14 @@ def _cmd_prepare(args: argparse.Namespace) -> int:
         outputs=[args.out],
         duration_s=time.monotonic() - started,
     )
-    counts = {s: len(manifest.subset(s)) for s in corpus.SPLITS}
-    print(f"prepare: {len(manifest.records)} sentences ({counts})", file=sys.stderr)
+    counts = {s: sum(r.split == s for r in records) for s in corpus.SPLITS}
+    print(f"prepare: {len(records)} sentences ({counts})", file=sys.stderr)
     return 0
 
 
 def _cmd_triplets(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    manifest = corpus.CorpusManifest(records=storage.read_jsonl(args.corpus, corpus.SentenceRecord.from_row))
+    records = storage.read_jsonl(args.corpus, corpus.SentenceRecord.from_row)
     policy = triplets.NegativePolicy(
         min_index_distance=args.min_distance,
         require_different_source=args.cross_source,
@@ -193,10 +192,10 @@ def _cmd_triplets(args: argparse.Namespace) -> int:
     )
     if args.provider:
         with triplets.SubprocessProvider(args.provider) as provider:
-            result = triplets.build_triplets(manifest, policy, provider)
+            result = triplets.build_triplets(records, policy, provider)
     else:
-        result = triplets.build_triplets(manifest, policy)
-    storage.write_jsonl(args.out, triplets.triplets_to_rows(result.triplets))
+        result = triplets.build_triplets(records, policy)
+    storage.write_jsonl(args.out, [t.to_row() for t in result.triplets])
     storage.write_run_metadata(
         args.out + ".meta.json",
         command="triplets",
@@ -266,12 +265,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         val_rows = [t for t in all_triplets if t.split == "val"]
     params = init_params(config.seed, **encoder_cfg)
     params, reports = trainer.train(train_rows, params, config, val_triplets=val_rows or None, out_dir=args.out_dir)
-    report_rows = [
-        {"epoch": r.epoch, "mean_train_loss": r.mean_train_loss, "val_loss": r.val_loss, "checkpoint": r.checkpoint}
-        for r in reports
-    ]
     out_dir = Path(args.out_dir)
-    storage.write_jsonl(out_dir / "train-report.jsonl", report_rows)
+    storage.write_jsonl(out_dir / "train-report.jsonl", [vars(r) for r in reports])
     outputs = [out_dir / "train-report.jsonl", out_dir / "train-log.jsonl"]
     outputs += [r.checkpoint for r in reports if r.checkpoint]
     storage.write_run_metadata(
@@ -300,15 +295,18 @@ def _row_texts(row: dict) -> list[tuple[str | None, str]]:
 
 
 def _load_texts(path_str: str) -> tuple[list[str], list[str]]:
-    """Texts to embed: .jsonl rows (see ``_row_texts``) or plain lines."""
+    """Texts to embed: .jsonl rows (see ``_row_texts``) or plain lines; an
+    id that repeats is E_IO."""
     path = Path(path_str)
     if path.suffix == ".jsonl":
-        ids, texts = [], []
+        texts: dict[str, str] = {}
         for i, pairs in enumerate(storage.read_jsonl(path, _row_texts)):
             for text_id, text in pairs:
-                ids.append(f"line-{i + 1:06d}" if text_id is None else text_id)
-                texts.append(text)
-        return ids, texts
+                text_id = f"line-{i + 1:06d}" if text_id is None else text_id
+                if text_id in texts:
+                    raise DataError("E_IO", f"{path}: row {i + 1} repeats id {text_id!r}")
+                texts[text_id] = text
+        return list(texts), list(texts.values())
     lines = storage.read_lines(path)
     return [f"line-{i + 1:06d}" for i in range(len(lines))], lines
 
@@ -396,8 +394,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    manifest = corpus.CorpusManifest(records=storage.read_jsonl(args.corpus, corpus.SentenceRecord.from_row))
-    stats = corpus.corpus_stats(manifest, Tokenizer(vocab_size=args.vocab_size))
+    records = storage.read_jsonl(args.corpus, corpus.SentenceRecord.from_row)
+    stats = corpus.corpus_stats(records, Tokenizer())
     print(json.dumps(stats.to_dict(), indent=2, sort_keys=True))
     return 0
 

@@ -1,15 +1,14 @@
 """Corpus preparation: cleaning, segmentation, filtering, dedup, splitting.
 
-Turns raw extracted text into a deterministic manifest of sentence records
-with train/val/test labels, plus summary statistics.
+Turns raw extracted text into a deterministic manifest: a list of sentence
+records with train/val/test labels, plus summary statistics.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -77,22 +76,6 @@ class SentenceRecord:
             char_len=int(row["char_len"]),
             split=str(row.get("split", SPLIT_UNASSIGNED)),
         )
-
-
-@dataclass
-class CorpusManifest:
-    """Ordered sentence records plus per-source tallies and the split seed."""
-
-    records: list[SentenceRecord]
-    per_source_counts: dict[str, int] = field(default_factory=dict)
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        if not self.per_source_counts:
-            self.per_source_counts = dict(Counter(r.source_name for r in self.records))
-
-    def subset(self, split: str) -> list[SentenceRecord]:
-        return [r for r in self.records if r.split == split]
 
 
 @dataclass
@@ -211,8 +194,8 @@ def _document_records(doc: RawDocument, min_chars: int) -> list[SentenceRecord]:
 def build_manifest(
     docs: Sequence[RawDocument],
     min_chars: int = MIN_SENTENCE_CHARS,
-) -> CorpusManifest:
-    """Clean, segment, and filter documents into a deduplicated manifest.
+) -> list[SentenceRecord]:
+    """Clean, segment, and filter documents into deduplicated sentence records.
 
     Documents are taken in (source_name, original document position) order,
     so output is deterministic.
@@ -222,7 +205,7 @@ def build_manifest(
         raise DataError("E_IO", "duplicate doc_id in input documents")
     ordered = sorted(range(len(docs)), key=lambda i: (docs[i].source_name, i))
     records = [rec for i in ordered for rec in _document_records(docs[i], min_chars)]
-    return CorpusManifest(records=deduplicate(records))
+    return deduplicate(records)
 
 
 def _round_half_up(x: float) -> int:
@@ -230,30 +213,30 @@ def _round_half_up(x: float) -> int:
 
 
 def stratified_split(
-    manifest: CorpusManifest,
+    records: Sequence[SentenceRecord],
     train_frac: float = 0.9,
     seed: int = 0,
     test_frac: float = 0.0,
-) -> CorpusManifest:
+) -> list[SentenceRecord]:
     """Assign train/val (and optionally test) splits per source.
 
     Within each source the records are permuted by a seeded generator; the
     first round(train_frac * n) become train, then round(test_frac * n)
-    become test, and the remainder val. Record order is unchanged.
+    become test, and the remainder val. Returns new records in the same order.
     """
     if not 0.0 < train_frac < 1.0:
         raise DataError("E_BAD_FRACTION", f"train_frac must be in (0, 1), got {train_frac}")
     if test_frac < 0.0 or train_frac + test_frac > 1.0:
         raise DataError("E_BAD_FRACTION", f"train_frac + test_frac must be <= 1, got {train_frac + test_frac}")
-    for record in manifest.records:
+    for record in records:
         if record.split != SPLIT_UNASSIGNED:
             raise DataError("E_ALREADY_SPLIT", f"record {record.sent_id} already assigned to {record.split!r}")
 
     by_source: dict[str, list[int]] = {}
-    for idx, record in enumerate(manifest.records):
+    for idx, record in enumerate(records):
         by_source.setdefault(record.source_name, []).append(idx)
 
-    assignment = [SPLIT_VAL] * len(manifest.records)
+    assignment = [SPLIT_VAL] * len(records)
     rng = np.random.default_rng(seed)
     for source in sorted(by_source):
         indices = by_source[source]
@@ -266,18 +249,17 @@ def stratified_split(
             elif pos < n_train + n_test:
                 assignment[indices[j]] = SPLIT_TEST
 
-    records = [replace(r, split=assignment[i]) for i, r in enumerate(manifest.records)]
-    return CorpusManifest(records=records, seed=seed)
+    return [replace(r, split=assignment[i]) for i, r in enumerate(records)]
 
 
-def corpus_stats(manifest: CorpusManifest, tokenizer: Callable[[str], list[int]]) -> CorpusStats:
+def corpus_stats(records: Sequence[SentenceRecord], tokenizer: Callable[[str], list[int]]) -> CorpusStats:
     """Word, term, and token counts plus token-length mean and population SD."""
-    if not manifest.records:
+    if not records:
         raise DataError("E_EMPTY_CORPUS", "corpus statistics need at least one sentence")
     word_count = 0
     terms: set[str] = set()
-    token_lens = np.empty(len(manifest.records), dtype=np.int64)
-    for i, record in enumerate(manifest.records):
+    token_lens = np.empty(len(records), dtype=np.int64)
+    for i, record in enumerate(records):
         words = record.text.split()
         word_count += len(words)
         terms.update(w.lower() for w in words)
@@ -285,14 +267,10 @@ def corpus_stats(manifest: CorpusManifest, tokenizer: Callable[[str], list[int]]
     mean = float(np.mean(token_lens))
     sd = float(np.sqrt(np.mean((token_lens - mean) ** 2)))
     return CorpusStats(
-        sentence_count=len(manifest.records),
+        sentence_count=len(records),
         word_count=word_count,
         unique_term_count=len(terms),
         token_count=int(token_lens.sum()),
         mean_len_tokens=mean,
         sd_len_tokens=sd,
     )
-
-
-def manifest_to_rows(manifest: CorpusManifest) -> list[dict]:
-    return [r.to_row() for r in manifest.records]

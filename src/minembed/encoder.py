@@ -69,7 +69,13 @@ def tokenize(text: str, vocab_size: int = DEFAULT_VOCAB_SIZE) -> list[int]:
 
 
 def tensor_shapes(vocab: int, d_emb: int, d_hid: int, d_out: int, rank: int) -> dict[str, tuple[int, ...]]:
-    """Shape of every tensor, in ``TENSOR_NAMES`` order."""
+    """Shape of every tensor, in ``TENSOR_NAMES`` order; every dimension must be >= 1."""
+    if rank < 1:
+        raise DataError("E_BAD_RANK", f"lora_rank must be >= 1, got {rank}")
+    if min(vocab, d_emb, d_hid, d_out) < 1:
+        raise DataError(
+            "E_BAD_SHAPE", f"dimensions must be >= 1, got vocab_size={vocab} d_emb={d_emb} d_hid={d_hid} d_out={d_out}"
+        )
     return {
         "E": (vocab, d_emb),
         "W1": (d_emb, d_hid),
@@ -97,8 +103,8 @@ class EncoderParams:
 
     def __post_init__(self) -> None:
         self.tokenizer = Tokenizer(vocab_size=self.tensors["E"].shape[0])
-        if self.lora_rank < 1:
-            raise DataError("E_BAD_RANK", f"lora_rank must be >= 1, got {self.lora_rank}")
+        if not 0.0 <= self.lora_dropout < 1.0:
+            raise DataError("E_BAD_DROPOUT", f"lora_dropout must be in [0, 1), got {self.lora_dropout}")
         if self.pooling not in POOLINGS:
             raise DataError("E_BAD_POOLING", f"pooling must be one of {POOLINGS}, got {self.pooling!r}")
 
@@ -311,7 +317,7 @@ def load_checkpoint(path: str | Path) -> EncoderParams:
     if missing:
         raise DataError("E_SHAPE_MISMATCH", f"{path}: missing tensors {missing}")
     # Ranks first: the dimensions checked below are read off E and W2.
-    ranks = {name: len(shape) for name, shape in tensor_shapes(0, 0, 0, 0, 0).items()}
+    ranks = {name: len(shape) for name, shape in tensor_shapes(1, 1, 1, 1, 1).items()}
     wrong_rank = [n for n, rank in ranks.items() if stored[n].ndim != rank]
     wrong_rank += [n for n in _SCALAR_FIELDS if stored[n].shape != (1,)]
     if wrong_rank:

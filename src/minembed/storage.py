@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -267,7 +268,8 @@ def read_qrels(path: str | Path) -> dict[tuple[str, str], int]:
 
 
 def read_pairs(path: str | Path) -> list[tuple[str, str, float | None]]:
-    """Read pair lines: all (query_id, cand_id) or all (query_id, cand_id, gold_score)."""
+    """Read pair lines: all (query_id, cand_id) or all (query_id, cand_id, gold_score),
+    each score a finite number."""
     pairs: list[tuple[str, str, float | None]] = []
     width = None
     for lineno, line in _numbered_lines(path):
@@ -278,9 +280,12 @@ def read_pairs(path: str | Path) -> list[tuple[str, str, float | None]]:
         if len(cols) != width:
             raise DataError("E_IO", f"{path}:{lineno}: {len(cols)} columns, but the first row has {width}")
         try:
-            pairs.append((cols[0], cols[1], float(cols[2]) if width == 3 else None))
-        except ValueError as exc:
-            raise DataError("E_IO", f"{path}:{lineno}: third column must be numeric") from exc
+            score = float(cols[2]) if width == 3 else None
+        except ValueError:
+            score = math.nan
+        if score is not None and not math.isfinite(score):
+            raise DataError("E_IO", f"{path}:{lineno}: third column must be a finite number, got {cols[2]!r}")
+        pairs.append((cols[0], cols[1], score))
     return pairs
 
 

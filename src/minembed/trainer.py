@@ -58,6 +58,11 @@ class TrainConfig:
             raise DataError("E_BAD_BATCH", f"epochs must be >= 0, got {self.epochs}")
         if self.seed < 0:
             raise DataError("E_BAD_SEED", f"seed must be nonnegative, got {self.seed}")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0 and self.eps > 0.0):
+            raise DataError(
+                "E_BAD_OPTIMIZER",
+                f"beta1 and beta2 must be in [0, 1) and eps > 0, got {self.beta1}, {self.beta2}, {self.eps}",
+            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -82,6 +87,7 @@ def init_optimizer_state(params: EncoderParams, lora_only: bool = False) -> Opti
 
 @dataclass
 class BatchLossReport:
+    # Fields are declared in train-log row order, after step and lr.
     loss: float
     mean_pos_sim: float
     mean_neg_sim: float
@@ -90,6 +96,7 @@ class BatchLossReport:
 
 @dataclass
 class EpochReport:
+    # Fields are declared in train-report row order.
     epoch: int
     mean_train_loss: float
     val_loss: float | None
@@ -324,19 +331,12 @@ def train(
             lr = lr_at_step(step, total_steps, config)
             adamw_step(params, grads, state, lr, config)
             epoch_losses.append(report.loss * len(batch))
-            log_rows.append(
-                {
-                    "step": step,
-                    "lr": lr,
-                    "loss": report.loss,
-                    "mean_pos_sim": report.mean_pos_sim,
-                    "mean_neg_sim": report.mean_neg_sim,
-                    "grad_norm": report.grad_norm,
-                }
-            )
+            log_rows.append({"step": step, "lr": lr, **vars(report)})
             step += 1
         mean_train = math.fsum(epoch_losses) / len(triplets)
         val_loss = evaluation_loss(val_triplets, params, config) if val_triplets else None
+        if val_loss is not None and not math.isfinite(val_loss):
+            raise NumericError("E_NONFINITE_GRAD", f"non-finite validation loss in epoch {epoch}")
         checkpoint = None
         if out_path is not None:
             checkpoint = str(out_path / f"epoch-{epoch + 1}.cemb")

@@ -17,11 +17,11 @@ import shlex
 import subprocess
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import CorpusManifest, SentenceRecord
+from .corpus import SentenceRecord
 from .errors import DataError
 
 ParaphraseProvider = Callable[[str], str]
@@ -33,6 +33,9 @@ FALLBACK_STOPWORDS = frozenset(
 _MIN_WORDS_AFTER_DROP = 8
 
 SPLIT_SEED_TAGS = {"train": 0, "val": 1, "test": 2}
+
+# Seconds a provider may take to exit once its stdin is closed; then it is killed.
+PROVIDER_EXIT_GRACE_S = 10.0
 
 
 @dataclass(frozen=True)
@@ -135,9 +138,14 @@ class SubprocessProvider:
             raise DataError("E_PROVIDER_UNAVAILABLE", f"malformed provider response: {line!r}") from exc
 
     def close(self) -> None:
-        if self._proc.poll() is None:
-            self._proc.stdin.close()
-            self._proc.wait(timeout=10)
+        proc = self._proc
+        if proc.poll() is None:
+            proc.stdin.close()
+            try:
+                proc.wait(timeout=PROVIDER_EXIT_GRACE_S)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
 
     def __enter__(self) -> "SubprocessProvider":
         return self
@@ -161,18 +169,16 @@ def generate_positive(anchor: SentenceRecord, provider: ParaphraseProvider) -> s
 
 def sample_hard_negative(
     anchor_index: int,
-    records: CorpusManifest | Sequence[SentenceRecord],
+    records: Sequence[SentenceRecord],
     policy: NegativePolicy,
     rng: np.random.Generator | None = None,
 ) -> SentenceRecord:
     """Pick a negative uniformly among records far enough from the anchor.
 
-    Indices are positions within ``records`` (or the manifest's record
-    list). When ``require_different_source`` is set and any distant record
-    has a different source, sampling is restricted to those records.
+    Indices are positions within ``records``. When
+    ``require_different_source`` is set and any distant record has a
+    different source, sampling is restricted to those records.
     """
-    if isinstance(records, CorpusManifest):
-        records = records.records
     if rng is None:
         rng = np.random.default_rng([policy.seed, anchor_index])
     anchor = records[anchor_index]
@@ -199,11 +205,11 @@ class TripletBuildResult:
 
 
 def build_triplets(
-    manifest: CorpusManifest,
+    records: Sequence[SentenceRecord],
     policy: NegativePolicy,
     provider: ParaphraseProvider = fallback_paraphrase,
 ) -> TripletBuildResult:
-    """One triplet per anchor sentence per split, in manifest order.
+    """One triplet per anchor sentence per split, in record order.
 
     Anchors whose paraphrase fails or that have no eligible negative are
     skipped and counted. Negative sampling consumes one seeded stream per
@@ -211,18 +217,18 @@ def build_triplets(
     """
     result = TripletBuildResult(triplets=[])
     for split, tag in SPLIT_SEED_TAGS.items():
-        records = manifest.subset(split)
-        if not records:
+        in_split = [r for r in records if r.split == split]
+        if not in_split:
             continue
-        positives = _paraphrase_all(records, provider)
+        positives = _paraphrase_all(in_split, provider)
         rng = np.random.default_rng([policy.seed, tag])
-        for index, record in enumerate(records):
+        for index, record in enumerate(in_split):
             positive = positives[index]
             if isinstance(positive, DataError):
                 result.skipped_paraphrase += 1
                 continue
             try:
-                negative = sample_hard_negative(index, records, policy, rng)
+                negative = sample_hard_negative(index, in_split, policy, rng)
             except DataError as exc:
                 if exc.code != "E_NO_ELIGIBLE_NEGATIVE":
                     raise
@@ -257,7 +263,3 @@ def _paraphrase_all(records: Sequence[SentenceRecord], provider: ParaphraseProvi
             return exc
 
     return [one(r) for r in records]
-
-
-def triplets_to_rows(triplets: Iterable[Triplet]) -> list[dict]:
-    return [t.to_row() for t in triplets]

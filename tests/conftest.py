@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from minembed.corpus import CorpusManifest, SentenceRecord
+from minembed.corpus import SentenceRecord
 from minembed.encoder import init_params
 from minembed.triplets import FALLBACK_STOPWORDS
 
@@ -42,10 +42,6 @@ def two_cluster_records(n_per_cluster: int, seed: int, split: str = "unassigned"
                 )
             )
     return records
-
-
-def two_cluster_manifest(n_per_cluster: int, seed: int, split: str = "unassigned") -> CorpusManifest:
-    return CorpusManifest(records=two_cluster_records(n_per_cluster, seed, split))
 
 
 @pytest.fixture

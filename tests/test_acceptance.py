@@ -16,7 +16,7 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 from minembed.cli import run as cli_run
-from minembed.corpus import CorpusManifest, SentenceRecord, deduplicate, normalized_form, stratified_split
+from minembed.corpus import SentenceRecord, deduplicate, normalized_form, stratified_split
 from minembed.encoder import encode_batch, init_params
 from minembed.metrics import (
     GradedTask,
@@ -131,9 +131,7 @@ def test_two_cluster_training_gain():
         source: len({w for r in records if r.source_name == source for w in r.text.split()})
         for source in ("cluster-a", "cluster-b")
     }
-    manifest = stratified_split(
-        CorpusManifest(records=deduplicate(records)), train_frac=0.8, seed=seed, test_frac=0.2
-    )
+    manifest = stratified_split(deduplicate(records), train_frac=0.8, seed=seed, test_frac=0.2)
     policy = NegativePolicy(min_index_distance=1, require_different_source=True, seed=seed)
     built = build_triplets(manifest, policy)
     train_triplets = [t for t in built.triplets if t.split == "train"]
@@ -480,11 +478,11 @@ def test_dedup_and_split_exactness():
         for b in survivors[i + 1 :]
     )
 
-    manifest = stratified_split(CorpusManifest(records=survivors), train_frac=0.9, seed=400)
+    manifest = stratified_split(survivors, train_frac=0.9, seed=400)
     split_ok = True
     for source in sources:
         n = sum(1 for r in survivors if r.source_name == source)
-        n_train = sum(1 for r in manifest.records if r.source_name == source and r.split == "train")
+        n_train = sum(1 for r in manifest if r.source_name == source and r.split == "train")
         split_ok = split_ok and n_train == math.floor(0.9 * n + 0.5)
     _verdict(
         "dedup and split: brute-force agreement on a 1,000-sentence corpus; per-source train counts exactly round(0.9 n)",

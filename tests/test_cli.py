@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +186,9 @@ def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, override):
         ({"pooling": np.array([2.0])}, "E_BAD_POOLING"),
         ({"pooling": np.array([0.5])}, "E_BAD_POOLING"),
         ({"pooling": np.array([np.nan])}, "E_BAD_POOLING"),
+        ({"E": np.zeros((0, 4), dtype=np.float32)}, "E_BAD_SHAPE"),
+        ({"lora_rank": np.array([0.0])}, "E_BAD_RANK"),
+        ({"lora_dropout": np.array([1.0])}, "E_BAD_DROPOUT"),
     ],
 )
 def test_embed_on_malformed_checkpoint_exits_two(tmp_path, capsys, corrupt, code):
@@ -237,6 +242,8 @@ MALFORMED_EVAL_INPUTS = {
     "vector-nan": (b"q1\nq2\nc1\nc2\n", float("nan"), "--pairs", "q1\tc1\n", "'q2'"),
     "pairs-mixed-width": (b"q1\nq2\nc1\nc2\n", 0.5, "--pairs", "q1\tc1\t0.5\nq2\tc2\n", "t.tsv:2:"),
     "qrels-judged-twice": (b"q1\nq2\nc1\nc2\n", 0.5, "--qrels", "q1\tc1\t2\nq1\tc1\t0\n", "t.tsv:2:"),
+    "pairs-nan-score": (b"q1\nq2\nc1\nc2\n", 0.5, "--pairs", "q1\tc1\tnan\nq2\tc2\t0.5\n", "t.tsv:1:"),
+    "pairs-inf-score": (b"q1\nq2\nc1\nc2\n", 0.5, "--pairs", "q1\tc1\t0.5\nq2\tc2\t-inf\n", "t.tsv:2:"),
 }
 
 
@@ -253,6 +260,37 @@ def test_eval_on_malformed_inputs_exits_two(tmp_path, capsys, case):
     assert run(["eval", "--embeddings", str(emb), flag, str(task)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("E_IO: ") and expected in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "override, code, status, named",
+    [
+        ({"vocab_size": 0}, "E_BAD_SHAPE", 2, "vocab_size=0"),
+        ({"vocab_size": -5}, "E_BAD_SHAPE", 2, "vocab_size=-5"),
+        ({"d_hid": 0}, "E_BAD_SHAPE", 2, "d_hid=0"),
+        ({"lora_dropout": 1.0}, "E_BAD_DROPOUT", 2, "lora_dropout"),
+        ({"lora_dropout": -0.5}, "E_BAD_DROPOUT", 2, "lora_dropout"),
+        ({"beta1": 1.0}, "E_BAD_OPTIMIZER", 2, "beta1"),
+        ({"beta2": 1.0}, "E_BAD_OPTIMIZER", 2, "beta2"),
+        ({"eps": 0}, "E_BAD_OPTIMIZER", 2, "eps"),
+        ({"peak_lr": 1e300}, "E_NONFINITE_GRAD", 3, "epoch 0"),
+    ],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_config_that_cannot_train_exits_cleanly(tmp_path, capsys, override, code, status, named):
+    # Each of these crashed, or trained to a NaN validation loss written as
+    # "val_loss":NaN; the peak_lr case takes one step (8 train rows, batch 8).
+    rows = [{**TRIPLET_ROW, "anchor_id": f"a{i}", "anchor_text": f"left atrium {i}",
+             "split": "train" if i < 8 else "val"} for i in range(10)]
+    trips = tmp_path / "trips.jsonl"
+    trips.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    config = small_train_config(tmp_path, **override)
+    out = tmp_path / "out"
+    assert run(["train", "--triplets", str(trips), "--config", str(config),
+                "--out-dir", str(out), "--seed", "1"]) == status
+    err = capsys.readouterr().err
+    assert err.startswith(f"{code}: ") and named in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_train_on_empty_triplets_exits_two(tmp_path):
@@ -365,6 +403,49 @@ def test_stats_command(tmp_path, capsys):
     assert stats["sentence_count"] == len(read_jsonl(corpus))
     assert stats["sd_len_tokens"] >= 0.0
     assert stats["mean_len_tokens"] > 0.0
+    # The token count does not depend on the vocabulary size, so there is no --vocab-size.
+    assert run(["stats", "--corpus", str(corpus), "--vocab-size", "3"]) == 1
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [{"sent_id": sid, "text": f"left atrium {i}"} for i, sid in enumerate("aba")],
+        [{**TRIPLET_ROW, "anchor_id": "a"}, {**TRIPLET_ROW, "anchor_id": "b"}, {**TRIPLET_ROW, "anchor_id": "a"}],
+    ],
+    ids=["manifest", "triplets"],
+)
+def test_embed_rejects_a_repeated_id(tmp_path, capsys, rows):
+    texts = tmp_path / "texts.jsonl"
+    texts.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    checkpoint = tiny_checkpoint(tmp_path)
+    assert run(["embed", "--checkpoint", str(checkpoint), "--texts", str(texts),
+                "--out", str(tmp_path / "e.cevx")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("E_IO: ") and "texts.jsonl" in err and "'a'" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["texts.jsonl", "tiny.cemb"]
+
+
+def test_triplets_kills_a_provider_that_lingers_after_eof(tmp_path, monkeypatch):
+    # The provider answers every request, then sleeps instead of exiting.
+    import minembed.triplets as triplets_mod
+
+    monkeypatch.setattr(triplets_mod, "PROVIDER_EXIT_GRACE_S", 0.2)
+    script = tmp_path / "provider.py"
+    script.write_text(
+        "import json, sys, time\n"
+        "for line in sys.stdin:\n"
+        "    print(json.dumps({'paraphrase': json.loads(line)['text'][::-1]}), flush=True)\n"
+        "time.sleep(15)\n",
+        encoding="utf-8",
+    )
+    docs, corpus, out = write_docs(tmp_path, n_per_cluster=5), tmp_path / "corpus.jsonl", tmp_path / "trips.jsonl"
+    assert run(["prepare", "--in", str(docs), "--out", str(corpus), "--seed", "1"]) == 0
+    started = time.monotonic()
+    assert run(["triplets", "--corpus", str(corpus), "--out", str(out), "--min-distance", "1", "--seed", "1",
+                "--provider", f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"]) == 0
+    assert time.monotonic() - started < 10
+    assert len(read_jsonl(out)) == len(read_jsonl(corpus))
 
 
 def test_gradcheck_command(tmp_path, capsys):
@@ -490,9 +571,9 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 def test_benchmark_tracing_hooks_find_their_functions(tmp_path):
     """perfbench/tracing.py wraps minembed functions it finds by name and
-    reads some of their positional arguments; a traced train, embed and
-    eval must still run, record their spans, and count forward rows and
-    ranked entries."""
+    reads some of their positional arguments; a traced prepare, triplets,
+    train, embed and eval must still run, record their spans, and count
+    documents, negative draws, forward rows and ranked entries."""
     rows = []
     for i, r in enumerate(two_cluster_records(6, seed=1)):
         rows.append({"anchor_id": r.sent_id, "anchor_text": r.text, "positive_text": r.text.upper(),
@@ -508,7 +589,14 @@ def test_benchmark_tracing_hooks_find_their_functions(tmp_path):
     pairs.write_text("".join(f"{a}\tpos::{a}\n" for a in anchors[:4]), encoding="utf-8")
     qrels.write_text("".join(f"{a}\tpos::{a}\t1\n{a}\tpos::{b}\t0\n" for a, b in zip(anchors[:3], anchors[1:])),
                      encoding="utf-8")
+    docs, corpus, built = write_docs(tmp_path), tmp_path / "corpus.jsonl", tmp_path / "built.jsonl"
     stages = {
+        "prepare": (["prepare", "--in", str(docs), "--out", str(corpus), "--train-frac", "0.5", "--seed", "0"],
+                    {"corpus.build_manifest", "corpus.clean_text", "corpus.segment_sentences",
+                     "corpus.deduplicate", "corpus.stratified_split"}),
+        "triplets": (["triplets", "--corpus", str(corpus), "--out", str(built), "--min-distance", "20",
+                      "--seed", "0"],
+                     {"triplets.generate_positive", "triplets.sample_hard_negative"}),
         "train": (["train", "--triplets", str(trips), "--config", str(config),
                    "--out-dir", str(tmp_path / "out"), "--seed", "0"],
                   {"trainer.forward_batch", "trainer.backward_batch", "trainer.infonce_gradient",
@@ -533,7 +621,13 @@ def test_benchmark_tracing_hooks_find_their_functions(tmp_path):
         assert proc.returncode == 0, proc.stderr
         data = json.loads(spans_file.read_text())
         assert expected_spans <= {span[0] for span in data["spans"]}, stage
-        if stage == "train":
+        if stage == "prepare":
+            assert data["counts"]["corpus.docs"] == len(read_jsonl(docs))
+        elif stage == "triplets":
+            skipped = json.loads(Path(f"{built}.meta.json").read_text())["config"]["skipped_negative"]
+            assert skipped > 0  # 30 records a split: anchors 10-19 have no record 20 away
+            assert data["counts"]["triplets.negative_calls"] == len(read_jsonl(built)) + skipped
+        elif stage == "train":
             assert data["counts"]["trainer.steps"] == 2  # 8 train rows, batch size 4
         elif stage == "embed":
             assert data["counts"]["encoder.forward_rows"] == 2 * len(rows)

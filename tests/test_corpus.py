@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minembed.corpus import (
-    CorpusManifest,
     RawDocument,
     SentenceRecord,
     build_manifest,
@@ -18,7 +17,6 @@ from minembed.corpus import (
     corpus_stats,
     deduplicate,
     filter_short,
-    manifest_to_rows,
     normalized_form,
     segment_sentences,
     stratified_split,
@@ -202,49 +200,49 @@ def test_dedup_idempotent_and_order_preserving(texts):
 # -- stratified_split ---------------------------------------------------------
 
 
-def manifest_with_sources(counts: dict[str, int]) -> CorpusManifest:
+def manifest_with_sources(counts: dict[str, int]) -> list[SentenceRecord]:
     records = []
     for source, n in sorted(counts.items()):
         for i in range(n):
             records.append(record(f"{source}:{i}", f"sentence {i} of {source} corpus", source=source))
-    return CorpusManifest(records=records)
+    return records
 
 
 def test_split_ninety_ten():
     manifest = manifest_with_sources({"s1": 10})
     split = stratified_split(manifest, train_frac=0.9, seed=3)
-    assert sum(r.split == "train" for r in split.records) == 9
-    assert sum(r.split == "val" for r in split.records) == 1
+    assert sum(r.split == "train" for r in split) == 9
+    assert sum(r.split == "val" for r in split) == 1
 
 
 def test_split_single_record_source_goes_to_train():
     manifest = manifest_with_sources({"s1": 1})
     split = stratified_split(manifest, train_frac=0.9, seed=3)
-    assert split.records[0].split == "train"
+    assert split[0].split == "train"
 
 
 def test_split_deterministic():
     manifest = manifest_with_sources({"s1": 25, "s2": 13})
     a = stratified_split(manifest, train_frac=0.9, seed=5)
     b = stratified_split(manifest, train_frac=0.9, seed=5)
-    assert [r.split for r in a.records] == [r.split for r in b.records]
+    assert [r.split for r in a] == [r.split for r in b]
     c = stratified_split(manifest, train_frac=0.9, seed=6)
-    assert [r.split for r in a.records] != [r.split for r in c.records]
+    assert [r.split for r in a] != [r.split for r in c]
 
 
 def test_split_round_half_up_per_source():
     for n in (1, 2, 3, 5, 7, 10, 19, 100, 101):
         manifest = manifest_with_sources({"s": n})
         split = stratified_split(manifest, train_frac=0.9, seed=1)
-        assert sum(r.split == "train" for r in split.records) == math.floor(0.9 * n + 0.5)
+        assert sum(r.split == "train" for r in split) == math.floor(0.9 * n + 0.5)
 
 
 def test_split_partitions_every_record():
     manifest = manifest_with_sources({"s1": 17, "s2": 4, "s3": 31})
     split = stratified_split(manifest, train_frac=0.9, seed=2)
-    assert all(r.split in ("train", "val", "test") for r in split.records)
+    assert all(r.split in ("train", "val", "test") for r in split)
     per_source_train = {
-        s: sum(r.split == "train" and r.source_name == s for r in split.records) for s in ("s1", "s2", "s3")
+        s: sum(r.split == "train" and r.source_name == s for r in split) for s in ("s1", "s2", "s3")
     }
     assert per_source_train == {"s1": math.floor(17 * 0.9 + 0.5), "s2": math.floor(4 * 0.9 + 0.5), "s3": math.floor(31 * 0.9 + 0.5)}
 
@@ -252,12 +250,12 @@ def test_split_partitions_every_record():
 def test_split_with_test_fraction():
     manifest = manifest_with_sources({"s1": 20})
     split = stratified_split(manifest, train_frac=0.8, seed=9, test_frac=0.2)
-    counts = {s: sum(r.split == s for r in split.records) for s in ("train", "val", "test")}
+    counts = {s: sum(r.split == s for r in split) for s in ("train", "val", "test")}
     assert counts == {"train": 16, "test": 4, "val": 0}
 
 
 def test_split_rejects_preassigned():
-    manifest = CorpusManifest(records=[record("a", "already split sentence", split="train")])
+    manifest = [record("a", "already split sentence", split="train")]
     with pytest.raises(DataError) as err:
         stratified_split(manifest, seed=0)
     assert err.value.code == "E_ALREADY_SPLIT"
@@ -274,9 +272,7 @@ def test_split_rejects_bad_fraction():
 
 
 def test_stats_mean_and_sd():
-    manifest = CorpusManifest(
-        records=[record("a", "one two three"), record("b", "one two three four five")]
-    )
+    manifest = [record("a", "one two three"), record("b", "one two three four five")]
     stats = corpus_stats(manifest, Tokenizer())
     assert stats.sentence_count == 2
     assert stats.word_count == 8
@@ -286,14 +282,14 @@ def test_stats_mean_and_sd():
 
 
 def test_stats_single_sentence_sd_zero():
-    manifest = CorpusManifest(records=[record("a", "only one sentence here")])
+    manifest = [record("a", "only one sentence here")]
     stats = corpus_stats(manifest, Tokenizer())
     assert stats.sd_len_tokens == 0.0
 
 
 def test_stats_empty_corpus_rejected():
     with pytest.raises(DataError) as err:
-        corpus_stats(CorpusManifest(records=[]), Tokenizer())
+        corpus_stats([], Tokenizer())
     assert err.value.code == "E_EMPTY_CORPUS"
 
 
@@ -304,8 +300,7 @@ def test_stats_match_naive_recount():
         record(str(i), " ".join(rng.choice(words, size=rng.integers(3, 9))))
         for i in range(30)
     ]
-    manifest = CorpusManifest(records=records)
-    stats = corpus_stats(manifest, Tokenizer())
+    stats = corpus_stats(records, Tokenizer())
 
     # Independent recount with plain Python.
     all_words = [w for r in records for w in r.text.split()]
@@ -328,8 +323,7 @@ def test_build_manifest_orders_by_source_then_position():
         RawDocument("d1", "alpha-book", "Alpha sentence number one is long."),
     ]
     manifest = build_manifest(docs)
-    assert [r.source_name for r in manifest.records] == ["alpha-book", "zebra-book", "zebra-book"]
-    assert manifest.per_source_counts == {"alpha-book": 1, "zebra-book": 2}
+    assert [r.source_name for r in manifest] == ["alpha-book", "zebra-book", "zebra-book"]
 
 
 def test_build_manifest_rejects_duplicate_doc_ids():
@@ -340,10 +334,10 @@ def test_build_manifest_rejects_duplicate_doc_ids():
 
 def test_manifest_rows_roundtrip(tmp_path):
     manifest = manifest_with_sources({"s1": 3})
-    write_jsonl(tmp_path / "m.jsonl", manifest_to_rows(manifest))
-    assert read_jsonl(tmp_path / "m.jsonl", SentenceRecord.from_row) == manifest.records
+    write_jsonl(tmp_path / "m.jsonl", [r.to_row() for r in manifest])
+    assert read_jsonl(tmp_path / "m.jsonl", SentenceRecord.from_row) == manifest
 
 
 def test_empty_document_yields_no_records():
     manifest = build_manifest([RawDocument("d", "s", "")])
-    assert manifest.records == []
+    assert manifest == []

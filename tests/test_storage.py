@@ -237,6 +237,12 @@ def test_pairs_two_and_three_columns(tmp_path):
         with pytest.raises(DataError) as err:
             read_pairs(path)
         assert err.value.code == "E_IO" and f"{path}:2:" in str(err.value)
+    # A score must be a finite number: spearman_rho would rank a NaN as the largest value.
+    for score in ("nan", "NaN", "inf", "-inf", "high"):
+        path.write_text(f"q1\tc1\t0.5\nq2\tc2\t{score}\n", encoding="utf-8")
+        with pytest.raises(DataError) as err:
+            read_pairs(path)
+        assert err.value.code == "E_IO" and f"{path}:2:" in str(err.value)
 
 
 def test_tsv_errors_name_the_physical_line(tmp_path):

@@ -27,7 +27,7 @@ from minembed.trainer import (
 from minembed.trainer import _loss_and_embedding_grads, _logits_matrix, _per_anchor_losses
 from minembed.triplets import Triplet
 
-from conftest import two_cluster_manifest
+from conftest import two_cluster_records
 
 
 def unit(v) -> np.ndarray:
@@ -409,7 +409,7 @@ def test_adamw_matches_multistep_reference():
 def small_toy_run(tmp_path, seed=7, **config_kw):
     from minembed.triplets import NegativePolicy, build_triplets
 
-    manifest = two_cluster_manifest(40, seed=seed, split="train")
+    manifest = two_cluster_records(40, seed=seed, split="train")
     policy = NegativePolicy(min_index_distance=1, require_different_source=True, seed=seed)
     triplets = build_triplets(manifest, policy).triplets
     params = init_params(seed, vocab_size=2048, d_emb=32, d_hid=48, d_out=24, pooling="mean")
@@ -477,6 +477,25 @@ def test_config_validation():
     with pytest.raises(DataError) as err:
         init_params(0, vocab_size=16, d_emb=2, d_hid=2, d_out=2, lora_rank=1, pooling="cls")
     assert err.value.code == "E_BAD_POOLING"
+    for optimizer in ({"beta1": 1.0}, {"beta2": 1.0}, {"beta1": -0.1}, {"eps": 0.0}, {"eps": math.nan}):
+        with pytest.raises(DataError) as err:
+            TrainConfig(**optimizer)
+        assert err.value.code == "E_BAD_OPTIMIZER", optimizer
+    for encoder, code in [
+        ({"vocab_size": 0}, "E_BAD_SHAPE"),
+        ({"vocab_size": -5}, "E_BAD_SHAPE"),
+        ({"d_emb": 0}, "E_BAD_SHAPE"),
+        ({"d_hid": 0}, "E_BAD_SHAPE"),
+        ({"d_out": 0}, "E_BAD_SHAPE"),
+        ({"lora_rank": 0}, "E_BAD_RANK"),
+        ({"lora_rank": -2}, "E_BAD_RANK"),
+        ({"lora_dropout": 1.0}, "E_BAD_DROPOUT"),
+        ({"lora_dropout": -0.5}, "E_BAD_DROPOUT"),
+        ({"lora_dropout": math.nan}, "E_BAD_DROPOUT"),
+    ]:
+        with pytest.raises(DataError) as err:
+            init_params(0, **{"vocab_size": 16, "d_emb": 2, "d_hid": 2, "d_out": 2, "lora_rank": 1, **encoder})
+        assert err.value.code == code, encoder
 
 
 def test_evaluation_loss_matches_batch_loss(small_params):

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from minembed.corpus import CorpusManifest, SentenceRecord
+from minembed.corpus import SentenceRecord
 from minembed.errors import DataError
 from minembed.storage import read_jsonl, write_jsonl
 from minembed.triplets import (
@@ -19,10 +19,9 @@ from minembed.triplets import (
     fallback_paraphrase,
     generate_positive,
     sample_hard_negative,
-    triplets_to_rows,
 )
 
-from conftest import two_cluster_manifest
+from conftest import two_cluster_records
 
 
 def record(sent_id: str, text: str, source: str = "src", split: str = "train") -> SentenceRecord:
@@ -172,7 +171,7 @@ def test_sampling_uniform_chi_square():
 
 
 def test_sampling_accepts_manifest():
-    manifest = CorpusManifest(records=distant_records(4))
+    manifest = distant_records(4)
     policy = NegativePolicy(min_index_distance=2, seed=0)
     chosen = sample_hard_negative(0, manifest, policy)
     assert chosen.sent_id in ("src:2", "src:3")
@@ -182,7 +181,7 @@ def test_sampling_accepts_manifest():
 
 
 def test_build_one_triplet_per_anchor():
-    manifest = CorpusManifest(records=distant_records(10))
+    manifest = distant_records(10)
     policy = NegativePolicy(min_index_distance=1, seed=7)
     result = build_triplets(manifest, policy)
     assert len(result.triplets) == 10
@@ -194,31 +193,29 @@ def test_build_one_triplet_per_anchor():
 
 
 def test_build_empty_split_is_empty():
-    manifest = CorpusManifest(records=[])
+    manifest = []
     result = build_triplets(manifest, NegativePolicy(min_index_distance=1, seed=0))
     assert result.triplets == []
 
 
 def test_build_reproducible_byte_identical():
-    manifest = two_cluster_manifest(30, seed=5, split="train")
+    manifest = two_cluster_records(30, seed=5, split="train")
     policy = NegativePolicy(min_index_distance=1, require_different_source=True, seed=9)
-    rows_a = triplets_to_rows(build_triplets(manifest, policy).triplets)
-    rows_b = triplets_to_rows(build_triplets(manifest, policy).triplets)
+    rows_a = [t.to_row() for t in build_triplets(manifest, policy).triplets]
+    rows_b = [t.to_row() for t in build_triplets(manifest, policy).triplets]
     assert rows_a == rows_b
 
 
 def test_build_counts_unparaphrasable_anchors():
     records = distant_records(6)
     records.append(record("src:single", "antidisestablishmentarianism"))
-    manifest = CorpusManifest(records=records)
-    result = build_triplets(manifest, NegativePolicy(min_index_distance=1, seed=0))
+    result = build_triplets(records, NegativePolicy(min_index_distance=1, seed=0))
     assert result.skipped_paraphrase == 1
     assert len(result.triplets) == 6
 
 
 def test_build_counts_negative_skips_without_abort():
-    manifest = CorpusManifest(records=distant_records(4))
-    result = build_triplets(manifest, NegativePolicy(min_index_distance=4, seed=0))
+    result = build_triplets(distant_records(4), NegativePolicy(min_index_distance=4, seed=0))
     assert result.triplets == []
     assert result.skipped_negative == 4
 
@@ -227,8 +224,7 @@ def test_build_anchor_and_negative_same_split():
     records = distant_records(12)
     for i, r in enumerate(records):
         r.split = "train" if i % 2 == 0 else "val"
-    manifest = CorpusManifest(records=records)
-    result = build_triplets(manifest, NegativePolicy(min_index_distance=1, seed=1))
+    result = build_triplets(records, NegativePolicy(min_index_distance=1, seed=1))
     id_to_split = {r.sent_id: r.split for r in records}
     for t in result.triplets:
         assert id_to_split[t.anchor_id] == t.split
@@ -236,15 +232,15 @@ def test_build_anchor_and_negative_same_split():
 
 
 def test_cross_source_invariant_on_multisource_corpus():
-    manifest = two_cluster_manifest(25, seed=2, split="train")
+    manifest = two_cluster_records(25, seed=2, split="train")
     policy = NegativePolicy(min_index_distance=1, require_different_source=True, seed=4)
     result = build_triplets(manifest, policy)
-    source_of = {r.sent_id: r.source_name for r in manifest.records}
+    source_of = {r.sent_id: r.source_name for r in manifest}
     for t in result.triplets:
         assert source_of[t.anchor_id] != source_of[t.negative_id]
 
 
 def test_triplet_rows_roundtrip(tmp_path):
     t = Triplet("a", "anchor text", "positive text", "n", "negative text", "train")
-    write_jsonl(tmp_path / "t.jsonl", triplets_to_rows([t]))
+    write_jsonl(tmp_path / "t.jsonl", [t.to_row()])
     assert read_jsonl(tmp_path / "t.jsonl", Triplet.from_row) == [t]
