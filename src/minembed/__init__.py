@@ -15,12 +15,10 @@ from .corpus import (
 from .encoder import (
     EncoderParams,
     Tokenizer,
-    cosine_similarity,
     encode_batch,
     init_params,
     load_checkpoint,
     save_checkpoint,
-    tokenize,
 )
 from .errors import DataError, NumericError, PipelineError, UsageError
 from .metrics import (

@@ -346,13 +346,11 @@ def _parse_ks(text: str) -> list[int]:
     return ks
 
 
-def _embedding_lookup(path: str) -> dict[str, np.ndarray]:
-    ids, matrix = storage.read_embeddings(path)
-    return {sid: matrix[i].astype(np.float64) for i, sid in enumerate(ids)}
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
-    lookup = _embedding_lookup(args.embeddings)
+    ids, matrix = storage.read_embeddings(args.embeddings)
+    # One float64 copy, each id a view of its row; rebinding frees the float32 original.
+    matrix = matrix.astype(np.float64)
+    lookup = dict(zip(ids, matrix))
     ks = _parse_ks(args.k)
 
     def vec(identifier: str) -> np.ndarray:
@@ -360,32 +358,25 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             raise PipelineError("E_MISSING_EMBEDDING", f"no embedding for id {identifier!r}")
         return lookup[identifier]
 
-    retrieval_task = graded_task = sts_task = None
     if args.pairs:
         pair_rows = storage.read_pairs(args.pairs)
         if pair_rows and pair_rows[0][2] is not None:
-            sts_task = metrics.STSTask(pairs=[(vec(q), vec(c), float(s)) for q, c, s in pair_rows])
+            tasks = {"sts": metrics.STSTask(pairs=[(vec(q), vec(c), float(s)) for q, c, s in pair_rows])}
         else:
-            gold = {q: c for q, c, _ in pair_rows}
-            seen: dict[str, None] = {}
-            for _, c, _ in pair_rows:
-                seen.setdefault(c)
-            retrieval_task = metrics.RetrievalTask(
+            tasks = {"retrieval": metrics.RetrievalTask(
                 queries=[(q, vec(q)) for q, _, _ in pair_rows],
-                candidates=[(c, vec(c)) for c in seen],
-                gold=gold,
-            )
+                candidates=[(c, vec(c)) for c in dict.fromkeys(c for _, c, _ in pair_rows)],
+                gold={q: c for q, c, _ in pair_rows},
+            )}
     else:
         qrels = storage.read_qrels(args.qrels)
-        query_ids: dict[str, None] = {}
-        for qid, _ in qrels:
-            query_ids.setdefault(qid)
-        graded_task = metrics.GradedTask(
+        query_ids = dict.fromkeys(qid for qid, _ in qrels)
+        tasks = {"graded": metrics.GradedTask(
             queries=[(qid, vec(qid)) for qid in query_ids],
             candidates=[(cid, v) for cid, v in lookup.items() if cid not in query_ids],
             qrels=qrels,
-        )
-    report = metrics.evaluate(retrieval=retrieval_task, graded=graded_task, sts=sts_task, ks=ks, gain=args.gain)
+        )}
+    report = metrics.evaluate(**tasks, ks=ks, gain=args.gain)
     if args.table:
         print(report_tables(report.to_dict(), model_name=Path(args.embeddings).stem))
     else:
@@ -401,6 +392,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
+    for flag, value in (("--samples", args.samples), ("--batch-size", args.batch_size)):
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1, got {value}")
     params = load_checkpoint(args.checkpoint)
     batch = storage.read_jsonl(args.batch, triplets.Triplet.from_row)[: args.batch_size]
     if not batch:

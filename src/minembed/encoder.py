@@ -63,11 +63,6 @@ class Tokenizer:
         return [fnv1a_64(tok.encode("utf-8")) % self.vocab_size for tok in _TOKEN_RE.findall(text.lower())]
 
 
-def tokenize(text: str, vocab_size: int = DEFAULT_VOCAB_SIZE) -> list[int]:
-    """Token ids for a text under the default hash scheme."""
-    return Tokenizer(vocab_size=vocab_size)(text)
-
-
 def tensor_shapes(vocab: int, d_emb: int, d_hid: int, d_out: int, rank: int) -> dict[str, tuple[int, ...]]:
     """Shape of every tensor, in ``TENSOR_NAMES`` order; every dimension must be >= 1."""
     if rank < 1:
@@ -153,11 +148,6 @@ def init_params(
         lora_dropout=lora_dropout,
         pooling=pooling,
     )
-
-
-def effective_weight(w: np.ndarray, a: np.ndarray, b: np.ndarray, alpha: float, rank: int) -> np.ndarray:
-    """Base weight plus scaled low-rank update: W + (alpha/rank) A^T B^T."""
-    return w + (alpha / rank) * (a.T @ b.T)
 
 
 @dataclass
@@ -278,15 +268,6 @@ def encode_batch(
     """Encode texts into unit-norm embedding vectors, one row per text."""
     outputs, _ = forward_batch(texts, params, train_mode, seed)
     return outputs
-
-
-def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine of the angle between two vectors."""
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise NumericError("E_ZERO_VECTOR", "cosine similarity of a zero vector is undefined")
-    return float(np.dot(u, v) / (nu * nv))
 
 
 # Hyperparameters stored as f32 scalar tensors; pooling as its index in POOLINGS.

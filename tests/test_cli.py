@@ -460,6 +460,17 @@ def test_gradcheck_command(tmp_path, capsys):
     assert result["max_rel_error"] <= 1e-4
 
 
+@pytest.mark.parametrize("flag, value", [("--samples", "-3"), ("--samples", "0"), ("--batch-size", "-1"),
+                                         ("--batch-size", "0")])
+def test_gradcheck_count_below_one_is_usage_error(tmp_path, capsys, flag, value):
+    trips = tmp_path / "trips.jsonl"
+    trips.write_text("".join(json.dumps({**TRIPLET_ROW, "anchor_id": a}) + "\n" for a in "abc"), encoding="utf-8")
+    assert run(["gradcheck", "--checkpoint", str(tiny_checkpoint(tmp_path)), "--batch", str(trips),
+                flag, value]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"E_USAGE: {flag} must be >= 1, got {value}\n"
+
+
 def test_embed_plain_text_lines(tmp_path):
     corpus, trips, checkpoint, emb = run_pipeline(tmp_path)
     texts = tmp_path / "texts.txt"
@@ -573,7 +584,8 @@ def test_benchmark_tracing_hooks_find_their_functions(tmp_path):
     """perfbench/tracing.py wraps minembed functions it finds by name and
     reads some of their positional arguments; a traced prepare, triplets,
     train, embed and eval must still run, record their spans, and count
-    documents, negative draws, forward rows and ranked entries."""
+    documents, negative draws, forward rows, ranked entries and their
+    similarity flops."""
     rows = []
     for i, r in enumerate(two_cluster_records(6, seed=1)):
         rows.append({"anchor_id": r.sent_id, "anchor_text": r.text, "positive_text": r.text.upper(),
@@ -633,3 +645,5 @@ def test_benchmark_tracing_hooks_find_their_functions(tmp_path):
             assert data["counts"]["encoder.forward_rows"] == 2 * len(rows)
         else:
             assert data["counts"]["metrics.rank_entries"] == rank_entries[stage]
+            # Each ranked entry is one dot product of d_out = 4 terms: 2 flops a term.
+            assert data["counts"]["metrics.sim_flops"] == 2 * rank_entries[stage] * 4

@@ -163,9 +163,10 @@ def test_rankings_match_naive_sort():
 def test_duplicate_candidate_rejected():
     v = unit([1.0, 2.0])
     task = RetrievalTask(queries=[("q", v)], candidates=[("a", v), ("b", -v), ("a", v)], gold={"q": "a"})
-    with pytest.raises(DataError) as err:
-        rank_candidates(task)
-    assert err.value.code == "E_DUPLICATE_CANDIDATE" and "'a'" in str(err.value)
+    for score in (rank_candidates, mean_positive_similarity):
+        with pytest.raises(DataError) as err:
+            score(task)
+        assert err.value.code == "E_DUPLICATE_CANDIDATE" and "'a'" in str(err.value)
 
 
 def test_empty_candidates_rejected():
