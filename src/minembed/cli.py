@@ -159,6 +159,14 @@ def _load_documents(input_path: str) -> list[corpus.RawDocument]:
 
 
 def _cmd_prepare(args: argparse.Namespace) -> int:
+    # Checked before the corpus is read; NaN fails every comparison, so each
+    # condition is written to fail on it.
+    if not 0.0 < args.train_frac < 1.0:
+        raise UsageError(f"--train-frac must be in (0, 1), got {args.train_frac}")
+    if not args.test_frac >= 0.0:
+        raise UsageError(f"--test-frac must be >= 0, got {args.test_frac}")
+    if not args.train_frac + args.test_frac <= 1.0:
+        raise UsageError(f"--train-frac + --test-frac must be <= 1, got {args.train_frac + args.test_frac}")
     started = time.monotonic()
     docs = _load_documents(args.input)
     records = corpus.build_manifest(docs, min_chars=args.min_chars)
@@ -183,6 +191,8 @@ def _cmd_prepare(args: argparse.Namespace) -> int:
 
 
 def _cmd_triplets(args: argparse.Namespace) -> int:
+    if args.min_distance < 1:
+        raise UsageError(f"--min-distance must be >= 1, got {args.min_distance}")
     started = time.monotonic()
     records = storage.read_jsonl(args.corpus, corpus.SentenceRecord.from_row)
     policy = triplets.NegativePolicy(

@@ -226,9 +226,10 @@ def stratified_split(
     """
     if not 0.0 < train_frac < 1.0:
         raise DataError("E_BAD_FRACTION", f"train_frac must be in (0, 1), got {train_frac}")
-    if test_frac < 0.0:
+    # Written so that NaN, which fails every comparison, fails each check.
+    if not test_frac >= 0.0:
         raise DataError("E_BAD_FRACTION", f"test_frac must be >= 0, got {test_frac}")
-    if train_frac + test_frac > 1.0:
+    if not train_frac + test_frac <= 1.0:
         raise DataError("E_BAD_FRACTION", f"train_frac + test_frac must be <= 1, got {train_frac + test_frac}")
     for record in records:
         if record.split != SPLIT_UNASSIGNED:

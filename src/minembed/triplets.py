@@ -16,8 +16,9 @@ import json
 import shlex
 import subprocess
 import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -167,34 +168,65 @@ def generate_positive(anchor: SentenceRecord, provider: ParaphraseProvider) -> s
     return positive
 
 
+def source_positions(records: Sequence[SentenceRecord]) -> dict[str, list[int]]:
+    """Each source's positions within ``records``, ascending."""
+    positions: dict[str, list[int]] = {}
+    for index, record in enumerate(records):
+        positions.setdefault(record.source_name, []).append(index)
+    return positions
+
+
 def sample_hard_negative(
     anchor_index: int,
     records: Sequence[SentenceRecord],
     policy: NegativePolicy,
     rng: np.random.Generator | None = None,
+    *,
+    positions: Mapping[str, Sequence[int]] | None = None,
 ) -> SentenceRecord:
     """Pick a negative uniformly among records far enough from the anchor.
 
     Indices are positions within ``records``. When
     ``require_different_source`` is set and any distant record has a
     different source, sampling is restricted to those records.
+
+    The distant records are the index ranges ``[0, left)`` and
+    ``[right, n)``. One draw ``k`` over the eligible count picks the k-th
+    eligible index, found by arithmetic, or for a cross-source draw by
+    binary search over the anchor's same-source positions. A call reads
+    two records and costs O(log n), given ``positions``, which is
+    ``source_positions(records)``; without it, a cross-source call builds
+    it in O(n).
     """
     if rng is None:
         rng = np.random.default_rng([policy.seed, anchor_index])
     anchor = records[anchor_index]
-    eligible = [
-        i for i in range(len(records)) if abs(i - anchor_index) >= policy.min_index_distance
-    ]
-    if policy.require_different_source:
-        cross = [i for i in eligible if records[i].source_name != anchor.source_name]
-        if cross:
-            eligible = cross
-    if not eligible:
+    n = len(records)
+    distance = policy.min_index_distance
+    left = max(0, anchor_index - distance + 1)
+    right = min(n, max(0, anchor_index + distance))
+    distant = left + n - right
+    if distant == 0:
         raise DataError(
             "E_NO_ELIGIBLE_NEGATIVE",
-            f"no negative at distance >= {policy.min_index_distance} from index {anchor_index}",
+            f"no negative at distance >= {distance} from index {anchor_index}",
         )
-    return records[eligible[int(rng.integers(len(eligible)))]]
+    if policy.require_different_source:
+        if positions is None:
+            positions = source_positions(records)
+        same = positions[anchor.source_name]
+        below_left, below_right = bisect_left(same, left), bisect_left(same, right)
+        cross = distant - below_left - (len(same) - below_right)
+        if cross:
+            k = int(rng.integers(cross))
+            if k >= left - below_left:
+                # Step over the other-source records in [left, right).
+                k += right - left - (below_right - below_left)
+            # The k-th index not in `same`: same[m] - m indices below same[m]
+            # are not in it, a count that never decreases with m.
+            return records[k + bisect_right(range(len(same)), k, key=lambda m: same[m] - m)]
+    k = int(rng.integers(distant))
+    return records[k if k < left else k + right - left]
 
 
 @dataclass
@@ -221,6 +253,7 @@ def build_triplets(
         if not in_split:
             continue
         positives = _paraphrase_all(in_split, provider)
+        positions = source_positions(in_split)
         rng = np.random.default_rng([policy.seed, tag])
         for index, record in enumerate(in_split):
             positive = positives[index]
@@ -228,7 +261,7 @@ def build_triplets(
                 result.skipped_paraphrase += 1
                 continue
             try:
-                negative = sample_hard_negative(index, in_split, policy, rng)
+                negative = sample_hard_negative(index, in_split, policy, rng, positions=positions)
             except DataError as exc:
                 if exc.code != "E_NO_ELIGIBLE_NEGATIVE":
                     raise

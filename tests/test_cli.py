@@ -471,6 +471,28 @@ def test_gradcheck_count_below_one_is_usage_error(tmp_path, capsys, flag, value)
     assert out == "" and err == f"E_USAGE: {flag} must be >= 1, got {value}\n"
 
 
+PREPARE_MISSING_INPUT = ["prepare", "--in", "{tmp}/missing", "--out", "{tmp}/c.jsonl", "--seed", "1"]
+TRIPLETS_MISSING_INPUT = ["triplets", "--corpus", "{tmp}/missing.jsonl", "--out", "{tmp}/t.jsonl", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (PREPARE_MISSING_INPUT + ["--train-frac", "1"], "--train-frac must be in (0, 1), got 1.0"),
+    (PREPARE_MISSING_INPUT + ["--train-frac", "nan"], "--train-frac must be in (0, 1), got nan"),
+    (PREPARE_MISSING_INPUT + ["--test-frac", "-0.5"], "--test-frac must be >= 0, got -0.5"),
+    (PREPARE_MISSING_INPUT + ["--test-frac", "nan"], "--test-frac must be >= 0, got nan"),
+    (PREPARE_MISSING_INPUT + ["--train-frac", "0.5", "--test-frac", "0.75"],
+     "--train-frac + --test-frac must be <= 1, got 1.25"),
+    (TRIPLETS_MISSING_INPUT + ["--min-distance", "0"], "--min-distance must be >= 1, got 0"),
+    (TRIPLETS_MISSING_INPUT + ["--min-distance", "-3"], "--min-distance must be >= 1, got -3"),
+])
+def test_bad_flag_is_usage_error_before_input_is_read(tmp_path, capsys, argv, message):
+    # The input does not exist, so only a check made before it is read exits 1 with this message.
+    assert run([arg.format(tmp=tmp_path) for arg in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"E_USAGE: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_embed_plain_text_lines(tmp_path):
     corpus, trips, checkpoint, emb = run_pipeline(tmp_path)
     texts = tmp_path / "texts.txt"

@@ -266,8 +266,12 @@ def test_split_rejects_bad_fraction():
     for frac in (0.0, 1.0, -0.2, 1.4):
         with pytest.raises(DataError):
             stratified_split(manifest, train_frac=frac, seed=0)
+    with pytest.raises(DataError, match=r"^E_BAD_FRACTION: train_frac must be in \(0, 1\), got nan$"):
+        stratified_split(manifest, train_frac=float("nan"), seed=0)
     with pytest.raises(DataError, match=r"^E_BAD_FRACTION: test_frac must be >= 0, got -0\.5$"):
         stratified_split(manifest, train_frac=0.9, seed=0, test_frac=-0.5)
+    with pytest.raises(DataError, match=r"^E_BAD_FRACTION: test_frac must be >= 0, got nan$"):
+        stratified_split(manifest, train_frac=0.9, seed=0, test_frac=float("nan"))
     with pytest.raises(DataError, match=r"^E_BAD_FRACTION: train_frac \+ test_frac must be <= 1, got 1\.25$"):
         stratified_split(manifest, train_frac=0.5, seed=0, test_frac=0.75)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from minembed.triplets import (
     fallback_paraphrase,
     generate_positive,
     sample_hard_negative,
+    source_positions,
 )
 
 from conftest import two_cluster_records
@@ -175,6 +177,85 @@ def test_sampling_accepts_manifest():
     policy = NegativePolicy(min_index_distance=2, seed=0)
     chosen = sample_hard_negative(0, manifest, policy)
     assert chosen.sent_id in ("src:2", "src:3")
+
+
+def list_building_negative(anchor_index, records, policy, rng=None):
+    """Reference sampler: list every eligible index, then draw one."""
+    if rng is None:
+        rng = np.random.default_rng([policy.seed, anchor_index])
+    anchor = records[anchor_index]
+    eligible = [i for i in range(len(records)) if abs(i - anchor_index) >= policy.min_index_distance]
+    if policy.require_different_source:
+        cross = [i for i in eligible if records[i].source_name != anchor.source_name]
+        if cross:
+            eligible = cross
+    if not eligible:
+        raise DataError("E_NO_ELIGIBLE_NEGATIVE", "no eligible negative")
+    return records[eligible[int(rng.integers(len(eligible)))]]
+
+
+def negative_or_code(sampler, *args, **kwargs) -> str:
+    try:
+        return sampler(*args, **kwargs).sent_id
+    except DataError as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("with_index", [False, True])
+def test_sampler_matches_list_building_reference(with_index):
+    """Random policies over interleaved sources, every anchor, both ends included."""
+    gen = np.random.default_rng(20)
+    for _ in range(300):
+        n = int(gen.integers(1, 61))
+        n_sources = int(gen.integers(1, 4))
+        records = [record(f"r{i}", f"text {i}", source=f"s{gen.integers(n_sources)}") for i in range(n)]
+        policy = NegativePolicy(
+            min_index_distance=int(gen.integers(1, n + 3)),
+            require_different_source=bool(gen.integers(2)),
+            seed=int(gen.integers(1000)),
+        )
+        positions = source_positions(records) if with_index else None
+        for anchor in range(n):
+            expected = negative_or_code(list_building_negative, anchor, records, policy)
+            assert negative_or_code(sample_hard_negative, anchor, records, policy, positions=positions) == expected
+
+
+def test_sampler_shares_the_callers_stream_with_the_reference():
+    """One stream across anchors, as build_triplets draws. A negative anchor
+    indexes from the end, and its distance is measured from the negative index."""
+    records = [record(f"r{i}", f"text {i}", source="ab"[i % 3 == 0]) for i in range(40)]
+    policy = NegativePolicy(min_index_distance=7, require_different_source=True, seed=2)
+    positions = source_positions(records)
+    ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+    for anchor in range(-40, 40):
+        expected = negative_or_code(list_building_negative, anchor, records, policy, theirs)
+        assert negative_or_code(sample_hard_negative, anchor, records, policy, ours, positions=positions) == expected
+
+
+class CountingRecords(Sequence):
+    """A record sequence that counts item reads."""
+
+    def __init__(self, records):
+        self.records = records
+        self.reads = 0
+
+    def __len__(self):
+        return len(self.records)
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return self.records[index]
+
+
+@pytest.mark.parametrize("cross_source", [False, True])
+def test_sampler_reads_the_anchor_and_the_result_only(cross_source):
+    records = [record(f"r{i}", f"text {i}", source=f"s{i % 3}") for i in range(5000)]
+    policy = NegativePolicy(min_index_distance=100, require_different_source=cross_source, seed=1)
+    positions = source_positions(records)
+    for anchor in (0, 50, 2500, 4999):
+        counting = CountingRecords(records)
+        sample_hard_negative(anchor, counting, policy, positions=positions)
+        assert counting.reads == 2
 
 
 # -- build_triplets --------------------------------------------------------------
