@@ -462,9 +462,6 @@ def run(argv: list[str] | None = None) -> int:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise UsageError(f"--seed must be nonnegative, got {args.seed}")
         return args.func(args)
-    except UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return exc.exit_code
     except PipelineError as exc:
         print(str(exc), file=sys.stderr)
         return exc.exit_code

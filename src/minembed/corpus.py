@@ -212,6 +212,14 @@ def _round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
 
+def source_positions(records: Sequence[SentenceRecord]) -> dict[str, list[int]]:
+    """Each source's positions within ``records``, ascending."""
+    positions: dict[str, list[int]] = {}
+    for index, record in enumerate(records):
+        positions.setdefault(record.source_name, []).append(index)
+    return positions
+
+
 def stratified_split(
     records: Sequence[SentenceRecord],
     train_frac: float = 0.9,
@@ -235,14 +243,9 @@ def stratified_split(
         if record.split != SPLIT_UNASSIGNED:
             raise DataError("E_ALREADY_SPLIT", f"record {record.sent_id} already assigned to {record.split!r}")
 
-    by_source: dict[str, list[int]] = {}
-    for idx, record in enumerate(records):
-        by_source.setdefault(record.source_name, []).append(idx)
-
     assignment = [SPLIT_VAL] * len(records)
     rng = np.random.default_rng(seed)
-    for source in sorted(by_source):
-        indices = by_source[source]
+    for _, indices in sorted(source_positions(records).items()):
         perm = rng.permutation(len(indices))
         n_train = _round_half_up(train_frac * len(indices))
         n_test = min(_round_half_up(test_frac * len(indices)), len(indices) - n_train)

@@ -288,9 +288,10 @@ def load_checkpoint(path: str | Path) -> EncoderParams:
     """Read a CEMB checkpoint back into encoder parameters.
 
     Every tensor's rank is checked before any of its dimensions is read,
-    then every shape against ``tensor_shapes``. A checkpoint without a
-    ``pooling`` scalar predates it and loads as last_token, which is how
-    such checkpoints were embedded.
+    then every shape against ``tensor_shapes``, then that the weights and
+    ``lora_alpha`` are finite. A checkpoint without a ``pooling`` scalar
+    predates it and loads as last_token, which is how such checkpoints
+    were embedded.
     """
     stored = storage.read_tensors(path)
     stored.setdefault("pooling", np.array([POOLINGS.index(POOLING_LAST)], dtype=np.float32))
@@ -315,6 +316,9 @@ def load_checkpoint(path: str | Path) -> EncoderParams:
     bad = [n for n, shape in shapes.items() if stored[n].shape != shape]
     if bad:
         raise DataError("E_SHAPE_MISMATCH", f"{path}: inconsistent tensor shapes {bad}")
+    nonfinite = [n for n in (*TENSOR_NAMES, "lora_alpha") if not np.isfinite(stored[n]).all()]
+    if nonfinite:
+        raise DataError("E_IO", f"{path}: non-finite values in tensors {nonfinite}")
     return EncoderParams(
         tensors={name: stored[name].astype(np.float64) for name in TENSOR_NAMES},
         lora_rank=int(lora_rank),

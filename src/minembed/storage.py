@@ -140,59 +140,68 @@ def write_tensors(path: str | Path, tensors: Mapping[str, np.ndarray]) -> None:
     write_atomic(path, b"".join(parts))
 
 
-class _Reader:
-    """Cursor over a byte buffer that fails loudly on short reads."""
-
-    def __init__(self, data: bytes, path: str) -> None:
-        self.data = data
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise DataError("E_SHAPE_MISMATCH", f"{self.path}: truncated ({n} bytes needed at offset {self.pos})")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
+def _skip(data: bytes, pos: int, size: int, path: str | Path) -> int:
+    """The offset after ``size`` bytes at ``pos``; a file too short for them is E_SHAPE_MISMATCH."""
+    if size > len(data) - pos:
+        raise DataError("E_SHAPE_MISMATCH", f"{path}: truncated ({size} bytes needed at offset {pos})")
+    return pos + size
 
 
-def read_tensors(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a CEMB file back into a name -> float32 array mapping."""
+def _unpack(fmt: str, data: bytes, pos: int, path: str | Path) -> tuple[tuple, int]:
+    """The values of ``fmt`` at ``pos``, and the offset after them."""
+    end = _skip(data, pos, struct.calcsize(fmt), path)
+    return struct.unpack_from(fmt, data, pos), end
+
+
+def _read_header(path: str | Path, magic: bytes, version: int, kind: str) -> tuple[bytes, int]:
+    """A binary artifact's bytes, checked for ``magic`` and ``version``, and the offset after them."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise DataError("E_IO", f"cannot read {path}: {exc}") from exc
-    r = _Reader(data, str(path))
-    if len(data) < 4 or r.take(4) != CHECKPOINT_MAGIC:
-        raise DataError("E_BAD_MAGIC", f"{path}: not a CEMB checkpoint")
-    version = r.u32()
-    if version != CHECKPOINT_VERSION:
-        raise DataError("E_VERSION_MISMATCH", f"{path}: version {version}, expected {CHECKPOINT_VERSION}")
-    count = r.u32()
+    if data[:4] != magic:
+        raise DataError("E_BAD_MAGIC", f"{path}: not a {kind}")
+    (found,), pos = _unpack("<I", data, 4, path)
+    if found != version:
+        raise DataError("E_VERSION_MISMATCH", f"{path}: version {found}, expected {version}")
+    return data, pos
+
+
+def _f32_block(data: bytes, pos: int, shape: tuple[int, ...], path: str | Path) -> tuple[np.ndarray, int]:
+    """A little-endian f32 array of ``shape`` at ``pos``, and the offset after it.
+
+    The byte count is checked as a Python integer before any array exists.
+    """
+    count = math.prod(shape)
+    end = _skip(data, pos, 4 * count, path)
+    try:
+        return np.frombuffer(data, "<f4", count, pos).reshape(shape).copy(), end
+    except ValueError as exc:  # an empty array of over 64 dimensions, or of too large a shape
+        raise DataError("E_SHAPE_MISMATCH", f"{path}: bad shape {shape}: {exc}") from exc
+
+
+def _check_end(data: bytes, pos: int, path: str | Path) -> None:
+    if pos != len(data):
+        raise DataError("E_SHAPE_MISMATCH", f"{path}: {len(data) - pos} trailing bytes")
+
+
+def read_tensors(path: str | Path) -> dict[str, np.ndarray]:
+    """Read a CEMB file back into a name -> float32 array mapping; each name is UTF-8 and appears once."""
+    data, pos = _read_header(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "CEMB checkpoint")
+    (count,), pos = _unpack("<I", data, pos, path)
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        name = r.take(r.u16()).decode("utf-8")
-        rank = r.u8()
-        dims = tuple(r.u32() for _ in range(rank))
-        n_elem = 1
-        for d in dims:
-            n_elem *= d
-        raw = r.take(4 * n_elem)
-        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
-    if r.pos != len(data):
-        raise DataError("E_SHAPE_MISMATCH", f"{path}: {len(data) - r.pos} trailing bytes")
+        (name_len,), pos = _unpack("<H", data, pos, path)
+        (raw_name, rank), pos = _unpack(f"<{name_len}sB", data, pos, path)
+        dims, pos = _unpack(f"<{rank}I", data, pos, path)
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError("E_IO", f"{path}: tensor name {raw_name!r} is not UTF-8") from exc
+        if name in tensors:
+            raise DataError("E_IO", f"{path}: tensor {name!r} appears twice")
+        tensors[name], pos = _f32_block(data, pos, dims, path)
+    _check_end(data, pos, path)
     return tensors
 
 
@@ -214,22 +223,10 @@ def write_embeddings(path: str | Path, ids: list[str], matrix: np.ndarray) -> No
 
 
 def read_embeddings(path: str | Path) -> tuple[list[str], np.ndarray]:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise DataError("E_IO", f"cannot read {path}: {exc}") from exc
-    r = _Reader(data, str(path))
-    if len(data) < 4 or r.take(4) != EMBEDDING_MAGIC:
-        raise DataError("E_BAD_MAGIC", f"{path}: not a CEVX embedding file")
-    version = r.u32()
-    if version != EMBEDDING_VERSION:
-        raise DataError("E_VERSION_MISMATCH", f"{path}: version {version}, expected {EMBEDDING_VERSION}")
-    dim = r.u32()
-    count = r.u64()
-    raw = r.take(4 * dim * count)
-    if r.pos != len(data):
-        raise DataError("E_SHAPE_MISMATCH", f"{path}: {len(data) - r.pos} trailing bytes")
-    matrix = np.frombuffer(raw, dtype="<f4").reshape(count, dim).copy()
+    data, pos = _read_header(path, EMBEDDING_MAGIC, EMBEDDING_VERSION, "CEVX embedding file")
+    (dim, count), pos = _unpack("<IQ", data, pos, path)
+    matrix, pos = _f32_block(data, pos, (count, dim), path)
+    _check_end(data, pos, path)
     sidecar = ids_sidecar(path)
     ids = read_text(sidecar).splitlines()
     if len(ids) != count:

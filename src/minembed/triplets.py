@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import SentenceRecord
+from .corpus import SentenceRecord, source_positions
 from .errors import DataError
 
 ParaphraseProvider = Callable[[str], str]
@@ -168,14 +168,6 @@ def generate_positive(anchor: SentenceRecord, provider: ParaphraseProvider) -> s
     return positive
 
 
-def source_positions(records: Sequence[SentenceRecord]) -> dict[str, list[int]]:
-    """Each source's positions within ``records``, ascending."""
-    positions: dict[str, list[int]] = {}
-    for index, record in enumerate(records):
-        positions.setdefault(record.source_name, []).append(index)
-    return positions
-
-
 def sample_hard_negative(
     anchor_index: int,
     records: Sequence[SentenceRecord],
@@ -186,9 +178,10 @@ def sample_hard_negative(
 ) -> SentenceRecord:
     """Pick a negative uniformly among records far enough from the anchor.
 
-    Indices are positions within ``records``. When
-    ``require_different_source`` is set and any distant record has a
-    different source, sampling is restricted to those records.
+    Indices are positions within ``records``; an anchor index outside
+    them is E_BAD_ANCHOR. When ``require_different_source`` is set and
+    any distant record has a different source, sampling is restricted to
+    those records.
 
     The distant records are the index ranges ``[0, left)`` and
     ``[right, n)``. One draw ``k`` over the eligible count picks the k-th
@@ -198,10 +191,12 @@ def sample_hard_negative(
     ``source_positions(records)``; without it, a cross-source call builds
     it in O(n).
     """
+    n = len(records)
+    if not 0 <= anchor_index < n:
+        raise DataError("E_BAD_ANCHOR", f"anchor index {anchor_index} is outside [0, {n})")
     if rng is None:
         rng = np.random.default_rng([policy.seed, anchor_index])
     anchor = records[anchor_index]
-    n = len(records)
     distance = policy.min_index_distance
     left = max(0, anchor_index - distance + 1)
     right = min(n, max(0, anchor_index + distance))

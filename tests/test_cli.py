@@ -189,20 +189,28 @@ def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, override):
         ({"E": np.zeros((0, 4), dtype=np.float32)}, "E_BAD_SHAPE"),
         ({"lora_rank": np.array([0.0])}, "E_BAD_RANK"),
         ({"lora_dropout": np.array([1.0])}, "E_BAD_DROPOUT"),
+        # Byte edits write_tensors cannot make: a non-UTF-8 name, and b1 written twice.
+        pytest.param(lambda data: data.replace(b"lora_dropout", b"lora_dropou\xff"), "E_IO", id="non-utf8-name"),
+        pytest.param(lambda data: data.replace(b"\x02\x00b2", b"\x02\x00b1"), "E_IO", id="repeated-name"),
+        ({"W1": np.full((4, 6), np.nan)}, "E_IO"),
+        ({"lora_alpha": np.array([np.nan])}, "E_IO"),
     ],
 )
 def test_embed_on_malformed_checkpoint_exits_two(tmp_path, capsys, corrupt, code):
     params = init_params(0, vocab_size=64, d_emb=4, d_hid=6, d_out=4, lora_rank=2)
     tensors = {**params.tensors, "lora_rank": np.array([2.0]), "lora_alpha": np.array([4.0]),
-               "lora_dropout": np.array([0.0]), **corrupt}
+               "lora_dropout": np.array([0.0]), **({} if callable(corrupt) else corrupt)}
     checkpoint = tmp_path / "bad.cemb"
     write_tensors(checkpoint, tensors)
+    if callable(corrupt):
+        checkpoint.write_bytes(corrupt(checkpoint.read_bytes()))
     texts = tmp_path / "texts.txt"
     texts.write_text("left atrium normal\n", encoding="utf-8")
     assert run(["embed", "--checkpoint", str(checkpoint), "--texts", str(texts),
                 "--out", str(tmp_path / "e.cevx")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"{code}: ") and "Traceback" not in err
+    assert code != "E_IO" or str(checkpoint) in err
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -196,6 +197,59 @@ def test_tensors_trailing_garbage(tmp_path):
     with pytest.raises(DataError) as err:
         read_tensors(path)
     assert err.value.code == "E_SHAPE_MISMATCH"
+
+
+def test_tensor_names_are_utf8_and_unique(tmp_path):
+    path = tmp_path / "t.cemb"
+    write_tensors(path, {"ab": np.ones(2, dtype=np.float32), "ac": np.zeros(1, dtype=np.float32)})
+    data = path.read_bytes()
+    for edited, fragment in ((data.replace(b"ab", b"a\xff"), "b'a\\xff'"), (data.replace(b"ac", b"ab"), "'ab'")):
+        path.write_bytes(edited)
+        with pytest.raises(DataError) as err:
+            read_tensors(path)
+        assert err.value.code == "E_IO" and str(path) in str(err.value) and fragment in str(err.value)
+
+
+def _corruptions(data: bytes):
+    """Every proper prefix of ``data``, then ``data`` with each byte set to 0x00, 0x80 and 0xFF."""
+    for end in range(len(data)):
+        yield data[:end]
+    for i in range(len(data)):
+        for value in (0x00, 0x80, 0xFF):
+            yield data[:i] + bytes([value]) + data[i + 1 :]
+
+
+@pytest.mark.parametrize("kind", ["cemb", "cevx"])
+def test_corrupt_binary_files_raise_only_data_errors(tmp_path, kind):
+    path = tmp_path / f"small.{kind}"
+    if kind == "cemb":
+        write_tensors(path, {"a": np.arange(3, dtype=np.float32), "bc": np.ones((2, 1), dtype=np.float32)})
+        read = read_tensors
+    else:
+        write_embeddings(path, ["a", "b"], np.arange(4, dtype=np.float32).reshape(2, 2))
+        read = read_embeddings
+    for data in _corruptions(path.read_bytes()):
+        path.write_bytes(data)
+        try:
+            read(path)
+        except DataError as exc:
+            assert exc.code in {"E_BAD_MAGIC", "E_VERSION_MISMATCH", "E_SHAPE_MISMATCH", "E_IO"}, data
+
+
+def test_forged_dimensions_are_shape_mismatches(tmp_path):
+    """Sizes are checked as Python integers, so no forged dimension overflows or allocates."""
+    path = tmp_path / "huge.cevx"
+    path.write_bytes(b"CEVX" + struct.pack("<IIQ", 1, 2**32 - 1, 2**63))
+    with pytest.raises(DataError) as err:
+        read_embeddings(path)
+    assert err.value.code == "E_SHAPE_MISMATCH"
+    # Empty tensors numpy cannot shape: over 64 dimensions, or too large a product of the others.
+    path = tmp_path / "empty.cemb"
+    for dims in ((0,) * 65, (0,) + (2**32 - 1,) * 4):
+        path.write_bytes(b"CEMB" + struct.pack(f"<IIH1sB{len(dims)}I", 1, 1, 1, b"a", len(dims), *dims))
+        with pytest.raises(DataError) as err:
+            read_tensors(path)
+        assert err.value.code == "E_SHAPE_MISMATCH"
 
 
 def test_qrels_roundtrip(tmp_path):

@@ -221,15 +221,20 @@ def test_sampler_matches_list_building_reference(with_index):
 
 
 def test_sampler_shares_the_callers_stream_with_the_reference():
-    """One stream across anchors, as build_triplets draws. A negative anchor
-    indexes from the end, and its distance is measured from the negative index."""
+    """One stream across anchors, as build_triplets draws. An anchor index
+    outside the records is rejected before any draw, with or without a stream."""
     records = [record(f"r{i}", f"text {i}", source="ab"[i % 3 == 0]) for i in range(40)]
     policy = NegativePolicy(min_index_distance=7, require_different_source=True, seed=2)
     positions = source_positions(records)
     ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
-    for anchor in range(-40, 40):
+    for anchor in range(40):
         expected = negative_or_code(list_building_negative, anchor, records, policy, theirs)
         assert negative_or_code(sample_hard_negative, anchor, records, policy, ours, positions=positions) == expected
+    state = ours.bit_generator.state
+    for anchor in (*range(-40, 0), 40):
+        assert negative_or_code(sample_hard_negative, anchor, records, policy, ours, positions=positions) == "E_BAD_ANCHOR"
+        assert negative_or_code(sample_hard_negative, anchor, records, policy) == "E_BAD_ANCHOR"
+    assert ours.bit_generator.state == state
 
 
 class CountingRecords(Sequence):
