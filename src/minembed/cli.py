@@ -10,8 +10,10 @@ SHA-256 digests of inputs and outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
+import math
 import sys
 import time
 from dataclasses import fields
@@ -229,26 +231,15 @@ def _cmd_triplets(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_config_type(key: str, value: object, expected: type) -> None:
-    # An int may stand for a float. bool is a subclass of int, so it is
-    # ruled out separately for every key that is not a bool.
-    accepted = (int, float) if expected is float else expected
-    if isinstance(value, bool) != (expected is bool) or not isinstance(value, accepted):
-        raise UsageError(f"config key {key!r} must be {expected.__name__}, got {value!r}")
-
-
 def _train_config_from(args: argparse.Namespace) -> tuple[trainer.TrainConfig, dict]:
     """Defaults, then flags, then config-file keys (highest precedence).
 
-    Each config value must have the type of the ``TrainConfig`` field or of
-    the ``init_params`` default that it overrides.
+    Each config value must have (``storage.typed_value``) the type of the
+    ``TrainConfig`` field or of the ``init_params`` default that it overrides.
     """
-    values = dict(_TRAIN_CONFIG_KEYS)
-    values["seed"] = args.seed
-    values["train_lora_only"] = args.lora_only
+    values = {**_TRAIN_CONFIG_KEYS, "seed": args.seed, "train_lora_only": args.lora_only}
     encoder_cfg = dict(_ENCODER_CONFIG_KEYS)
-    types = get_type_hints(trainer.TrainConfig)
-    types.update({key: type(default) for key, default in _ENCODER_CONFIG_KEYS.items()})
+    types = get_type_hints(trainer.TrainConfig) | {key: type(default) for key, default in _ENCODER_CONFIG_KEYS.items()}
     if args.config:
         try:
             overrides = json.loads(storage.read_text(args.config))
@@ -256,11 +247,13 @@ def _train_config_from(args: argparse.Namespace) -> tuple[trainer.TrainConfig, d
             raise UsageError(f"cannot parse config {args.config}: {exc}") from exc
         if not isinstance(overrides, dict):
             raise UsageError(f"config {args.config} must be a JSON object")
-        for key, value in overrides.items():
+        for key in overrides:
             if key not in types:
                 raise UsageError(f"unknown config key {key!r}")
-            _check_config_type(key, value, types[key])
-            (values if key in values else encoder_cfg)[key] = value
+            try:
+                (values if key in values else encoder_cfg)[key] = storage.typed_value(overrides, key, types[key])
+            except TypeError as exc:
+                raise UsageError(f"config key {exc}") from exc
     return trainer.TrainConfig(**values), encoder_cfg
 
 
@@ -282,7 +275,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     storage.write_run_metadata(
         out_dir / "run-metadata.json",
         command="train",
-        config={**config.to_dict(), **encoder_cfg},
+        config={**vars(config), **encoder_cfg},
         seed=config.seed,
         inputs=[args.triplets] + ([args.val] if args.val else []),
         outputs=outputs,
@@ -297,11 +290,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _row_texts(row: dict) -> list[tuple[str | None, str]]:
     """(id, text) pairs of one row: a triplet row's anchor and positive, the
     positive id prefixed with ``pos::``, or a manifest row's text, with id
-    None when the row has no ``sent_id``."""
+    None when the row has no ``sent_id``. Each of these values must be a string."""
+    text = functools.partial(storage.typed_value, row, expected=str)
     if "anchor_id" in row:
-        anchor_id = str(row["anchor_id"])
-        return [(anchor_id, str(row["anchor_text"])), (f"pos::{anchor_id}", str(row["positive_text"]))]
-    return [(str(row["sent_id"]) if "sent_id" in row else None, str(row["text"]))]
+        anchor_id = text("anchor_id")
+        return [(anchor_id, text("anchor_text")), (f"pos::{anchor_id}", text("positive_text"))]
+    return [(text("sent_id") if "sent_id" in row else None, text("text"))]
 
 
 def _load_texts(path_str: str) -> tuple[list[str], list[str]]:
@@ -397,7 +391,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     records = storage.read_jsonl(args.corpus, corpus.SentenceRecord.from_row)
     stats = corpus.corpus_stats(records, Tokenizer())
-    print(json.dumps(stats.to_dict(), indent=2, sort_keys=True))
+    print(json.dumps(vars(stats), indent=2, sort_keys=True))
     return 0
 
 
@@ -405,6 +399,8 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     for flag, value in (("--samples", args.samples), ("--batch-size", args.batch_size)):
         if value < 1:
             raise UsageError(f"{flag} must be >= 1, got {value}")
+    if not 0.0 < args.h < math.inf:  # also false for NaN
+        raise UsageError(f"--h must be finite and > 0, got {args.h}")
     params = load_checkpoint(args.checkpoint)
     batch = storage.read_jsonl(args.batch, triplets.Triplet.from_row)[: args.batch_size]
     if not batch:

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DataError
+from .storage import Record
 
 SPLIT_TRAIN = "train"
 SPLIT_VAL = "val"
@@ -39,20 +40,16 @@ _INITIAL_RE = re.compile(r"(?:^|[\s(\"'])[A-Za-z]\.$")
 
 
 @dataclass
-class RawDocument:
+class RawDocument(Record):
     """One input document: identifier, originating source, full text."""
 
     doc_id: str
     source_name: str
     text: str
 
-    @classmethod
-    def from_row(cls, row: dict) -> "RawDocument":
-        return cls(doc_id=str(row["doc_id"]), source_name=str(row["source_name"]), text=str(row["text"]))
-
 
 @dataclass
-class SentenceRecord:
+class SentenceRecord(Record):
     """One cleaned sentence with its source and split assignment."""
 
     sent_id: str
@@ -60,22 +57,6 @@ class SentenceRecord:
     text: str
     char_len: int
     split: str = SPLIT_UNASSIGNED
-
-    def to_row(self) -> dict:
-        # Fields are declared in row order. vars() rather than asdict(),
-        # which deep-copies every field: about 15 us a row instead of 0.6
-        # (CPython 3.11, x86-64).
-        return dict(vars(self))
-
-    @classmethod
-    def from_row(cls, row: dict) -> "SentenceRecord":
-        return cls(
-            sent_id=str(row["sent_id"]),
-            source_name=str(row["source_name"]),
-            text=str(row["text"]),
-            char_len=int(row["char_len"]),
-            split=str(row.get("split", SPLIT_UNASSIGNED)),
-        )
 
 
 @dataclass
@@ -88,9 +69,6 @@ class CorpusStats:
     token_count: int
     mean_len_tokens: float
     sd_len_tokens: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _strip_markup(text: str) -> str:

@@ -2,7 +2,7 @@
 
 Formats:
   - line-delimited JSON (manifests, triplets, logs): UTF-8, LF endings,
-    compact separators, fixed key order per record type
+    compact separators, fixed key order per record type (``Record``)
   - CEMB checkpoint: magic ``CEMB``, version u32, tensor count u32, then per
     tensor: name length u16, name bytes, rank u8, dims (u32 each), f32
     little-endian row-major data
@@ -14,14 +14,16 @@ Formats:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import os
 import struct
 import tempfile
+from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, get_type_hints
 
 import numpy as np
 
@@ -115,6 +117,40 @@ def read_jsonl(path: str | Path, decode: Callable[[dict], Any] | None = None) ->
                 raise DataError("E_IO", f"{path}:{lineno}: bad value: {exc}") from exc
         rows.append(row)
     return rows
+
+
+def typed_value(row: Mapping, key: str, expected: type) -> Any:
+    """``row[key]`` of a decoded JSON object, uncoerced: KeyError if it is missing, TypeError
+    unless it is an ``expected``. An int also fits float; a bool, though an int, only bool."""
+    value = row[key]
+    accepted = (int, float) if expected is float else expected
+    if isinstance(value, bool) != (expected is bool) or not isinstance(value, accepted):
+        raise TypeError(f"{key!r} must be {expected.__name__}, got {value!r}")
+    return value
+
+
+@functools.cache
+def _row_fields(cls: type) -> list[tuple[str, type, bool]]:
+    """(name, declared type, has a default) of each field of a dataclass, in order."""
+    types = get_type_hints(cls)
+    return [(f.name, types[f.name], f.default is not MISSING) for f in fields(cls)]
+
+
+class Record:
+    """Base of the dataclasses stored as JSONL rows, one key per field. Read back,
+    each value must have its field's type (``typed_value``); only a defaulted field may be missing."""
+
+    def to_row(self) -> dict:
+        # Fields are declared in row order. vars() rather than asdict(),
+        # which deep-copies every field: about 15 us a row instead of 0.6
+        # (CPython 3.11, x86-64).
+        return dict(vars(self))
+
+    @classmethod
+    def from_row(cls, row: Mapping) -> Any:
+        # An exact type match is a fast path; typed_value rules on every other value.
+        return cls(**{k: row[k] if type(row[k]) is t else typed_value(row, k, t)
+                      for k, t, optional in _row_fields(cls) if not optional or k in row})
 
 
 def write_json(path: str | Path, obj: Mapping) -> None:

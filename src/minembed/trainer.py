@@ -18,7 +18,7 @@ All arithmetic runs in double precision; checkpoints store float32.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -48,24 +48,26 @@ class TrainConfig:
     train_lora_only: bool = False
 
     def __post_init__(self) -> None:
-        if self.temperature <= 0.0:
-            raise DataError("E_BAD_TEMPERATURE", f"temperature must be > 0, got {self.temperature}")
+        # Written so that NaN, which fails every comparison, fails each check.
+        if not 0.0 < self.temperature < math.inf:
+            raise DataError("E_BAD_TEMPERATURE", f"temperature must be finite and > 0, got {self.temperature}")
         if not 0.0 <= self.warmup_frac < 1.0:
             raise DataError("E_BAD_SCHEDULE", f"warmup_frac must be in [0, 1), got {self.warmup_frac}")
+        if not (0.0 <= self.peak_lr < math.inf and 0.0 <= self.min_lr < math.inf):
+            raise DataError("E_BAD_SCHEDULE", f"peak_lr and min_lr must be finite and >= 0, got {self.peak_lr}, {self.min_lr}")
         if self.batch_size < 2:
             raise DataError("E_BAD_BATCH", f"batch_size must be >= 2 for in-batch negatives, got {self.batch_size}")
         if self.epochs < 0:
             raise DataError("E_BAD_BATCH", f"epochs must be >= 0, got {self.epochs}")
         if self.seed < 0:
             raise DataError("E_BAD_SEED", f"seed must be nonnegative, got {self.seed}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0 and self.eps > 0.0):
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0 and self.eps > 0.0
+                and 0.0 <= self.weight_decay < math.inf):
             raise DataError(
                 "E_BAD_OPTIMIZER",
-                f"beta1 and beta2 must be in [0, 1) and eps > 0, got {self.beta1}, {self.beta2}, {self.eps}",
+                "beta1 and beta2 must be in [0, 1), eps > 0 and weight_decay finite and >= 0, "
+                f"got {self.beta1}, {self.beta2}, {self.eps}, {self.weight_decay}",
             )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -362,8 +364,8 @@ def gradient_check(
     tensors. Dropout masks are frozen by the seed, so the loss is a smooth
     deterministic function of the parameters.
     """
-    if h <= 0.0:
-        raise DataError("E_BAD_BATCH", f"h must be > 0, got {h}")
+    if not 0.0 < h < math.inf:  # also false for NaN
+        raise DataError("E_BAD_BATCH", f"h must be finite and > 0, got {h}")
     if config is None:
         config = TrainConfig()
     grads, _ = infonce_gradient(batch, params, config, train_mode=True, seed=seed)

@@ -12,10 +12,10 @@ Hard negatives are sampled from corpus locations at least
 
 from __future__ import annotations
 
+import contextlib
 import json
 import shlex
 import subprocess
-import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -24,6 +24,7 @@ import numpy as np
 
 from .corpus import SentenceRecord, source_positions
 from .errors import DataError
+from .storage import Record, typed_value
 
 ParaphraseProvider = Callable[[str], str]
 
@@ -40,7 +41,7 @@ PROVIDER_EXIT_GRACE_S = 10.0
 
 
 @dataclass(frozen=True)
-class Triplet:
+class Triplet(Record):
     """One training unit: anchor, paraphrase positive, sampled negative."""
 
     anchor_id: str
@@ -49,23 +50,6 @@ class Triplet:
     negative_id: str
     negative_text: str
     split: str
-
-    def to_row(self) -> dict:
-        # Fields are declared in row order. vars() rather than asdict(),
-        # which deep-copies every field: about 15 us a row instead of 0.6
-        # (CPython 3.11, x86-64).
-        return dict(vars(self))
-
-    @classmethod
-    def from_row(cls, row: dict) -> "Triplet":
-        return cls(
-            anchor_id=str(row["anchor_id"]),
-            anchor_text=str(row["anchor_text"]),
-            positive_text=str(row["positive_text"]),
-            negative_id=str(row["negative_id"]),
-            negative_text=str(row["negative_text"]),
-            split=str(row["split"]),
-        )
 
 
 @dataclass
@@ -107,7 +91,6 @@ class SubprocessProvider:
 
     def __init__(self, command: str) -> None:
         self.command = command
-        self._lock = threading.Lock()  # one in-flight request per process
         try:
             self._proc = subprocess.Popen(
                 shlex.split(command),
@@ -124,29 +107,28 @@ class SubprocessProvider:
         if proc.poll() is not None:
             raise DataError("E_PROVIDER_UNAVAILABLE", f"provider {self.command!r} exited")
         try:
-            with self._lock:
-                proc.stdin.write(json.dumps({"text": text}, ensure_ascii=False) + "\n")
-                proc.stdin.flush()
-                line = proc.stdout.readline()
-        except OSError as exc:
+            proc.stdin.write(json.dumps({"text": text}, ensure_ascii=False) + "\n")
+            proc.stdin.flush()
+            line = proc.stdout.readline()
+        except (OSError, UnicodeDecodeError) as exc:
             raise DataError("E_PROVIDER_UNAVAILABLE", f"provider pipe failed: {exc}") from exc
         if not line:
             raise DataError("E_PROVIDER_UNAVAILABLE", f"provider {self.command!r} closed its stream")
         try:
-            response = json.loads(line)
-            return str(response["paraphrase"])
+            return typed_value(json.loads(line), "paraphrase", str)
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise DataError("E_PROVIDER_UNAVAILABLE", f"malformed provider response: {line!r}") from exc
 
     def close(self) -> None:
         proc = self._proc
-        if proc.poll() is None:
+        with contextlib.suppress(BrokenPipeError):  # it closed its stdin before a request was sent
             proc.stdin.close()
-            try:
-                proc.wait(timeout=PROVIDER_EXIT_GRACE_S)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
+        try:
+            proc.wait(timeout=PROVIDER_EXIT_GRACE_S)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
 
     def __enter__(self) -> "SubprocessProvider":
         return self
@@ -238,8 +220,9 @@ def build_triplets(
 ) -> TripletBuildResult:
     """One triplet per anchor sentence per split, in record order.
 
-    Anchors whose paraphrase fails or that have no eligible negative are
-    skipped and counted. Negative sampling consumes one seeded stream per
+    Anchors whose paraphrase is degenerate (empty or unchanged) or that
+    have no eligible negative are skipped and counted; any other provider
+    error propagates. Negative sampling consumes one seeded stream per
     split, so identical inputs reproduce identical output.
     """
     result = TripletBuildResult(triplets=[])
@@ -276,7 +259,7 @@ def build_triplets(
 
 
 def _paraphrase_all(records: Sequence[SentenceRecord], provider: ParaphraseProvider) -> list[str | DataError]:
-    """Run the provider over all anchors, preserving order; capture failures.
+    """Run the provider over all anchors, preserving order; capture degenerate paraphrases.
 
     The requests go out back to back, before any negative sampling: a
     subprocess provider woken between the sampler's CPU bursts instead
@@ -288,6 +271,8 @@ def _paraphrase_all(records: Sequence[SentenceRecord], provider: ParaphraseProvi
         try:
             return generate_positive(record, provider)
         except DataError as exc:
+            if exc.code != "E_DEGENERATE_PARAPHRASE":
+                raise
             return exc
 
     return [one(r) for r in records]

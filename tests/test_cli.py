@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -126,6 +127,7 @@ def tiny_checkpoint(tmp_path):
 
 TRIPLET_ROW = {"anchor_id": "a", "anchor_text": "x y", "positive_text": "y x",
                "negative_id": "n", "negative_text": "z w", "split": "train"}
+SENTENCE_ROW = {"sent_id": "s1", "source_name": "a", "text": "left atrium", "char_len": 11, "split": "train"}
 # name: (file name, its one JSONL row, command line, what stderr must name)
 MALFORMED_INPUTS = {
     "prepare-missing-source": ("docs.jsonl", {"doc_id": "d", "text": "t"},
@@ -143,6 +145,25 @@ MALFORMED_INPUTS = {
     "embed-missing-plain-text": (None, None,
                                  ["embed", "--checkpoint", "{ckpt}", "--texts", "{tmp}/nope.txt", "--out", "{tmp}/e.cevx"],
                                  ["nope.txt"]),
+    # A value of the wrong JSON type is rejected, never coerced: null is not the text "None".
+    "prepare-null-text": ("docs.jsonl", {"doc_id": "d", "source_name": "s", "text": None},
+                          ["prepare", "--in", "{file}", "--out", "{tmp}/c.jsonl", "--seed", "1"],
+                          ["docs.jsonl:1", "'text' must be str, got None"]),
+    "triplets-float-char-len": ("c.jsonl", {**SENTENCE_ROW, "char_len": 4.9},
+                                ["triplets", "--corpus", "{file}", "--out", "{tmp}/t.jsonl", "--seed", "1"],
+                                ["c.jsonl:1", "'char_len' must be int, got 4.9"]),
+    "stats-bool-char-len": ("c.jsonl", {**SENTENCE_ROW, "char_len": True},
+                            ["stats", "--corpus", "{file}"],
+                            ["c.jsonl:1", "'char_len' must be int, got True"]),
+    "train-list-anchor-text": ("trips.jsonl", {**TRIPLET_ROW, "anchor_text": ["x", "y"]},
+                               ["train", "--triplets", "{file}", "--out-dir", "{tmp}/out", "--seed", "1"],
+                               ["trips.jsonl:1", "'anchor_text' must be str, got ['x', 'y']"]),
+    "embed-null-text": ("texts.jsonl", {"sent_id": "s1", "text": None},
+                        ["embed", "--checkpoint", "{ckpt}", "--texts", "{file}", "--out", "{tmp}/e.cevx"],
+                        ["texts.jsonl:1", "'text' must be str, got None"]),
+    "embed-numeric-sent-id": ("texts.jsonl", {"sent_id": 7, "text": "left atrium"},
+                              ["embed", "--checkpoint", "{ckpt}", "--texts", "{file}", "--out", "{tmp}/e.cevx"],
+                              ["texts.jsonl:1", "'sent_id' must be str, got 7"]),
 }
 
 
@@ -158,6 +179,7 @@ def test_bad_input_file_exits_two_with_e_io(tmp_path, capsys, case):
     assert err.startswith("E_IO: ") and "Traceback" not in err
     for fragment in expected:
         assert fragment in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(n for n in (name, "tiny.cemb") if n)
 
 
 @pytest.mark.parametrize(
@@ -282,6 +304,18 @@ def test_eval_on_malformed_inputs_exits_two(tmp_path, capsys, case):
         ({"beta2": 1.0}, "E_BAD_OPTIMIZER", 2, "beta2"),
         ({"eps": 0}, "E_BAD_OPTIMIZER", 2, "eps"),
         ({"peak_lr": 1e300}, "E_NONFINITE_GRAD", 3, "epoch 0"),
+        # Temperature, learning rates and weight decay must be finite, and
+        # none may be negative; each is rejected before the first step.
+        ({"temperature": math.inf}, "E_BAD_TEMPERATURE", 2, "temperature must be finite and > 0, got inf"),
+        ({"temperature": math.nan}, "E_BAD_TEMPERATURE", 2, "got nan"),
+        ({"temperature": -0.05}, "E_BAD_TEMPERATURE", 2, "got -0.05"),
+        ({"peak_lr": -1.0}, "E_BAD_SCHEDULE", 2, "peak_lr and min_lr must be finite and >= 0, got -1.0"),
+        ({"peak_lr": math.nan}, "E_BAD_SCHEDULE", 2, "got nan"),
+        ({"min_lr": math.inf}, "E_BAD_SCHEDULE", 2, "inf"),
+        ({"min_lr": -1e-6}, "E_BAD_SCHEDULE", 2, "-1e-06"),
+        ({"weight_decay": math.nan}, "E_BAD_OPTIMIZER", 2, "weight_decay finite and >= 0"),
+        ({"weight_decay": -0.01}, "E_BAD_OPTIMIZER", 2, "-0.01"),
+        ({"weight_decay": math.inf}, "E_BAD_OPTIMIZER", 2, "inf"),
     ],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -469,14 +503,17 @@ def test_gradcheck_command(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--samples", "-3"), ("--samples", "0"), ("--batch-size", "-1"),
-                                         ("--batch-size", "0")])
+                                         ("--batch-size", "0"), ("--h", "nan"), ("--h", "inf"),
+                                         ("--h", "-1.0"), ("--h", "0.0")])
 def test_gradcheck_count_below_one_is_usage_error(tmp_path, capsys, flag, value):
+    # --h is checked before the checkpoint is read, so for --h it does not exist.
     trips = tmp_path / "trips.jsonl"
     trips.write_text("".join(json.dumps({**TRIPLET_ROW, "anchor_id": a}) + "\n" for a in "abc"), encoding="utf-8")
-    assert run(["gradcheck", "--checkpoint", str(tiny_checkpoint(tmp_path)), "--batch", str(trips),
-                flag, value]) == 1
+    checkpoint = tmp_path / "missing.cemb" if flag == "--h" else tiny_checkpoint(tmp_path)
+    assert run(["gradcheck", "--checkpoint", str(checkpoint), "--batch", str(trips), flag, value]) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err == f"E_USAGE: {flag} must be >= 1, got {value}\n"
+    rule = "must be finite and > 0" if flag == "--h" else "must be >= 1"
+    assert out == "" and err == f"E_USAGE: {flag} {rule}, got {value}\n"
 
 
 PREPARE_MISSING_INPUT = ["prepare", "--in", "{tmp}/missing", "--out", "{tmp}/c.jsonl", "--seed", "1"]
@@ -583,6 +620,41 @@ def test_subprocess_provider_through_cli(tmp_path):
     rows = read_jsonl(trips)
     assert rows
     assert all(r["positive_text"].startswith("restated: ") for r in rows)
+
+
+# Providers that fail other than by a degenerate paraphrase; each body runs
+# after "import json, os, sys, time".
+FAILING_PROVIDER_SCRIPTS = {
+    "answers-empty-object": "for line in sys.stdin: print('{}', flush=True)",
+    "answers-null": "for line in sys.stdin: print(json.dumps({'paraphrase': None}), flush=True)",
+    "answers-non-utf8": "for line in sys.stdin: sys.stdout.buffer.write(b'\\xff\\n'); sys.stdout.flush()",
+    # Answers once, having closed its stdin first, and lingers: the next
+    # request cannot be sent, and closing the pipe must not fail either.
+    "closes-stdin-and-lingers": "sys.stdin.readline(); os.close(0); print('{\"paraphrase\": \"p\"}', flush=True); "
+                                "time.sleep(15)",
+}
+
+
+@pytest.mark.parametrize("provider", ["false", "sleep 0", *sorted(FAILING_PROVIDER_SCRIPTS)])
+def test_triplets_provider_failure_exits_two_and_writes_nothing(tmp_path, capsys, monkeypatch, provider):
+    # Only a degenerate paraphrase is a skip; any other provider failure stops the run.
+    import minembed.triplets as triplets_mod
+
+    monkeypatch.setattr(triplets_mod, "PROVIDER_EXIT_GRACE_S", 0.2)
+    if provider in FAILING_PROVIDER_SCRIPTS:
+        script = tmp_path / "provider.py"
+        script.write_text("import json, os, sys, time\n" + FAILING_PROVIDER_SCRIPTS[provider] + "\n", encoding="utf-8")
+        provider = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
+    docs, corpus, out = write_docs(tmp_path, n_per_cluster=5), tmp_path / "corpus.jsonl", tmp_path / "trips.jsonl"
+    assert run(["prepare", "--in", str(docs), "--out", str(corpus), "--seed", "1"]) == 0
+    capsys.readouterr()
+    started = time.monotonic()
+    assert run(["triplets", "--corpus", str(corpus), "--out", str(out), "--min-distance", "1", "--seed", "1",
+                "--provider", provider]) == 2
+    assert time.monotonic() - started < 10
+    err = capsys.readouterr().err
+    assert err.startswith("E_PROVIDER_UNAVAILABLE: ") and "Traceback" not in err
+    assert not out.exists() and not Path(f"{out}.meta.json").exists()
 
 
 def test_report_tables_shapes():

@@ -344,6 +344,16 @@ def test_manifest_rows_roundtrip(tmp_path):
     manifest = manifest_with_sources({"s1": 3})
     write_jsonl(tmp_path / "m.jsonl", [r.to_row() for r in manifest])
     assert read_jsonl(tmp_path / "m.jsonl", SentenceRecord.from_row) == manifest
+    assert all(SentenceRecord.from_row(r.to_row()) == r for r in manifest)
+    docs = [RawDocument("d1", "s1", "Text one.\n\nTwo"), RawDocument("d2", "s2", "")]
+    write_jsonl(tmp_path / "d.jsonl", [d.to_row() for d in docs])
+    assert read_jsonl(tmp_path / "d.jsonl", RawDocument.from_row) == docs
+    assert all(RawDocument.from_row(d.to_row()) == d for d in docs)
+    # A row without a split is unassigned; one with a null text is not the text "None".
+    row = {k: v for k, v in manifest[0].to_row().items() if k != "split"}
+    assert SentenceRecord.from_row(row).split == "unassigned"
+    with pytest.raises(TypeError):
+        SentenceRecord.from_row({**row, "text": None})
 
 
 def test_empty_document_yields_no_records():

@@ -5,12 +5,14 @@ from __future__ import annotations
 import json
 import os
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from minembed.errors import DataError
 from minembed.storage import (
+    Record,
     digest,
     ids_sidecar,
     read_embeddings,
@@ -18,6 +20,7 @@ from minembed.storage import (
     read_pairs,
     read_qrels,
     read_tensors,
+    typed_value,
     write_atomic,
     write_embeddings,
     write_jsonl,
@@ -116,6 +119,54 @@ def test_jsonl_invalid_line(tmp_path):
         with pytest.raises(DataError) as err:
             read_jsonl(path, decode)
         assert err.value.code == "E_IO" and f"{path}:2:" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "value, expected, fits",
+    [
+        ("x", str, True), (None, str, False), (7, str, False), (["x"], str, False),
+        (3, int, True), (3.0, int, False), (4.9, int, False), (True, int, False), ("3", int, False),
+        (3, float, True), (0.5, float, True), (False, float, False), (None, float, False),
+        (True, bool, True), (1, bool, False), ("true", bool, False),
+    ],
+)
+def test_typed_value_takes_no_coercion(value, expected, fits):
+    if fits:
+        assert typed_value({"k": value}, "k", expected) is value
+    else:
+        with pytest.raises(TypeError) as err:
+            typed_value({"k": value}, "k", expected)
+        assert str(err.value) == f"'k' must be {expected.__name__}, got {value!r}"
+    with pytest.raises(KeyError):
+        typed_value({}, "k", expected)
+
+
+@dataclass(frozen=True)
+class _Row(Record):
+    name: str
+    count: int
+    weight: float = 1.0
+
+
+def test_record_rows_take_each_value_at_its_declared_type(tmp_path):
+    row = _Row("a", 2, 0.5)
+    assert row.to_row() == {"name": "a", "count": 2, "weight": 0.5}
+    assert list(row.to_row()) == ["name", "count", "weight"]
+    assert _Row.from_row(row.to_row()) == row
+    # Only a field with a default may be missing; keys outside the fields are ignored.
+    assert _Row.from_row({"name": "a", "count": 2, "extra": None}) == _Row("a", 2)
+    assert _Row.from_row({"name": "a", "count": 2, "weight": 3}) == _Row("a", 2, 3)
+    with pytest.raises(KeyError):
+        _Row.from_row({"name": "a"})
+    for bad in ({"name": None, "count": 2}, {"name": "a", "count": True}, {"name": "a", "count": 2.0},
+                {"name": "a", "count": 2, "weight": None}):
+        with pytest.raises(TypeError):
+            _Row.from_row(bad)
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"name": "a", "count": 1}\n\n{"name": "b", "count": "1"}\n', encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        read_jsonl(path, _Row.from_row)
+    assert err.value.code == "E_IO" and str(err.value) == f"E_IO: {path}:3: bad value: 'count' must be int, got '1'"
 
 
 def test_embeddings_roundtrip(tmp_path):

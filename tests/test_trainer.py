@@ -185,6 +185,13 @@ def test_gradient_check_healthy(small_params):
         assert err <= 1e-4, f"lora_only={lora_only}: {err}"
 
 
+def test_gradient_check_rejects_a_step_that_is_not_finite_and_positive(small_params):
+    for h in (math.nan, math.inf, 0.0, -1e-4):
+        with pytest.raises(DataError) as err:
+            gradient_check(small_params, make_batch(2, seed=3), h=h, samples=2, config=small_config())
+        assert err.value.code == "E_BAD_BATCH", h
+
+
 def test_finite_difference_error_curve_u_shaped(small_params):
     # Truncation error dominates for large h, roundoff for tiny h; the
     # curve bottoms out in between.
@@ -477,6 +484,19 @@ def test_config_validation():
     with pytest.raises(DataError) as err:
         init_params(0, vocab_size=16, d_emb=2, d_hid=2, d_out=2, lora_rank=1, pooling="cls")
     assert err.value.code == "E_BAD_POOLING"
+    for values, code in [
+        ({"temperature": math.inf}, "E_BAD_TEMPERATURE"),
+        ({"temperature": math.nan}, "E_BAD_TEMPERATURE"),
+        ({"peak_lr": -1.0}, "E_BAD_SCHEDULE"),
+        ({"peak_lr": math.nan}, "E_BAD_SCHEDULE"),
+        ({"min_lr": math.inf}, "E_BAD_SCHEDULE"),
+        ({"weight_decay": math.nan}, "E_BAD_OPTIMIZER"),
+        ({"weight_decay": -1.0}, "E_BAD_OPTIMIZER"),
+    ]:
+        with pytest.raises(DataError) as err:
+            TrainConfig(**values)
+        assert err.value.code == code, values
+    TrainConfig(peak_lr=0.0, min_lr=0.0, weight_decay=0.0)
     for optimizer in ({"beta1": 1.0}, {"beta2": 1.0}, {"beta1": -0.1}, {"eps": 0.0}, {"eps": math.nan}):
         with pytest.raises(DataError) as err:
             TrainConfig(**optimizer)

@@ -292,6 +292,16 @@ def test_build_reproducible_byte_identical():
     assert rows_a == rows_b
 
 
+def test_build_propagates_provider_failures():
+    # Only a degenerate paraphrase is a skip; a failing provider stops the build.
+    def dead_provider(text: str) -> str:
+        raise DataError("E_PROVIDER_UNAVAILABLE", "provider exited")
+
+    with pytest.raises(DataError) as err:
+        build_triplets(distant_records(6), NegativePolicy(min_index_distance=1, seed=0), dead_provider)
+    assert err.value.code == "E_PROVIDER_UNAVAILABLE"
+
+
 def test_build_counts_unparaphrasable_anchors():
     records = distant_records(6)
     records.append(record("src:single", "antidisestablishmentarianism"))
@@ -330,3 +340,5 @@ def test_triplet_rows_roundtrip(tmp_path):
     t = Triplet("a", "anchor text", "positive text", "n", "negative text", "train")
     write_jsonl(tmp_path / "t.jsonl", [t.to_row()])
     assert read_jsonl(tmp_path / "t.jsonl", Triplet.from_row) == [t]
+    assert Triplet.from_row(t.to_row()) == t
+    assert list(t.to_row()) == ["anchor_id", "anchor_text", "positive_text", "negative_id", "negative_text", "split"]
