@@ -100,6 +100,8 @@ class EncoderParams:
         self.tokenizer = Tokenizer(vocab_size=self.tensors["E"].shape[0])
         if not 0.0 <= self.lora_dropout < 1.0:
             raise DataError("E_BAD_DROPOUT", f"lora_dropout must be in [0, 1), got {self.lora_dropout}")
+        if not np.isfinite(self.lora_alpha):
+            raise DataError("E_BAD_ALPHA", f"lora_alpha must be finite, got {self.lora_alpha}")
         if self.pooling not in POOLINGS:
             raise DataError("E_BAD_POOLING", f"pooling must be one of {POOLINGS}, got {self.pooling!r}")
 
@@ -219,17 +221,18 @@ def backward_batch(
     cache: EncodeCache,
     params: EncoderParams,
     grads: dict[str, np.ndarray],
-    lora_only: bool = False,
 ) -> None:
-    """Accumulate parameter gradients given d(loss)/d(normalized outputs)."""
+    """Accumulate gradients, given d(loss)/d(normalized outputs), into the
+    tensors ``grads`` holds: all of them, or only the adapters'."""
     t = params.tensors
+    train_base = "E" in grads
     scale = params.scale
     y, norms = cache.outputs, cache.norms
     # Through y = u / ||u||: project out the radial component, divide by norm.
     grad_u = (grad_outputs - (y * grad_outputs).sum(axis=1, keepdims=True) * y) / norms
 
     hidden, hidden_d = cache.hidden, cache.hidden * cache.mask2
-    if not lora_only:
+    if train_base:
         grads["W2"] += hidden.T @ grad_u
         grads["b2"] += grad_u.sum(axis=0)
     g2 = hidden_d.T @ grad_u
@@ -241,14 +244,14 @@ def backward_batch(
     grad_pre = grad_hidden * (1.0 - hidden * hidden)
 
     pooled, pooled_d = cache.pooled, cache.pooled * cache.mask1
-    if not lora_only:
+    if train_base:
         grads["W1"] += pooled.T @ grad_pre
         grads["b1"] += grad_pre.sum(axis=0)
     g1 = pooled_d.T @ grad_pre
     grads["lora_A1"] += scale * (g1 @ t["lora_B1"]).T
     grads["lora_B1"] += scale * g1.T @ t["lora_A1"].T
 
-    if not lora_only:
+    if train_base:
         adapter1 = t["lora_A1"].T @ t["lora_B1"].T
         grad_pooled = grad_pre @ t["W1"].T + (scale * grad_pre @ adapter1.T) * cache.mask1
         mean_pool = params.pooling == POOLING_MEAN

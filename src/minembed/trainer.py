@@ -11,6 +11,7 @@ cosines of unit-normalized embeddings. Each per-anchor term is evaluated as
 ``logsumexp(logits) - target_logit`` with max subtraction and ``log1p`` on
 the residual mass, which keeps tiny losses accurate to full double
 precision and makes sims of +-1 at tau = 0.05 safe in single precision.
+The loss and its gradient with respect to the similarities come from one softmax.
 
 All arithmetic runs in double precision; checkpoints store float32.
 """
@@ -61,11 +62,11 @@ class TrainConfig:
             raise DataError("E_BAD_BATCH", f"epochs must be >= 0, got {self.epochs}")
         if self.seed < 0:
             raise DataError("E_BAD_SEED", f"seed must be nonnegative, got {self.seed}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0 and self.eps > 0.0
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0 and 0.0 < self.eps < math.inf
                 and 0.0 <= self.weight_decay < math.inf):
             raise DataError(
                 "E_BAD_OPTIMIZER",
-                "beta1 and beta2 must be in [0, 1), eps > 0 and weight_decay finite and >= 0, "
+                "beta1 and beta2 must be in [0, 1), eps finite and > 0 and weight_decay finite and >= 0, "
                 f"got {self.beta1}, {self.beta2}, {self.eps}, {self.weight_decay}",
             )
 
@@ -105,17 +106,15 @@ class EpochReport:
     checkpoint: str | None = None
 
 
-def _logits_matrix(anchors: np.ndarray, positives: np.ndarray, negatives: np.ndarray, tau: float) -> np.ndarray:
-    # Column j < n is s(a_i, p_j); the last column is s(a_i, n_i). Row i's
-    # denominator is the sum over all columns, its target is column i.
-    pos_logits = anchors @ positives.T
-    neg_logits = (anchors * negatives).sum(axis=1, keepdims=True)
-    return np.concatenate([pos_logits, neg_logits], axis=1) / tau
+def _infonce(a: np.ndarray, p: np.ndarray, n: np.ndarray, tau: float) -> tuple[BatchLossReport, np.ndarray]:
+    """The batch's loss and mean similarities, and d(mean loss)/d(sims).
 
-
-def _per_anchor_losses(logits: np.ndarray) -> np.ndarray:
-    n = logits.shape[0]
-    rows = np.arange(n)
+    Sim column j < B is s(a_i, p_j) and the last is s(a_i, n_i); row i's
+    logits are its sims / tau, its target column i. Float32 inputs stay float32.
+    """
+    batch = a.shape[0]
+    rows = np.arange(batch)
+    logits = np.concatenate([a @ p.T, (a * n).sum(axis=1, keepdims=True)], axis=1) / tau
     target = logits[rows, rows]
     argmax = logits.argmax(axis=1)
     max_logit = logits[rows, argmax]
@@ -124,19 +123,18 @@ def _per_anchor_losses(logits: np.ndarray) -> np.ndarray:
     # bits of tiny residuals and spoil near-zero losses.
     shifted_exp = np.exp(logits - max_logit[:, None])
     shifted_exp[rows, argmax] = 0.0
-    return (max_logit - target) + np.log1p(shifted_exp.sum(axis=1))
-
-
-def _loss_stats(logits: np.ndarray, tau: float) -> tuple[float, float, float]:
-    """Mean loss, mean positive similarity and mean negative similarity."""
-    batch = logits.shape[0]
-    rows = np.arange(batch)
-    loss = math.fsum(_per_anchor_losses(logits)) / batch
-    return loss, float(np.mean(logits[rows, rows])) * tau, float(np.mean(logits[:, batch])) * tau
-
-
-def _as_matrix(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    return np.asarray(vectors, dtype=np.float64)
+    losses = (max_logit - target) + np.log1p(shifted_exp.sum(axis=1))
+    # The softmax's denominator is the whole row, the max column's 1 included.
+    shifted_exp[rows, argmax] = 1.0
+    grad_sims = shifted_exp / shifted_exp.sum(axis=1, keepdims=True)
+    grad_sims[rows, rows] -= 1.0
+    grad_sims /= tau * batch
+    report = BatchLossReport(
+        loss=math.fsum(losses) / batch,
+        mean_pos_sim=float(np.mean(target)) * tau,
+        mean_neg_sim=float(np.mean(logits[:, batch])) * tau,
+    )
+    return report, grad_sims
 
 
 def infonce_loss(
@@ -153,32 +151,10 @@ def infonce_loss(
         )
     if len(anchors) == 0:
         raise DataError("E_LENGTH_MISMATCH", "empty batch")
-    if tau <= 0.0:
-        raise DataError("E_BAD_TEMPERATURE", f"temperature must be > 0, got {tau}")
-    a, p, n = _as_matrix(anchors), _as_matrix(positives), _as_matrix(negatives)
-    return _loss_stats(_logits_matrix(a, p, n, tau), tau)[0]
-
-
-def _loss_and_embedding_grads(
-    a: np.ndarray, p: np.ndarray, n: np.ndarray, tau: float
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, float, float]:
-    """Loss plus gradients with respect to the normalized embeddings."""
-    batch = a.shape[0]
-    logits = _logits_matrix(a, p, n, tau)
-    loss, mean_pos, mean_neg = _loss_stats(logits, tau)
-
-    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-    probs = shifted / shifted.sum(axis=1, keepdims=True)
-    delta = probs.copy()
-    delta[np.arange(batch), np.arange(batch)] -= 1.0
-    delta /= tau * batch
-
-    d_pos = delta[:, :batch]
-    d_neg = delta[:, batch]
-    grad_a = d_pos @ p + d_neg[:, None] * n
-    grad_p = d_pos.T @ a
-    grad_n = d_neg[:, None] * a
-    return loss, grad_a, grad_p, grad_n, mean_pos, mean_neg
+    if not 0.0 < tau < math.inf:  # also false for NaN
+        raise DataError("E_BAD_TEMPERATURE", f"temperature must be finite and > 0, got {tau}")
+    a, p, n = (np.asarray(v, dtype=np.float64) for v in (anchors, positives, negatives))
+    return _infonce(a, p, n, tau)[0].loss
 
 
 def _role_seed(seed: int, role: int) -> int:
@@ -205,8 +181,7 @@ def batch_loss(
     if not batch:
         raise DataError("E_EMPTY_BATCH", "cannot evaluate an empty batch")
     (a, _), (p, _), (n, _) = _encode_roles(batch, params, train_mode, seed)
-    loss, mean_pos, mean_neg = _loss_stats(_logits_matrix(a, p, n, config.temperature), config.temperature)
-    return BatchLossReport(loss=loss, mean_pos_sim=mean_pos, mean_neg_sim=mean_neg)
+    return _infonce(a, p, n, config.temperature)[0]
 
 
 def infonce_gradient(
@@ -221,15 +196,16 @@ def infonce_gradient(
         raise DataError("E_EMPTY_BATCH", "cannot take gradients of an empty batch")
     roles = _encode_roles(batch, params, train_mode, seed)
     (a, _), (p, _), (n, _) = roles
-    loss, grad_a, grad_p, grad_n, mean_pos, mean_neg = _loss_and_embedding_grads(a, p, n, config.temperature)
+    report, grad_sims = _infonce(a, p, n, config.temperature)
 
-    lora_only = config.train_lora_only
-    grads = {name: np.zeros_like(params.tensors[name]) for name in params.trainable_names(lora_only)}
-    for (_, cache), grad in zip(roles, (grad_a, grad_p, grad_n)):
-        backward_batch(grad, cache, params, grads, lora_only)
+    # Chain rule through the sims: d_pos[i, j] = dL/d(a_i . p_j), d_neg[i] = dL/d(a_i . n_i).
+    d_pos, d_neg = grad_sims[:, :-1], grad_sims[:, -1:]
+    grads = {name: np.zeros_like(params.tensors[name]) for name in params.trainable_names(config.train_lora_only)}
+    for (_, cache), grad in zip(roles, (d_pos @ p + d_neg * n, d_pos.T @ a, d_neg * a)):
+        backward_batch(grad, cache, params, grads)
 
-    grad_norm = math.sqrt(math.fsum(float(np.sum(g * g)) for g in grads.values()))
-    return grads, BatchLossReport(loss=loss, mean_pos_sim=mean_pos, mean_neg_sim=mean_neg, grad_norm=grad_norm)
+    report.grad_norm = math.sqrt(math.fsum(float(np.sum(g * g)) for g in grads.values()))
+    return grads, report
 
 
 def lr_at_step(step: int, total_steps: int, config: TrainConfig) -> float:

@@ -48,3 +48,18 @@ def two_cluster_records(n_per_cluster: int, seed: int, split: str = "unassigned"
 def small_params():
     """Down-scaled encoder: fast forward/backward for unit tests."""
     return init_params(11, vocab_size=512, d_emb=16, d_hid=24, d_out=12, lora_rank=4, lora_alpha=8.0)
+
+
+def role_gradients(monkeypatch, a: np.ndarray, p: np.ndarray, n: np.ndarray, tau: float):
+    """``trainer.infonce_gradient`` on fixed anchor, positive and negative
+    embeddings: its batch report and the three gradients it hands to
+    ``backward_batch``, in role order."""
+    from minembed import trainer
+
+    handed: list[np.ndarray] = []
+    monkeypatch.setattr(trainer, "_encode_roles", lambda batch, params, train_mode, seed: [(a, None), (p, None), (n, None)])
+    monkeypatch.setattr(trainer, "backward_batch", lambda grad, cache, params, grads: handed.append(grad))
+    params = init_params(0, vocab_size=4, d_emb=2, d_hid=2, d_out=2, lora_rank=1)
+    config = trainer.TrainConfig(temperature=tau, train_lora_only=True)
+    _, report = trainer.infonce_gradient([None] * len(a), params, config)
+    return report, tuple(handed)

@@ -31,9 +31,7 @@ from minembed.metrics import (
 )
 from minembed.trainer import (
     TrainConfig,
-    _logits_matrix,
-    _loss_and_embedding_grads,
-    _per_anchor_losses,
+    _infonce,
     gradient_check,
     infonce_gradient,
     infonce_loss,
@@ -42,7 +40,7 @@ from minembed.trainer import (
 )
 from minembed.triplets import NegativePolicy, Triplet, build_triplets
 
-from conftest import two_cluster_records
+from conftest import role_gradients, two_cluster_records
 
 
 def _verdict(name: str, ok: bool, detail: str = "") -> None:
@@ -491,7 +489,7 @@ def test_dedup_and_split_exactness():
     )
 
 
-def test_overflow_safety():
+def test_overflow_safety(monkeypatch):
     """Cosines of +-1 at tau = 0.05 stay finite in float32 and float64."""
     e = np.array([1.0, 0.0])
     ok = True
@@ -499,12 +497,13 @@ def test_overflow_safety():
         a = np.array([e, e], dtype=dtype)
         p = np.array([e, e], dtype=dtype)
         n = np.array([-e, -e], dtype=dtype)
-        logits = _logits_matrix(a, p, n, 0.05)
-        ok = ok and logits.dtype == dtype and float(np.max(np.abs(logits))) == 20.0
-        losses = _per_anchor_losses(logits)
-        loss, grad_a, grad_p, grad_n, _, _ = _loss_and_embedding_grads(a, p, n, 0.05)
-        ok = ok and bool(np.all(np.isfinite(losses))) and math.isfinite(loss)
-        ok = ok and all(bool(np.all(np.isfinite(g))) for g in (grad_a, grad_p, grad_n))
+        report, grad_sims = _infonce(a, p, n, 0.05)
+        # The mean similarities are the mean logits times tau: +20 and -20.
+        ok = ok and grad_sims.dtype == dtype
+        ok = ok and report.mean_pos_sim / 0.05 == 20.0 and report.mean_neg_sim / 0.05 == -20.0
+        ok = ok and math.isfinite(report.loss) and bool(np.all(np.isfinite(grad_sims)))
+        _, grads = role_gradients(monkeypatch, a, p, n, 0.05)
+        ok = ok and all(g.dtype == dtype and bool(np.all(np.isfinite(g))) for g in grads)
     ok = ok and math.isfinite(infonce_loss([e], [e.copy()], [-e], tau=0.05))
 
     # Same regime through the full encoder gradient in double precision.

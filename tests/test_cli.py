@@ -316,6 +316,10 @@ def test_eval_on_malformed_inputs_exits_two(tmp_path, capsys, case):
         ({"weight_decay": math.nan}, "E_BAD_OPTIMIZER", 2, "weight_decay finite and >= 0"),
         ({"weight_decay": -0.01}, "E_BAD_OPTIMIZER", 2, "-0.01"),
         ({"weight_decay": math.inf}, "E_BAD_OPTIMIZER", 2, "inf"),
+        # eps must be finite too, and so must lora_alpha (checked by the encoder).
+        ({"eps": math.inf}, "E_BAD_OPTIMIZER", 2, "eps finite and > 0"),
+        ({"lora_alpha": math.inf}, "E_BAD_ALPHA", 2, "lora_alpha must be finite, got inf"),
+        ({"lora_alpha": math.nan}, "E_BAD_ALPHA", 2, "got nan"),
     ],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -24,10 +24,10 @@ from minembed.trainer import (
     lr_at_step,
     train,
 )
-from minembed.trainer import _loss_and_embedding_grads, _logits_matrix, _per_anchor_losses
+from minembed.trainer import _infonce
 from minembed.triplets import Triplet
 
-from conftest import two_cluster_records
+from conftest import role_gradients, two_cluster_records
 
 
 def unit(v) -> np.ndarray:
@@ -100,9 +100,10 @@ def test_loss_validations():
     with pytest.raises(DataError) as err:
         infonce_loss([v], [v, v], [v], tau=0.1)
     assert err.value.code == "E_LENGTH_MISMATCH"
-    with pytest.raises(DataError) as err:
-        infonce_loss([v], [v], [v], tau=0.0)
-    assert err.value.code == "E_BAD_TEMPERATURE"
+    for tau in (0.0, math.nan, math.inf):
+        with pytest.raises(DataError) as err:
+            infonce_loss([v], [v], [v], tau=tau)
+        assert err.value.code == "E_BAD_TEMPERATURE", tau
     with pytest.raises(DataError):
         infonce_loss([], [], [], tau=0.1)
 
@@ -130,21 +131,82 @@ def test_temperature_monotonicity():
     assert losses[0] > losses[1] > losses[2]
 
 
-def test_overflow_safety_extreme_sims():
+def test_overflow_safety_extreme_sims(monkeypatch):
     # Cosines of +-1 at tau = 0.05 puts logits at +-20.
     e = np.array([1.0, 0.0])
     for dtype in (np.float32, np.float64):
         a = np.array([e, e], dtype=dtype)
         p = np.array([e, e], dtype=dtype)
         n = np.array([-e, -e], dtype=dtype)
-        logits = _logits_matrix(a, p, n, 0.05)
-        assert logits.dtype == dtype
-        losses = _per_anchor_losses(logits)
-        assert np.all(np.isfinite(losses))
-        loss, ga, gp, gn, _, _ = _loss_and_embedding_grads(a, p, n, 0.05)
-        assert math.isfinite(loss)
-        for g in (ga, gp, gn):
-            assert np.all(np.isfinite(g))
+        report, grad_sims = _infonce(a, p, n, 0.05)
+        assert grad_sims.dtype == dtype
+        # The mean similarities are the mean logits times tau.
+        assert report.mean_pos_sim / 0.05 == 20.0 and report.mean_neg_sim / 0.05 == -20.0
+        assert math.isfinite(report.loss) and np.all(np.isfinite(grad_sims))
+        _, grads = role_gradients(monkeypatch, a, p, n, 0.05)
+        for g in grads:
+            assert g.dtype == dtype and np.all(np.isfinite(g))
+
+
+# The two-softmax helpers that _infonce replaced, kept to pin its bytes.
+def _reference_logits(anchors, positives, negatives, tau):
+    pos_logits = anchors @ positives.T
+    neg_logits = (anchors * negatives).sum(axis=1, keepdims=True)
+    return np.concatenate([pos_logits, neg_logits], axis=1) / tau
+
+
+def _reference_per_anchor_losses(logits):
+    rows = np.arange(logits.shape[0])
+    target = logits[rows, rows]
+    argmax = logits.argmax(axis=1)
+    max_logit = logits[rows, argmax]
+    shifted_exp = np.exp(logits - max_logit[:, None])
+    shifted_exp[rows, argmax] = 0.0
+    return (max_logit - target) + np.log1p(shifted_exp.sum(axis=1))
+
+
+def _reference_loss_and_grads(a, p, n, tau):
+    batch = a.shape[0]
+    rows = np.arange(batch)
+    logits = _reference_logits(a, p, n, tau)
+    loss = math.fsum(_reference_per_anchor_losses(logits)) / batch
+    mean_pos, mean_neg = float(np.mean(logits[rows, rows])) * tau, float(np.mean(logits[:, batch])) * tau
+    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+    delta = shifted / shifted.sum(axis=1, keepdims=True)
+    delta[rows, rows] -= 1.0
+    delta /= tau * batch
+    d_pos, d_neg = delta[:, :batch], delta[:, batch]
+    grads = (d_pos @ p + d_neg[:, None] * n, d_pos.T @ a, d_neg[:, None] * a)
+    return (loss, mean_pos, mean_neg), grads
+
+
+def _same_bits(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_infonce_core_matches_reference(monkeypatch):
+    rng = np.random.default_rng(23)
+    for trial in range(300):
+        batch, dim = int(rng.integers(1, 40)), int(rng.integers(2, 9))
+        dtype = (np.float32, np.float64)[trial % 2]
+        tau = float(rng.choice([0.01, 0.05, 0.1, 1.0]))
+        if trial % 3 == 0:
+            # Saturated: every cosine is exactly +1 or -1, with tied maxima.
+            e = np.eye(dim)[0]
+            a, p, n = (np.where(rng.random((batch, 1)) < 0.5, e, -e) for _ in range(3))
+        else:
+            a, p, n = (rng.normal(size=(batch, dim)) for _ in range(3))
+            a, p, n = (v / np.linalg.norm(v, axis=1, keepdims=True) for v in (a, p, n))
+        a, p, n = (v.astype(dtype) for v in (a, p, n))
+        (loss, mean_pos, mean_neg), reference_grads = _reference_loss_and_grads(a, p, n, tau)
+        report, grads = role_gradients(monkeypatch, a, p, n, tau)
+        assert _same_bits(report.loss, loss), trial
+        assert _same_bits(report.mean_pos_sim, mean_pos) and _same_bits(report.mean_neg_sim, mean_neg), trial
+        assert all(_same_bits(g, r) for g, r in zip(grads, reference_grads, strict=True)), trial
+        as_float64 = [v.astype(np.float64) for v in (a, p, n)]
+        reference_loss = math.fsum(_reference_per_anchor_losses(_reference_logits(*as_float64, tau))) / batch
+        assert _same_bits(infonce_loss(*(list(v) for v in as_float64), tau=tau), reference_loss), trial
 
 
 # -- gradient vs finite differences -----------------------------------------------
@@ -497,7 +559,8 @@ def test_config_validation():
             TrainConfig(**values)
         assert err.value.code == code, values
     TrainConfig(peak_lr=0.0, min_lr=0.0, weight_decay=0.0)
-    for optimizer in ({"beta1": 1.0}, {"beta2": 1.0}, {"beta1": -0.1}, {"eps": 0.0}, {"eps": math.nan}):
+    for optimizer in ({"beta1": 1.0}, {"beta2": 1.0}, {"beta1": -0.1}, {"eps": 0.0}, {"eps": math.nan},
+                      {"eps": math.inf}):
         with pytest.raises(DataError) as err:
             TrainConfig(**optimizer)
         assert err.value.code == "E_BAD_OPTIMIZER", optimizer
@@ -512,6 +575,8 @@ def test_config_validation():
         ({"lora_dropout": 1.0}, "E_BAD_DROPOUT"),
         ({"lora_dropout": -0.5}, "E_BAD_DROPOUT"),
         ({"lora_dropout": math.nan}, "E_BAD_DROPOUT"),
+        ({"lora_alpha": math.inf}, "E_BAD_ALPHA"),
+        ({"lora_alpha": math.nan}, "E_BAD_ALPHA"),
     ]:
         with pytest.raises(DataError) as err:
             init_params(0, **{"vocab_size": 16, "d_emb": 2, "d_hid": 2, "d_out": 2, "lora_rank": 1, **encoder})
