@@ -57,9 +57,11 @@ def role_gradients(monkeypatch, a: np.ndarray, p: np.ndarray, n: np.ndarray, tau
     from minembed import trainer
 
     handed: list[np.ndarray] = []
-    monkeypatch.setattr(trainer, "_encode_roles", lambda batch, params, train_mode, seed: [(a, None), (p, None), (n, None)])
-    monkeypatch.setattr(trainer, "backward_batch", lambda grad, cache, params, grads: handed.append(grad))
     params = init_params(0, vocab_size=4, d_emb=2, d_hid=2, d_out=2, lora_rank=1)
     config = trainer.TrainConfig(temperature=tau, train_lora_only=True)
-    _, report = trainer.infonce_gradient([None] * len(a), params, config)
+    # The stubs are undone on return, so the caller's later steps run the real encoder.
+    with monkeypatch.context() as m:
+        m.setattr(trainer, "_encode_roles", lambda batch, params, train_mode, seed: [(a, None), (p, None), (n, None)])
+        m.setattr(trainer, "backward_batch", lambda grad, cache, params, grads: handed.append(grad))
+        _, report = trainer.infonce_gradient([None] * len(a), params, config)
     return report, tuple(handed)
