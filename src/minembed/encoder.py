@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -156,7 +157,8 @@ def init_params(
 class EncodeCache:
     """Intermediate activations kept for the backward pass."""
 
-    token_ids: list[list[int]]
+    token_table: np.ndarray  # row i: the ids text i's pooling averages, padded with id 0
+    token_counts: np.ndarray  # row i's ids before the padding
     pooled: np.ndarray
     mask1: np.ndarray
     mask2: np.ndarray
@@ -165,101 +167,99 @@ class EncodeCache:
     outputs: np.ndarray
 
 
+# The token ids each pooling averages: all of a text's, or only its last.
+_POOLED_TOKENS = {POOLING_MEAN: slice(None), POOLING_LAST: slice(-1, None)}
+
+
+def _token_table(texts: Sequence[str], params: EncoderParams) -> tuple[np.ndarray, np.ndarray]:
+    """Tokenize each text once; return the padded table of its pooled ids, and their counts."""
+    pooled_ids = [params.tokenizer(text)[_POOLED_TOKENS[params.pooling]] for text in texts]
+    counts = np.fromiter(map(len, pooled_ids), dtype=np.intp, count=len(pooled_ids))
+    if not counts.all():
+        i = int(np.argmin(counts))
+        raise DataError("E_EMPTY_TOKENS", f"text {i} produced no tokens: {texts[i]!r}")
+    table = np.zeros((len(counts), counts.max(initial=0)), dtype=np.intp)
+    table[_filled(table, counts)] = np.fromiter(chain.from_iterable(pooled_ids), dtype=np.intp, count=counts.sum())
+    return table, counts
+
+
+def _filled(table: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    # True at the table slots that hold a token, False at the padding.
+    return np.arange(table.shape[1]) < counts[:, None]
+
+
 def _dropout_masks(shape: tuple[int, int], p: float, rng: np.random.Generator) -> np.ndarray:
     # Inverted-scaling Bernoulli mask: kept units are divided by (1 - p).
     return (rng.random(shape) >= p) / (1.0 - p)
 
 
+def _adapted(x: np.ndarray, mask: np.ndarray, params: EncoderParams, layer: str) -> np.ndarray:
+    """Affine layer ``layer`` ("1" or "2") plus its adapter, applied to the dropout-masked input."""
+    t = params.tensors
+    adapter = t[f"lora_A{layer}"].T @ t[f"lora_B{layer}"].T
+    return x @ t[f"W{layer}"] + t[f"b{layer}"] + params.scale * ((x * mask) @ adapter)
+
+
+def _adapted_backward(
+    x: np.ndarray, mask: np.ndarray, grad_out: np.ndarray, params: EncoderParams, layer: str,
+    grads: dict[str, np.ndarray],
+) -> np.ndarray:
+    """Accumulate ``_adapted``'s gradients into the tensors ``grads`` holds; return d(loss)/d(x)."""
+    t, scale = params.tensors, params.scale
+    w, a, b = t[f"W{layer}"], t[f"lora_A{layer}"], t[f"lora_B{layer}"]
+    if f"W{layer}" in grads:
+        grads[f"W{layer}"] += x.T @ grad_out
+        grads[f"b{layer}"] += grad_out.sum(axis=0)
+    g = (x * mask).T @ grad_out
+    grads[f"lora_A{layer}"] += scale * (g @ b).T
+    grads[f"lora_B{layer}"] += scale * g.T @ a.T
+    return grad_out @ w.T + (scale * grad_out @ (a.T @ b.T).T) * mask
+
+
 def forward_batch(
-    texts: Sequence[str],
-    params: EncoderParams,
-    train_mode: bool = False,
-    seed: int = 0,
+    texts: Sequence[str], params: EncoderParams, train_mode: bool = False, seed: int = 0
 ) -> tuple[np.ndarray, EncodeCache]:
     """Encode texts with the params' pooling and keep activations for backpropagation."""
-    mean_pool = params.pooling == POOLING_MEAN
-    t = params.tensors
-    n = len(texts)
-    d_emb = t["E"].shape[1]
-    pooled = np.empty((n, d_emb))
-    token_ids: list[list[int]] = []
-    for i, text in enumerate(texts):
-        ids = params.tokenizer(text)
-        if not ids:
-            raise DataError("E_EMPTY_TOKENS", f"text {i} produced no tokens: {text!r}")
-        token_ids.append(ids)
-        rows = t["E"][ids]
-        pooled[i] = rows.mean(axis=0) if mean_pool else rows[-1]
+    table, counts = _token_table(texts, params)
+    rows = params.tensors["E"][table]
+    # A pad adds +0.0: it changes no sum, except that a sum of only -0.0 becomes +0.0.
+    rows[~_filled(table, counts)] = 0.0
+    pooled = rows.sum(axis=1) / counts[:, None]
 
+    shapes = (pooled.shape, (len(pooled), params.tensors["W1"].shape[1]))
     p = params.lora_dropout
     if train_mode and p > 0.0:
         rng = np.random.default_rng(seed)
-        mask1 = _dropout_masks((n, d_emb), p, rng)
-        mask2 = _dropout_masks((n, t["W1"].shape[1]), p, rng)
+        mask1, mask2 = (_dropout_masks(shape, p, rng) for shape in shapes)
     else:
-        mask1 = np.ones((n, d_emb))
-        mask2 = np.ones((n, t["W1"].shape[1]))
+        mask1, mask2 = (np.ones(shape) for shape in shapes)
 
-    scale = params.scale
-    adapter1 = t["lora_A1"].T @ t["lora_B1"].T
-    adapter2 = t["lora_A2"].T @ t["lora_B2"].T
-    pre_act = pooled @ t["W1"] + t["b1"] + scale * ((pooled * mask1) @ adapter1)
-    hidden = np.tanh(pre_act)
-    raw_out = hidden @ t["W2"] + t["b2"] + scale * ((hidden * mask2) @ adapter2)
+    hidden = np.tanh(_adapted(pooled, mask1, params, "1"))
+    raw_out = _adapted(hidden, mask2, params, "2")
     norms = np.linalg.norm(raw_out, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise NumericError("E_ZERO_VECTOR", "encoder produced a zero vector before normalization")
     outputs = raw_out / norms
-    cache = EncodeCache(
-        token_ids=token_ids, pooled=pooled, mask1=mask1, mask2=mask2, hidden=hidden, norms=norms, outputs=outputs
-    )
-    return outputs, cache
+    return outputs, EncodeCache(table, counts, pooled, mask1, mask2, hidden, norms, outputs)
 
 
 def backward_batch(
-    grad_outputs: np.ndarray,
-    cache: EncodeCache,
-    params: EncoderParams,
-    grads: dict[str, np.ndarray],
+    grad_outputs: np.ndarray, cache: EncodeCache, params: EncoderParams, grads: dict[str, np.ndarray]
 ) -> None:
     """Accumulate gradients, given d(loss)/d(normalized outputs), into the
     tensors ``grads`` holds: all of them, or only the adapters'."""
-    t = params.tensors
-    train_base = "E" in grads
-    scale = params.scale
-    y, norms = cache.outputs, cache.norms
+    y, norms, hidden = cache.outputs, cache.norms, cache.hidden
     # Through y = u / ||u||: project out the radial component, divide by norm.
     grad_u = (grad_outputs - (y * grad_outputs).sum(axis=1, keepdims=True) * y) / norms
-
-    hidden, hidden_d = cache.hidden, cache.hidden * cache.mask2
-    if train_base:
-        grads["W2"] += hidden.T @ grad_u
-        grads["b2"] += grad_u.sum(axis=0)
-    g2 = hidden_d.T @ grad_u
-    grads["lora_A2"] += scale * (g2 @ t["lora_B2"]).T
-    grads["lora_B2"] += scale * g2.T @ t["lora_A2"].T
-
-    adapter2 = t["lora_A2"].T @ t["lora_B2"].T
-    grad_hidden = grad_u @ t["W2"].T + (scale * grad_u @ adapter2.T) * cache.mask2
+    grad_hidden = _adapted_backward(hidden, cache.mask2, grad_u, params, "2", grads)
     grad_pre = grad_hidden * (1.0 - hidden * hidden)
-
-    pooled, pooled_d = cache.pooled, cache.pooled * cache.mask1
-    if train_base:
-        grads["W1"] += pooled.T @ grad_pre
-        grads["b1"] += grad_pre.sum(axis=0)
-    g1 = pooled_d.T @ grad_pre
-    grads["lora_A1"] += scale * (g1 @ t["lora_B1"]).T
-    grads["lora_B1"] += scale * g1.T @ t["lora_A1"].T
-
-    if train_base:
-        adapter1 = t["lora_A1"].T @ t["lora_B1"].T
-        grad_pooled = grad_pre @ t["W1"].T + (scale * grad_pre @ adapter1.T) * cache.mask1
-        mean_pool = params.pooling == POOLING_MEAN
-        for i, ids in enumerate(cache.token_ids):
-            if mean_pool:
-                np.add.at(grads["E"], ids, grad_pooled[i] / len(ids))
-            else:
-                grads["E"][ids[-1]] += grad_pooled[i]
+    grad_pooled = _adapted_backward(cache.pooled, cache.mask1, grad_pre, params, "1", grads)
+    if "E" in grads:
+        # Each pooled id gets its text's gradient over the count. One 1-D np.add.at on the
+        # flat (contiguous) buffer adds the shares in text order, which a repeated id needs.
+        table, counts, d_emb = cache.token_table, cache.token_counts, grad_pooled.shape[1]
+        flat = (table[_filled(table, counts)][:, None] * d_emb + np.arange(d_emb)).ravel()
+        np.add.at(grads["E"].reshape(-1), flat, np.repeat(grad_pooled / counts[:, None], counts, axis=0).ravel())
 
 
 def encode_batch(

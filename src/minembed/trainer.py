@@ -153,7 +153,14 @@ def infonce_loss(
         raise DataError("E_LENGTH_MISMATCH", "empty batch")
     if not 0.0 < tau < math.inf:  # also false for NaN
         raise DataError("E_BAD_TEMPERATURE", f"temperature must be finite and > 0, got {tau}")
-    a, p, n = (np.asarray(v, dtype=np.float64) for v in (anchors, positives, negatives))
+    try:
+        a, p, n = (np.asarray(v, dtype=np.float64) for v in (anchors, positives, negatives))
+    except (TypeError, ValueError) as exc:  # ragged widths, or values that are not numbers
+        raise DataError("E_SHAPE_MISMATCH", f"embeddings must be vectors of one width: {exc}") from None
+    if not (a.ndim == p.ndim == n.ndim == 2 and a.shape[1] == p.shape[1] == n.shape[1]):
+        raise DataError(
+            "E_SHAPE_MISMATCH", f"embeddings must be vectors of one width, got shapes {a.shape}, {p.shape}, {n.shape}"
+        )
     return _infonce(a, p, n, tau)[0].loss
 
 
@@ -342,6 +349,8 @@ def gradient_check(
     """
     if not 0.0 < h < math.inf:  # also false for NaN
         raise DataError("E_BAD_BATCH", f"h must be finite and > 0, got {h}")
+    if samples < 1:
+        raise DataError("E_BAD_SAMPLES", f"samples must be >= 1, got {samples}")
     if config is None:
         config = TrainConfig()
     grads, _ = infonce_gradient(batch, params, config, train_mode=True, seed=seed)

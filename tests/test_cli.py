@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -320,6 +321,8 @@ def test_eval_on_malformed_inputs_exits_two(tmp_path, capsys, case):
         ({"eps": math.inf}, "E_BAD_OPTIMIZER", 2, "eps finite and > 0"),
         ({"lora_alpha": math.inf}, "E_BAD_ALPHA", 2, "lora_alpha must be finite, got inf"),
         ({"lora_alpha": math.nan}, "E_BAD_ALPHA", 2, "got nan"),
+        # A config file's seed bypasses the --seed flag check, so TrainConfig rejects it.
+        ({"seed": -1}, "E_BAD_SEED", 2, "seed must be nonnegative, got -1"),
     ],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -433,10 +436,27 @@ def test_eval_qrels_and_sts(tmp_path, capsys):
 
 
 def test_eval_missing_embedding_exits_two(tmp_path, capsys):
-    corpus, trips, checkpoint, emb = run_pipeline(tmp_path)
+    emb = tmp_path / "e.cevx"
+    write_embeddings(emb, ["a", "b"], np.eye(2, dtype=np.float32))
     pairs = tmp_path / "pairs.tsv"
-    pairs.write_text("ghost-id\tpos::ghost-id\n", encoding="utf-8")
+    pairs.write_text("a\tb\nghost-id\tb\n", encoding="utf-8")
     assert run(["eval", "--embeddings", str(emb), "--pairs", str(pairs)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "E_MISSING_EMBEDDING: no embedding for id 'ghost-id'\n"
+
+
+def test_embed_zero_vector_exits_three(tmp_path, capsys):
+    # W2, b2 and lora_B2 all zero: every text encodes to the zero vector, which has no direction.
+    params = init_params(0, vocab_size=64, d_emb=4, d_hid=6, d_out=4, lora_rank=2)
+    for name in ("W2", "b2", "lora_B2"):
+        params.tensors[name][...] = 0.0
+    checkpoint, texts, out = tmp_path / "zero.cemb", tmp_path / "texts.txt", tmp_path / "e.cevx"
+    save_checkpoint(params, checkpoint)
+    texts.write_text("left atrium normal\n", encoding="utf-8")
+    assert run(["embed", "--checkpoint", str(checkpoint), "--texts", str(texts), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("E_ZERO_VECTOR: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_stats_command(tmp_path, capsys):
@@ -684,6 +704,14 @@ def test_report_tables_empty_report_is_header_only():
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_lists_every_error_code():
+    # Every code raised in the package, and E_USAGE, appears in the README as a whole word.
+    sources = (REPO_ROOT / "src" / "minembed").glob("*.py")
+    codes = {code for path in sources for code in re.findall(r'"(E_[A-Z_]+)"', path.read_text(encoding="utf-8"))}
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    assert sorted(c for c in codes | {"E_USAGE"} if not re.search(rf"\b{c}\b", readme)) == []
 
 
 def test_benchmark_tracing_hooks_find_their_functions(tmp_path):

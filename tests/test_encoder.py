@@ -13,6 +13,7 @@ from minembed.encoder import (
     POOLINGS,
     EncoderParams,
     Tokenizer,
+    backward_batch,
     encode_batch,
     fnv1a_64,
     forward_batch,
@@ -296,3 +297,116 @@ def test_tensor_file_roundtrip(tmp_path):
     assert list(loaded) == ["scalar", "matrix", "cube"]
     for name in tensors:
         assert np.array_equal(loaded[name], tensors[name])
+
+
+# -- the token-table encoder against the per-text reference ------------------------
+
+
+def reference_forward(texts, params, train_mode=False, seed=0):
+    """The encoder's forward pass as written before the token table: each text
+    tokenized and pooled in its own loop iteration, each layer spelled out."""
+    mean_pool = params.pooling == "mean"
+    t = params.tensors
+    n, d_emb = len(texts), t["E"].shape[1]
+    pooled = np.empty((n, d_emb))
+    token_ids = []
+    for i, text in enumerate(texts):
+        ids = params.tokenizer(text)
+        token_ids.append(ids)
+        rows = t["E"][ids]
+        pooled[i] = rows.mean(axis=0) if mean_pool else rows[-1]
+    p = params.lora_dropout
+    if train_mode and p > 0.0:
+        rng = np.random.default_rng(seed)
+        mask1 = (rng.random((n, d_emb)) >= p) / (1.0 - p)
+        mask2 = (rng.random((n, t["W1"].shape[1])) >= p) / (1.0 - p)
+    else:
+        mask1, mask2 = np.ones((n, d_emb)), np.ones((n, t["W1"].shape[1]))
+    scale = params.scale
+    adapter1 = t["lora_A1"].T @ t["lora_B1"].T
+    adapter2 = t["lora_A2"].T @ t["lora_B2"].T
+    hidden = np.tanh(pooled @ t["W1"] + t["b1"] + scale * ((pooled * mask1) @ adapter1))
+    raw_out = hidden @ t["W2"] + t["b2"] + scale * ((hidden * mask2) @ adapter2)
+    norms = np.linalg.norm(raw_out, axis=1, keepdims=True)
+    outputs = raw_out / norms
+    cache = dict(token_ids=token_ids, pooled=pooled, mask1=mask1, mask2=mask2, hidden=hidden, norms=norms,
+                 outputs=outputs)
+    return outputs, cache
+
+
+def reference_backward(grad_outputs, cache, params, grads):
+    """The backward pass as written before the token table, one ``E`` scatter per text."""
+    t = params.tensors
+    train_base = "E" in grads
+    scale = params.scale
+    y, norms = cache["outputs"], cache["norms"]
+    grad_u = (grad_outputs - (y * grad_outputs).sum(axis=1, keepdims=True) * y) / norms
+    hidden, hidden_d = cache["hidden"], cache["hidden"] * cache["mask2"]
+    if train_base:
+        grads["W2"] += hidden.T @ grad_u
+        grads["b2"] += grad_u.sum(axis=0)
+    g2 = hidden_d.T @ grad_u
+    grads["lora_A2"] += scale * (g2 @ t["lora_B2"]).T
+    grads["lora_B2"] += scale * g2.T @ t["lora_A2"].T
+    adapter2 = t["lora_A2"].T @ t["lora_B2"].T
+    grad_hidden = grad_u @ t["W2"].T + (scale * grad_u @ adapter2.T) * cache["mask2"]
+    grad_pre = grad_hidden * (1.0 - hidden * hidden)
+    pooled, pooled_d = cache["pooled"], cache["pooled"] * cache["mask1"]
+    if train_base:
+        grads["W1"] += pooled.T @ grad_pre
+        grads["b1"] += grad_pre.sum(axis=0)
+    g1 = pooled_d.T @ grad_pre
+    grads["lora_A1"] += scale * (g1 @ t["lora_B1"]).T
+    grads["lora_B1"] += scale * g1.T @ t["lora_A1"].T
+    if train_base:
+        adapter1 = t["lora_A1"].T @ t["lora_B1"].T
+        grad_pooled = grad_pre @ t["W1"].T + (scale * grad_pre @ adapter1.T) * cache["mask1"]
+        for i, ids in enumerate(cache["token_ids"]):
+            if params.pooling == "mean":
+                np.add.at(grads["E"], ids, grad_pooled[i] / len(ids))
+            else:
+                grads["E"][ids[-1]] += grad_pooled[i]
+
+
+def reference_texts(n: int, seed: int) -> list[str]:
+    """``n`` texts of 1 to 34 words from a 40-word list. The first repeats a
+    word within itself; the second is one token, and ends as the first does."""
+    words = [f"tok{k:02d}" for k in range(40)]
+    fixed = ["tok03 tok07 tok03 tok07", "tok07", " ".join(words[:30] + words[:4])]
+    rng = np.random.default_rng(seed)
+    return fixed[:n] + [" ".join(rng.choice(words, size=int(rng.integers(1, 35)))) for _ in range(n - 3)]
+
+
+def same_bits(x, y) -> bool:
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 128])
+@pytest.mark.parametrize("pooling", POOLINGS)
+def test_token_table_encoder_matches_per_text_reference(n, pooling):
+    params = replace(init_params(4, vocab_size=256, d_emb=16, d_hid=24, d_out=12, lora_rank=4, lora_alpha=8.0),
+                     pooling=pooling)
+    rng = np.random.default_rng(n)
+    for name in ("lora_B1", "lora_B2"):  # nonzero adapters, so dropout shows in every gradient
+        params.tensors[name] = rng.normal(0, 0.3, params.tensors[name].shape)
+    texts = reference_texts(n, seed=n)
+    token_ids = [params.tokenizer(text) for text in texts]
+    assert any(len(set(ids)) < len(ids) for ids in token_ids)  # repeats within a text
+    assert n == 1 or token_ids[0][-1] == token_ids[1][-1]  # and across texts, for both poolings
+    grad_outputs = rng.normal(0, 1, (n, 12))
+    for train_mode in (False, True):
+        outputs, cache = forward_batch(texts, params, train_mode, seed=9)
+        ref_outputs, ref_cache = reference_forward(texts, params, train_mode, seed=9)
+        assert same_bits(outputs, ref_outputs)
+        for name in ("pooled", "mask1", "mask2", "hidden", "norms"):
+            assert same_bits(getattr(cache, name), ref_cache[name]), name
+        for lora_only in (False, True):
+            names = params.trainable_names(lora_only)
+            grads = {name: np.zeros_like(params.tensors[name]) for name in names}
+            ref_grads = {name: np.zeros_like(params.tensors[name]) for name in names}
+            # Two passes into one buffer, as the three roles of a training step do.
+            for _ in range(2):
+                backward_batch(grad_outputs, cache, params, grads)
+                reference_backward(grad_outputs, ref_cache, params, ref_grads)
+            for name in names:
+                assert same_bits(grads[name], ref_grads[name]), (train_mode, lora_only, name)

@@ -349,6 +349,22 @@ def test_ndcg_matches_naive():
             assert abs(ndcg_at_10(ranks, task.qrels, gain) - naive_ndcg10(naive, task.qrels, gain)) <= 1e-9
 
 
+def test_unknown_gain_rejected():
+    rankings, qrels = rankings_with_single_relevant(3)
+    with pytest.raises(DataError) as err:
+        ndcg_at_10(rankings, qrels, gain="x")
+    assert err.value.code == "E_BAD_GAIN" and "'x'" in str(err.value)
+
+
+def test_cutoff_below_one_rejected():
+    rankings, gold = fixed_rankings()
+    graded, qrels = rankings_with_single_relevant(3)
+    for score in (lambda: accuracy_at_k(rankings, gold, 0), lambda: recall_at_k(graded, qrels, 0)):
+        with pytest.raises(DataError) as err:
+            score()
+        assert err.value.code == "E_BAD_K" and "got 0" in str(err.value)
+
+
 def test_recall_half_found():
     rankings = {"q": {"c0": 1, "c15": 16}}
     qrels = {("q", "c0"): 1, ("q", "c15"): 2}

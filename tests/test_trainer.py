@@ -108,6 +108,17 @@ def test_loss_validations():
         infonce_loss([], [], [], tau=0.1)
 
 
+@pytest.mark.parametrize("anchors, positives, negatives", [
+    ([np.ones(2)], [np.ones(3)], [np.ones(2)]),  # widths differ across roles
+    ([np.ones(2), np.ones(3)], [np.ones(2)] * 2, [np.ones(2)] * 2),  # and within one
+    ([1.0], [1.0], [1.0]),  # scalars, not vectors
+])
+def test_loss_rejects_inputs_that_are_not_vectors_of_one_width(anchors, positives, negatives):
+    with pytest.raises(DataError) as err:
+        infonce_loss(anchors, positives, negatives, tau=0.1)
+    assert err.value.code == "E_SHAPE_MISMATCH"
+
+
 def test_loss_permutation_invariant():
     rng = np.random.default_rng(17)
     n = 12
@@ -252,6 +263,17 @@ def test_gradient_check_rejects_a_step_that_is_not_finite_and_positive(small_par
         with pytest.raises(DataError) as err:
             gradient_check(small_params, make_batch(2, seed=3), h=h, samples=2, config=small_config())
         assert err.value.code == "E_BAD_BATCH", h
+
+
+def test_gradient_check_rejects_samples_below_one(small_params, monkeypatch):
+    # Rejected before any gradient is taken: 0 used to check nothing and report 0.0.
+    import minembed.trainer as trainer_mod
+
+    monkeypatch.setattr(trainer_mod, "infonce_gradient", lambda *args, **kwargs: pytest.fail("gradient taken"))
+    for samples in (0, -1):
+        with pytest.raises(DataError) as err:
+            gradient_check(small_params, make_batch(2, seed=3), samples=samples, config=small_config())
+        assert err.value.code == "E_BAD_SAMPLES" and f"got {samples}" in str(err.value)
 
 
 def test_finite_difference_error_curve_u_shaped(small_params):

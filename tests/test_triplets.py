@@ -113,6 +113,13 @@ def distant_records(n: int, source: str = "src") -> list[SentenceRecord]:
     return [record(f"{source}:{i}", f"sentence number {i} from {source}", source=source) for i in range(n)]
 
 
+@pytest.mark.parametrize("kwargs", [{"seed": -1}, {"min_index_distance": 0}])
+def test_bad_policy_rejected(kwargs):
+    with pytest.raises(DataError) as err:
+        NegativePolicy(**kwargs)
+    assert err.value.code == "E_BAD_POLICY" and f"got {next(iter(kwargs.values()))}" in str(err.value)
+
+
 def test_two_record_corpus_returns_the_other():
     records = distant_records(2)
     policy = NegativePolicy(min_index_distance=1, seed=0)
