@@ -11,11 +11,12 @@ freshly initialized encoder computes exactly the base-weight forward pass.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -54,6 +55,13 @@ def fnv1a_64(data: bytes) -> int:
     return h
 
 
+@functools.lru_cache(maxsize=None)
+def _token_hash(token: str) -> int:
+    # Memoized: a corpus repeats its tokens, so each distinct token string is hashed
+    # once, and the memo grows with the distinct tokens seen, not with the texts.
+    return fnv1a_64(token.encode("utf-8"))
+
+
 @dataclass(frozen=True)
 class Tokenizer:
     """Hash tokenizer: lowercase, split on non-alphanumeric runs, FNV-1a mod vocab."""
@@ -61,7 +69,7 @@ class Tokenizer:
     vocab_size: int = DEFAULT_VOCAB_SIZE
 
     def __call__(self, text: str) -> list[int]:
-        return [fnv1a_64(tok.encode("utf-8")) % self.vocab_size for tok in _TOKEN_RE.findall(text.lower())]
+        return [_token_hash(tok) % self.vocab_size for tok in _TOKEN_RE.findall(text.lower())]
 
 
 def tensor_shapes(vocab: int, d_emb: int, d_hid: int, d_out: int, rank: int) -> dict[str, tuple[int, ...]]:
@@ -171,9 +179,13 @@ class EncodeCache:
 _POOLED_TOKENS = {POOLING_MEAN: slice(None), POOLING_LAST: slice(-1, None)}
 
 
-def _token_table(texts: Sequence[str], params: EncoderParams) -> tuple[np.ndarray, np.ndarray]:
-    """Tokenize each text once; return the padded table of its pooled ids, and their counts."""
-    pooled_ids = [params.tokenizer(text)[_POOLED_TOKENS[params.pooling]] for text in texts]
+def _token_table(
+    texts: Sequence[str], params: EncoderParams, token_ids: Mapping[str, Sequence[int]] | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tokenize each text once, or look its ids up in ``token_ids``; return the
+    padded table of its pooled ids, and their counts."""
+    ids_of = params.tokenizer if token_ids is None else token_ids.__getitem__
+    pooled_ids = [ids_of(text)[_POOLED_TOKENS[params.pooling]] for text in texts]
     counts = np.fromiter(map(len, pooled_ids), dtype=np.intp, count=len(pooled_ids))
     if not counts.all():
         i = int(np.argmin(counts))
@@ -217,10 +229,19 @@ def _adapted_backward(
 
 
 def forward_batch(
-    texts: Sequence[str], params: EncoderParams, train_mode: bool = False, seed: int = 0
+    texts: Sequence[str],
+    params: EncoderParams,
+    train_mode: bool = False,
+    seed: int = 0,
+    *,
+    token_ids: Mapping[str, Sequence[int]] | None = None,
 ) -> tuple[np.ndarray, EncodeCache]:
-    """Encode texts with the params' pooling and keep activations for backpropagation."""
-    table, counts = _token_table(texts, params)
+    """Encode texts with the params' pooling and keep activations for backpropagation.
+
+    ``token_ids``, when given, maps each text to its ids under ``params.tokenizer``,
+    so a caller that encodes the same texts many times tokenizes each once.
+    """
+    table, counts = _token_table(texts, params, token_ids)
     rows = params.tensors["E"][table]
     # A pad adds +0.0: it changes no sum, except that a sum of only -0.0 becomes +0.0.
     rows[~_filled(table, counts)] = 0.0

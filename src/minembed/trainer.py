@@ -19,9 +19,11 @@ All arithmetic runs in double precision; checkpoints store float32.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -71,13 +73,30 @@ class TrainConfig:
             )
 
 
+# Elements AdamW updates per pass: the six arrays a pass touches (gradient,
+# both moments, parameter, two scratch) take 1.5 MB, so they stay in a 2 MB L2
+# cache across its dozen operations.
+_ADAMW_CHUNK = 1 << 15
+
+
 @dataclass
 class OptimizerState:
-    """AdamW first and second moments plus the step counter."""
+    """AdamW first and second moments plus the step counter.
+
+    ``scratch`` is two flat float64 buffers that every step reuses for its
+    temporaries, one chunk of rows at a time. It is working memory, not
+    state: nothing in it outlives a step.
+    """
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # A chunk is whole rows: _ADAMW_CHUNK elements' worth, or one row if a row is longer.
+        size = max([_ADAMW_CHUNK, *(m[0].size for m in self.m.values())])
+        self.scratch = (np.empty(size), np.empty(size))
 
 
 def init_optimizer_state(params: EncoderParams, lora_only: bool = False) -> OptimizerState:
@@ -170,11 +189,18 @@ def _role_seed(seed: int, role: int) -> int:
 
 
 def _encode_roles(
-    batch: Sequence[Triplet], params: EncoderParams, train_mode: bool, seed: int
+    batch: Sequence[Triplet],
+    params: EncoderParams,
+    train_mode: bool,
+    seed: int,
+    token_ids: Mapping[str, Sequence[int]] | None,
 ) -> list[tuple[np.ndarray, EncodeCache]]:
     """Forward the anchor, positive and negative texts, in that order."""
     roles = ([t.anchor_text for t in batch], [t.positive_text for t in batch], [t.negative_text for t in batch])
-    return [forward_batch(texts, params, train_mode, _role_seed(seed, role)) for role, texts in enumerate(roles)]
+    return [
+        forward_batch(texts, params, train_mode, _role_seed(seed, role), token_ids=token_ids)
+        for role, texts in enumerate(roles)
+    ]
 
 
 def batch_loss(
@@ -183,12 +209,25 @@ def batch_loss(
     config: TrainConfig,
     train_mode: bool = True,
     seed: int = 0,
+    *,
+    token_ids: Mapping[str, Sequence[int]] | None = None,
 ) -> BatchLossReport:
     """Forward-only loss evaluation (used by validation and gradient checks)."""
     if not batch:
         raise DataError("E_EMPTY_BATCH", "cannot evaluate an empty batch")
-    (a, _), (p, _), (n, _) = _encode_roles(batch, params, train_mode, seed)
+    (a, _), (p, _), (n, _) = _encode_roles(batch, params, train_mode, seed, token_ids)
     return _infonce(a, p, n, config.temperature)[0]
+
+
+def gradient_buffers(params: EncoderParams, lora_only: bool) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """One gradient buffer per trained tensor, and a flat float64 scratch as
+    long as the largest, which holds the squares the gradient norm sums.
+
+    The buffers are row-major whatever the tensors' layout: the ``E``
+    scatter writes through a flat view, and the norm sums in row order.
+    """
+    grads = {name: np.empty_like(params.tensors[name], order="C") for name in params.trainable_names(lora_only)}
+    return grads, np.empty(max(g.size for g in grads.values()))
 
 
 def infonce_gradient(
@@ -197,21 +236,34 @@ def infonce_gradient(
     config: TrainConfig,
     train_mode: bool = True,
     seed: int = 0,
+    *,
+    token_ids: Mapping[str, Sequence[int]] | None = None,
+    out: tuple[dict[str, np.ndarray], np.ndarray] | None = None,
 ) -> tuple[dict[str, np.ndarray], BatchLossReport]:
-    """Exact analytic gradient of the batch loss for every trained tensor."""
+    """Exact analytic gradient of the batch loss for every trained tensor.
+
+    ``token_ids`` is handed to ``forward_batch``. Without ``out`` the
+    gradient comes in fresh arrays. With it, ``out`` is a pair from
+    ``gradient_buffers``, which is zeroed, filled and returned.
+    """
     if not batch:
         raise DataError("E_EMPTY_BATCH", "cannot take gradients of an empty batch")
-    roles = _encode_roles(batch, params, train_mode, seed)
+    roles = _encode_roles(batch, params, train_mode, seed, token_ids)
     (a, _), (p, _), (n, _) = roles
     report, grad_sims = _infonce(a, p, n, config.temperature)
 
+    grads, squares = out if out is not None else gradient_buffers(params, config.train_lora_only)
+    for g in grads.values():
+        g.fill(0.0)
     # Chain rule through the sims: d_pos[i, j] = dL/d(a_i . p_j), d_neg[i] = dL/d(a_i . n_i).
     d_pos, d_neg = grad_sims[:, :-1], grad_sims[:, -1:]
-    grads = {name: np.zeros_like(params.tensors[name]) for name in params.trainable_names(config.train_lora_only)}
     for (_, cache), grad in zip(roles, (d_pos @ p + d_neg * n, d_pos.T @ a, d_neg * a)):
         backward_batch(grad, cache, params, grads)
 
-    report.grad_norm = math.sqrt(math.fsum(float(np.sum(g * g)) for g in grads.values()))
+    # g and its squares are both row-major, so .sum() adds them in the pairwise order of np.sum(g * g).
+    report.grad_norm = math.sqrt(math.fsum(
+        float(np.multiply(g, g, out=squares[: g.size].reshape(g.shape)).sum()) for g in grads.values()
+    ))
     return grads, report
 
 
@@ -239,7 +291,13 @@ def adamw_step(
     lr: float,
     config: TrainConfig,
 ) -> tuple[EncoderParams, OptimizerState]:
-    """One decoupled-weight-decay Adam update, in place."""
+    """One decoupled-weight-decay Adam update, in place.
+
+    Each tensor is updated a chunk of rows at a time, and each temporary is
+    written into ``state.scratch``, in the order of operations of
+    ``theta -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta)``. The update
+    is elementwise, so the chunks change no bit. ``grads`` is only read.
+    """
     tensors = params.tensors
     for name, grad in grads.items():
         if name not in state.m:
@@ -252,14 +310,23 @@ def adamw_step(
     correction1 = 1.0 - config.beta1**state.t
     correction2 = 1.0 - config.beta2**state.t
     for name, grad in grads.items():
-        m = state.m[name]
-        v = state.v[name]
-        m *= config.beta1
-        m += (1.0 - config.beta1) * grad
-        v *= config.beta2
-        v += (1.0 - config.beta2) * grad * grad
-        theta = tensors[name]
-        theta -= lr * ((m / correction1) / (np.sqrt(v / correction2) + config.eps) + config.weight_decay * theta)
+        rows = max(1, _ADAMW_CHUNK // grad[0].size)
+        for lo in range(0, len(grad), rows):
+            # Slices along the first axis are views, whatever the strides, so the updates land in place.
+            g, m, v, theta = (t[lo : lo + rows] for t in (grad, state.m[name], state.v[name], tensors[name]))
+            x, y = (buf[: g.size].reshape(g.shape) for buf in state.scratch)
+            m *= config.beta1
+            m += np.multiply(1.0 - config.beta1, g, out=x)
+            v *= config.beta2
+            np.multiply(1.0 - config.beta2, g, out=x)
+            v += np.multiply(x, g, out=x)
+            np.divide(m, correction1, out=x)
+            np.sqrt(np.divide(v, correction2, out=y), out=y)
+            y += config.eps
+            x /= y
+            x += np.multiply(config.weight_decay, theta, out=y)
+            x *= lr
+            theta -= x
     return params, state
 
 
@@ -267,14 +334,20 @@ def _epoch_batches(n: int, batch_size: int, perm: np.ndarray) -> list[np.ndarray
     return [perm[start : start + batch_size] for start in range(0, n, batch_size)]
 
 
-def evaluation_loss(triplets: Sequence[Triplet], params: EncoderParams, config: TrainConfig) -> float:
+def evaluation_loss(
+    triplets: Sequence[Triplet],
+    params: EncoderParams,
+    config: TrainConfig,
+    *,
+    token_ids: Mapping[str, Sequence[int]] | None = None,
+) -> float:
     """Mean per-anchor loss over a triplet set, dropout off, batched."""
     if not triplets:
         raise DataError("E_EMPTY_BATCH", "cannot evaluate an empty triplet set")
     losses: list[float] = []
     for start in range(0, len(triplets), config.batch_size):
         chunk = triplets[start : start + config.batch_size]
-        report = batch_loss(chunk, params, config, train_mode=False)
+        report = batch_loss(chunk, params, config, train_mode=False, token_ids=token_ids)
         losses.append(report.loss * len(chunk))
     return math.fsum(losses) / len(triplets)
 
@@ -290,6 +363,8 @@ def train(
 
     Writes ``epoch-<n>.cemb`` checkpoints and a per-step JSONL log when
     ``out_dir`` is given. Bit-deterministic for fixed inputs and config.
+    Each distinct text is tokenized once per run, and the gradient buffers
+    and AdamW scratch are allocated once and reused by every step.
     """
     if not triplets:
         raise DataError("E_NO_TRAIN_DATA", "no training triplets")
@@ -297,7 +372,11 @@ def train(
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
+    texts = ((t.anchor_text, t.positive_text, t.negative_text) for t in chain(triplets, val_triplets or ()))
+    # Stored as int64 arrays: a third of the memory of lists of Python ints.
+    token_ids = {text: array("q", params.tokenizer(text)) for text in dict.fromkeys(chain.from_iterable(texts))}
     state = init_optimizer_state(params, config.train_lora_only)
+    buffers = gradient_buffers(params, config.train_lora_only)
     steps_per_epoch = math.ceil(len(triplets) / config.batch_size)
     total_steps = steps_per_epoch * config.epochs
     reports: list[EpochReport] = []
@@ -309,7 +388,8 @@ def train(
         for batch_idx, chosen in enumerate(_epoch_batches(len(triplets), config.batch_size, perm)):
             batch = [triplets[i] for i in chosen]
             grads, report = infonce_gradient(
-                batch, params, config, train_mode=True, seed=_role_seed(config.seed, 3 + step)
+                batch, params, config, train_mode=True, seed=_role_seed(config.seed, 3 + step),
+                token_ids=token_ids, out=buffers,
             )
             if not math.isfinite(report.loss):
                 raise NumericError("E_NONFINITE_GRAD", f"non-finite loss at step {step}")
@@ -319,7 +399,7 @@ def train(
             log_rows.append({"step": step, "lr": lr, **vars(report)})
             step += 1
         mean_train = math.fsum(epoch_losses) / len(triplets)
-        val_loss = evaluation_loss(val_triplets, params, config) if val_triplets else None
+        val_loss = evaluation_loss(val_triplets, params, config, token_ids=token_ids) if val_triplets else None
         if val_loss is not None and not math.isfinite(val_loss):
             raise NumericError("E_NONFINITE_GRAD", f"non-finite validation loss in epoch {epoch}")
         checkpoint = None

@@ -61,7 +61,7 @@ def role_gradients(monkeypatch, a: np.ndarray, p: np.ndarray, n: np.ndarray, tau
     config = trainer.TrainConfig(temperature=tau, train_lora_only=True)
     # The stubs are undone on return, so the caller's later steps run the real encoder.
     with monkeypatch.context() as m:
-        m.setattr(trainer, "_encode_roles", lambda batch, params, train_mode, seed: [(a, None), (p, None), (n, None)])
+        m.setattr(trainer, "_encode_roles", lambda batch, params, train_mode, seed, token_ids: [(a, None), (p, None), (n, None)])
         m.setattr(trainer, "backward_batch", lambda grad, cache, params, grads: handed.append(grad))
         _, report = trainer.infonce_gradient([None] * len(a), params, config)
     return report, tuple(handed)

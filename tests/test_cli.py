@@ -342,6 +342,25 @@ def test_train_config_that_cannot_train_exits_cleanly(tmp_path, capsys, override
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("empty_in", [("train",), ("val",), ("train", "val")])
+def test_train_on_a_text_with_no_token_exits_two(tmp_path, capsys, empty_in):
+    # Row 6 (train) and row 9 (val) may each get a text with no letter or digit.
+    no_token = {"train": "!!! ...", "val": "?? -- ??"}
+    rows = [{**TRIPLET_ROW, "anchor_id": f"a{i}", "anchor_text": f"left atrium {i}",
+             "split": "train" if i < 8 else "val"} for i in range(10)]
+    for split in empty_in:
+        rows[6 if split == "train" else 9]["negative_text"] = no_token[split]
+    trips = tmp_path / "trips.jsonl"
+    trips.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["train", "--triplets", str(trips), "--config", str(small_train_config(tmp_path)),
+                "--out-dir", str(out), "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    # Training meets the train text first; a val text is met at the first validation.
+    assert re.fullmatch(rf"E_EMPTY_TOKENS: text \d+ produced no tokens: '{re.escape(no_token[empty_in[0]])}'\n", err)
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_train_on_empty_triplets_exits_two(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", encoding="utf-8")

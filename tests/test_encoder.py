@@ -21,6 +21,7 @@ from minembed.encoder import (
     load_checkpoint,
     save_checkpoint,
 )
+from minembed.encoder import _token_hash
 from minembed.errors import DataError
 from minembed.storage import read_tensors, write_tensors
 
@@ -67,6 +68,15 @@ def test_tokenize_case_insensitive_and_stable():
     tok = Tokenizer()
     assert tok("ATRIAL Fibrillation") == tok("atrial fibrillation")
     assert Tokenizer(vocab_size=64)("atrial") == [reference_fnv1a_64(b"atrial") % 64]
+
+
+@pytest.mark.parametrize("token", ["Atrial", "ÉCHO", "naïve", "straße", "Ωmega", "心房", "x"])
+def test_memoized_token_hash_matches_fnv1a(token):
+    # Asked twice, so the second answer comes from the memo.
+    for _ in range(2):
+        for vocab in (64, 16384):
+            assert _token_hash(token) % vocab == fnv1a_64(token.encode("utf-8")) % vocab
+    assert Tokenizer(vocab_size=64)(token) == [reference_fnv1a_64(token.lower().encode("utf-8")) % 64]
 
 
 # -- forward pass ----------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minembed.encoder import init_params
+from minembed.encoder import TENSOR_NAMES, init_params
 from minembed.errors import DataError, NumericError
 from minembed.trainer import (
     OptimizerState,
@@ -17,6 +17,7 @@ from minembed.trainer import (
     adamw_step,
     batch_loss,
     evaluation_loss,
+    gradient_buffers,
     gradient_check,
     infonce_gradient,
     infonce_loss,
@@ -320,6 +321,17 @@ def test_gradient_structure_at_b_zero(small_params):
     assert np.max(np.abs(grads["lora_B2"])) > 0.0
 
 
+def test_gradient_does_not_depend_on_the_layout_of_e(small_params):
+    # A column-major E once got zeros_like buffers of its layout, whose flat view
+    # was a copy, so the E scatter was lost and E's gradient came back zero.
+    batch = make_batch(4, seed=6)
+    row_major, _ = infonce_gradient(batch, small_params, small_config(), train_mode=False)
+    small_params.tensors["E"] = np.asfortranarray(small_params.tensors["E"])
+    column_major, _ = infonce_gradient(batch, small_params, small_config(), train_mode=False)
+    assert np.any(row_major["E"] != 0.0)
+    assert all(_same_bits(row_major[n], column_major[n]) for n in row_major)
+
+
 def test_gradient_lora_only_restricts_tensors(small_params):
     batch = make_batch(3, seed=7)
     grads, _ = infonce_gradient(batch, small_params, small_config(train_lora_only=True))
@@ -494,6 +506,92 @@ def test_adamw_matches_multistep_reference():
         assert params.tensors["W1"][0, 0] == pytest.approx(theta_ref, rel=1e-12)
 
 
+def reference_adamw_step(params, grads, state, lr, config):
+    """The update as it was written before it ran on scratch buffers; the bits to match."""
+    state.t += 1
+    correction1 = 1.0 - config.beta1**state.t
+    correction2 = 1.0 - config.beta2**state.t
+    for name, grad in grads.items():
+        m = state.m[name]
+        v = state.v[name]
+        m *= config.beta1
+        m += (1.0 - config.beta1) * grad
+        v *= config.beta2
+        v += (1.0 - config.beta2) * grad * grad
+        theta = params.tensors[name]
+        theta -= lr * ((m / correction1) / (np.sqrt(v / correction2) + config.eps) + config.weight_decay * theta)
+
+
+def reference_grad_norm(grads) -> float:
+    return math.sqrt(math.fsum(float(np.sum(g * g)) for g in grads.values()))
+
+
+@pytest.mark.parametrize("lora_only", [False, True])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+@pytest.mark.parametrize("direct_state", [False, True])
+@pytest.mark.parametrize("chunk", [None, 20])
+def test_in_place_adamw_matches_reference_bit_for_bit(
+    small_params, monkeypatch, lora_only, weight_decay, direct_state, chunk
+):
+    config = small_config(weight_decay=weight_decay, train_lora_only=lora_only)
+    params, ref_params = small_params, small_params.copy()
+    if chunk is not None:
+        import minembed.trainer as trainer_mod
+
+        # Many chunks per tensor, partial last chunks, rows (W1's 24) longer than a chunk,
+        # and column-major tensors, which a chunk of rows must update in place.
+        monkeypatch.setattr(trainer_mod, "_ADAMW_CHUNK", chunk)
+        for p in (params, ref_params):
+            for name in ("W1", "lora_B1"):
+                p.tensors[name] = np.asfortranarray(p.tensors[name])
+    names = params.trainable_names(lora_only)
+    if direct_state:
+        state = OptimizerState(m={n: np.zeros_like(params.tensors[n]) for n in names},
+                               v={n: np.zeros_like(params.tensors[n]) for n in names})
+    else:
+        state = init_optimizer_state(params, lora_only)
+    ref_state = OptimizerState(m={n: m.copy() for n, m in state.m.items()}, v={n: v.copy() for n, v in state.v.items()})
+    buffers, squares = gradient_buffers(params, lora_only)
+    for g in buffers.values():
+        g.fill(np.nan)  # stale values must not leak in
+    for step in range(6):
+        batch = make_batch(6, seed=step)
+        ref_grads, ref_report = infonce_gradient(batch, ref_params, config, seed=step)
+        grads, report = infonce_gradient(batch, params, config, seed=step, out=(buffers, squares))
+        assert grads is buffers and sorted(grads) == sorted(names)
+        assert all(_same_bits(grads[n], ref_grads[n]) for n in names)
+        assert _same_bits(report.grad_norm, reference_grad_norm(ref_grads))
+        assert _same_bits(ref_report.grad_norm, report.grad_norm)
+        adamw_step(params, grads, state, lr=5e-2, config=config)
+        reference_adamw_step(ref_params, ref_grads, ref_state, lr=5e-2, config=config)
+        assert state.t == ref_state.t == step + 1
+        for name in TENSOR_NAMES:
+            assert _same_bits(params.tensors[name], ref_params.tensors[name]), (step, name)
+        for name in names:
+            assert _same_bits(state.m[name], ref_state.m[name]) and _same_bits(state.v[name], ref_state.v[name])
+    assert not _same_bits(params.tensors["lora_B1"], np.zeros_like(params.tensors["lora_B1"]))
+
+
+def test_reused_buffers_do_not_leak_to_other_callers(small_params, tmp_path):
+    batch = make_batch(4, seed=3)
+    config = small_config()
+    first, _ = infonce_gradient(batch, small_params, config)
+    second, _ = infonce_gradient(batch, small_params, config)
+    assert all(not np.shares_memory(first[n], second[n]) for n in first)
+
+    state = init_optimizer_state(small_params)
+    before = {n: g.copy() for n, g in first.items()}
+    for _ in range(2):
+        adamw_step(small_params, first, state, lr=1e-2, config=config)
+    assert all(_same_bits(first[n], before[n]) for n in first)
+
+    check_params = init_params(5, vocab_size=512, d_emb=16, d_hid=24, d_out=12, lora_rank=4, pooling="mean")
+    check_batch = make_batch(4, seed=8)
+    before_train = gradient_check(check_params, check_batch, samples=30, config=config, seed=2)
+    small_toy_run(tmp_path)
+    assert gradient_check(check_params, check_batch, samples=30, config=config, seed=2) == before_train
+
+
 # -- train loop --------------------------------------------------------------------
 
 
@@ -548,6 +646,20 @@ def test_train_rejects_empty():
     with pytest.raises(DataError) as err:
         train([], params, TrainConfig())
     assert err.value.code == "E_NO_TRAIN_DATA"
+
+
+def test_train_tokenizes_each_distinct_text_once(tmp_path, monkeypatch):
+    from minembed import encoder
+
+    calls = []
+    tokenize = encoder.Tokenizer.__call__
+    monkeypatch.setattr(encoder.Tokenizer, "__call__", lambda self, text: calls.append(text) or tokenize(self, text))
+    train_set = make_batch(12, seed=4)
+    val_set = make_batch(5, seed=5) + train_set[:3]  # val texts of their own, and some shared with train
+    train(train_set, init_params(2, vocab_size=512, d_emb=16, d_hid=24, d_out=12, lora_rank=4, pooling="mean"),
+          small_config(epochs=3), val_triplets=val_set, out_dir=tmp_path)
+    distinct = {text for t in train_set + val_set for text in (t.anchor_text, t.positive_text, t.negative_text)}
+    assert len(calls) == len(distinct) and set(calls) == distinct
 
 
 def test_train_lora_only_freezes_base(tmp_path):
