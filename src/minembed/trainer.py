@@ -375,6 +375,10 @@ def train(
     texts = ((t.anchor_text, t.positive_text, t.negative_text) for t in chain(triplets, val_triplets or ()))
     # Stored as int64 arrays: a third of the memory of lists of Python ints.
     token_ids = {text: array("q", params.tokenizer(text)) for text in dict.fromkeys(chain.from_iterable(texts))}
+    # Fail before step 0, not when a batch holding the text is encoded.
+    for i, (text, ids) in enumerate(token_ids.items()):
+        if not ids:
+            raise DataError("E_EMPTY_TOKENS", f"text {i} produced no tokens: {text!r}")
     state = init_optimizer_state(params, config.train_lora_only)
     buffers = gradient_buffers(params, config.train_lora_only)
     steps_per_epoch = math.ceil(len(triplets) / config.batch_size)

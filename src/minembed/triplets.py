@@ -12,13 +12,17 @@ Hard negatives are sampled from corpus locations at least
 
 from __future__ import annotations
 
-import contextlib
 import json
+import os
+import selectors
 import shlex
 import subprocess
+import time
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from json.encoder import encode_basestring
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -36,8 +40,26 @@ _MIN_WORDS_AFTER_DROP = 8
 
 SPLIT_SEED_TAGS = {"train": 0, "val": 1, "test": 2}
 
-# Seconds a provider may take to exit once its stdin is closed; then it is killed.
+# Seconds a provider may take to exit once its stdin is closed; then it is
+# killed. A provider that closes its own stdin gets as long to answer the
+# requests it has read.
 PROVIDER_EXIT_GRACE_S = 10.0
+# Seconds to wait for the next answer byte while a call waits on the
+# provider; then it is killed and the run fails with E_PROVIDER_TIMEOUT.
+PROVIDER_RESPONSE_TIMEOUT_S = 60.0
+# Request bytes written ahead of their answers, at most. More are queued
+# only once fewer than half this many are in flight, so requests go out
+# in batches of at least half the limit rather than one per answer.
+_MAX_IN_FLIGHT_BYTES = 32 * 1024
+# Seconds a call that finds no answer, and nothing to write, lets the
+# provider run before it waits on the pipe. Waking on every answer line
+# cost the client and the provider a context switch per answer: on the
+# benchmark's provider (7.7k answers, 2-vCPU x86-64 host) the pause cut
+# the client's wake-ups from about 4,200 to 300 and the paraphrase CPU of
+# both processes by a fifth. A slow provider pays one extra timer
+# wake-up per answer.
+_ANSWER_BATCH_WAIT_S = 0.0005
+_READ_CHUNK_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -85,44 +107,153 @@ def fallback_paraphrase(text: str) -> str:
 class SubprocessProvider:
     """Paraphrase provider backed by a line-JSON subprocess.
 
-    The command is spawned once; each call writes one request object to its
-    stdin and reads one response object from its stdout.
+    The command is spawned once. Each call returns the answer to one
+    request, and answers are taken in request order. Texts announced with
+    ``expect`` are written ahead of their calls, at most
+    ``_MAX_IN_FLIGHT_BYTES`` of them unanswered, so the provider works
+    through a backlog instead of waking once per call. One selector loop
+    writes requests to the non-blocking stdin and reads the raw stdout in
+    chunks, so a full pipe cannot deadlock the two processes, and a stuck
+    provider fails the run after ``PROVIDER_RESPONSE_TIMEOUT_S``.
     """
 
     def __init__(self, command: str) -> None:
         self.command = command
         try:
             self._proc = subprocess.Popen(
-                shlex.split(command),
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
+                shlex.split(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
             )
         except OSError as exc:
             raise DataError("E_PROVIDER_UNAVAILABLE", f"cannot start provider {command!r}: {exc}") from exc
+        self._stdin, self._stdout = self._proc.stdin.fileno(), self._proc.stdout.fileno()
+        os.set_blocking(self._stdin, False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._stdout, selectors.EVENT_READ)
+        # Registered for reading, the write end reports only an error: the
+        # provider closed its stdin. It is watched for writing while
+        # request bytes wait to go out.
+        self._selector.register(self._stdin, selectors.EVENT_READ)
+        self._calls: deque[str] = deque()  # announced texts whose call has not come
+        self._unsent: deque[bytes] = deque()  # announced requests not yet queued for writing
+        self._out = bytearray()  # queued request bytes the pipe has not taken
+        self._sizes: deque[int] = deque()  # the size of each queued request not yet answered
+        self._in_flight = 0  # their sum
+        self._partial = b""  # answer bytes after the last newline read
+        self._answers: deque[bytes] = deque()  # answer lines no call has taken
+        self._eof = False
+        # Once the provider has closed its stdin: when the answers still due are given up.
+        self._stdin_closed_by: float | None = None
+
+    def expect(self, texts: Iterable[str]) -> None:
+        """Announce the texts the next calls will request, in call order, so
+        their requests can be written before the calls come."""
+        for text in texts:
+            self._calls.append(text)
+            # The bytes of json.dumps({"text": text}, ensure_ascii=False) and a newline.
+            self._unsent.append(f'{{"text": {encode_basestring(text)}}}\n'.encode("utf-8"))
 
     def __call__(self, text: str) -> str:
-        proc = self._proc
-        if proc.poll() is not None:
-            raise DataError("E_PROVIDER_UNAVAILABLE", f"provider {self.command!r} exited")
+        if not self._calls:
+            self.expect([text])
+        if self._calls[0] != text:
+            raise ValueError(f"provider called for {text!r}, but {self._calls[0]!r} was announced next")
+        self._calls.popleft()
+        if not self._answers:
+            deadline = time.monotonic() + PROVIDER_RESPONSE_TIMEOUT_S
+            while not self._answers:
+                deadline = self._pump(deadline)
+        line = self._answers.popleft()
         try:
-            proc.stdin.write(json.dumps({"text": text}, ensure_ascii=False) + "\n")
-            proc.stdin.flush()
-            line = proc.stdout.readline()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DataError("E_PROVIDER_UNAVAILABLE", f"provider pipe failed: {exc}") from exc
-        if not line:
-            raise DataError("E_PROVIDER_UNAVAILABLE", f"provider {self.command!r} closed its stream")
-        try:
-            return typed_value(json.loads(line), "paraphrase", str)
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            return typed_value(json.loads(line.decode("utf-8")), "paraphrase", str)
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
             raise DataError("E_PROVIDER_UNAVAILABLE", f"malformed provider response: {line!r}") from exc
 
+    def _pump(self, deadline: float) -> float:
+        """One round of the selector loop: queue requests, then write and read
+        what the pipes take, waiting at most until ``deadline`` for either.
+        Returns the deadline, moved on by any answer byte."""
+        if self._eof:
+            raise DataError("E_PROVIDER_UNAVAILABLE", f"provider {self.command!r} closed its stream")
+        if self._stdin_closed_by is None:
+            self._queue_requests()
+            self._selector.modify(self._stdin, selectors.EVENT_WRITE if self._out else selectors.EVENT_READ)
+        if not self._out:
+            time.sleep(_ANSWER_BATCH_WAIT_S)
+        until = deadline if self._stdin_closed_by is None else min(deadline, self._stdin_closed_by)
+        for key, _ in self._selector.select(max(0.0, until - time.monotonic())):
+            if key.fd == self._stdout:
+                self._take(os.read(self._stdout, _READ_CHUNK_BYTES))
+                deadline = time.monotonic() + PROVIDER_RESPONSE_TIMEOUT_S
+            elif self._out:
+                try:
+                    del self._out[: os.write(self._stdin, self._out)]
+                except BlockingIOError:
+                    pass
+                except BrokenPipeError:
+                    self._close_stdin()
+            else:
+                self._close_stdin()
+        if self._answers or self._eof:
+            return deadline
+        now = time.monotonic()
+        if now >= deadline:
+            self._proc.kill()
+            self._proc.wait()
+            raise DataError(
+                "E_PROVIDER_TIMEOUT",
+                f"provider {self.command!r} sent nothing for {PROVIDER_RESPONSE_TIMEOUT_S:g} s "
+                f"with {len(self._sizes) + len(self._unsent)} requests unanswered",
+            )
+        if self._stdin_closed_by is not None and now >= self._stdin_closed_by:
+            raise DataError(
+                "E_PROVIDER_UNAVAILABLE",
+                f"provider {self.command!r} closed its stdin with {len(self._sizes) + len(self._unsent)} "
+                "requests unanswered",
+            )
+        return deadline
+
+    def _queue_requests(self) -> None:
+        # Refill only below half the limit, so requests go out in batches;
+        # a request longer than the limit goes out alone.
+        if self._in_flight >= _MAX_IN_FLIGHT_BYTES // 2:
+            return
+        while self._unsent:
+            if self._in_flight and self._in_flight + len(self._unsent[0]) > _MAX_IN_FLIGHT_BYTES:
+                break
+            request = self._unsent.popleft()
+            self._out += request
+            self._sizes.append(len(request))
+            self._in_flight += len(request)
+
+    def _take(self, chunk: bytes) -> None:
+        # Split the answer lines off the stream; at end of stream, a last
+        # line without its newline is an answer too.
+        if not chunk:
+            self._eof = True
+            chunk = b"\n" if self._partial else b""
+        *lines, self._partial = (self._partial + chunk).split(b"\n")
+        for line in lines:
+            self._answers.append(line)
+            if self._sizes:
+                self._in_flight -= self._sizes.popleft()
+
+    def _close_stdin(self) -> None:
+        # The provider closed its stdin: nothing more can be sent, and the
+        # requests it has read get PROVIDER_EXIT_GRACE_S to be answered.
+        self._selector.unregister(self._stdin)
+        self._proc.stdin.close()
+        self._out.clear()
+        self._stdin_closed_by = time.monotonic() + PROVIDER_EXIT_GRACE_S
+
     def close(self) -> None:
+        """Close the provider's stdin and reap it. A provider with requests
+        still due is killed at once; any other gets PROVIDER_EXIT_GRACE_S
+        to exit before it is killed."""
         proc = self._proc
-        with contextlib.suppress(BrokenPipeError):  # it closed its stdin before a request was sent
-            proc.stdin.close()
+        self._selector.close()
+        proc.stdin.close()
+        if self._calls or self._sizes:
+            proc.kill()
         try:
             proc.wait(timeout=PROVIDER_EXIT_GRACE_S)
         except subprocess.TimeoutExpired:
@@ -264,8 +395,14 @@ def _paraphrase_all(records: Sequence[SentenceRecord], provider: ParaphraseProvi
     The requests go out back to back, before any negative sampling: a
     subprocess provider woken between the sampler's CPU bursts instead
     used about 1.6x the CPU time for the same requests (7.7k anchors,
-    2-vCPU x86-64 host).
+    2-vCPU x86-64 host). A provider with an ``expect`` method, such as
+    ``SubprocessProvider``, is first told the texts its calls will
+    request: those of the anchors with text, as ``generate_positive``
+    sends no other.
     """
+    expect = getattr(provider, "expect", None)
+    if expect is not None:
+        expect(r.text for r in records if r.text)
 
     def one(record: SentenceRecord) -> str | DataError:
         try:

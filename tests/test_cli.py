@@ -342,23 +342,45 @@ def test_train_config_that_cannot_train_exits_cleanly(tmp_path, capsys, override
     assert not out.exists() or not any(out.iterdir())
 
 
-@pytest.mark.parametrize("empty_in", [("train",), ("val",), ("train", "val")])
-def test_train_on_a_text_with_no_token_exits_two(tmp_path, capsys, empty_in):
+NO_TOKEN = {"train": "!!! ...", "val": "?? -- ??"}
+
+
+def triplets_with_no_token_text(tmp_path, empty_in):
     # Row 6 (train) and row 9 (val) may each get a text with no letter or digit.
-    no_token = {"train": "!!! ...", "val": "?? -- ??"}
     rows = [{**TRIPLET_ROW, "anchor_id": f"a{i}", "anchor_text": f"left atrium {i}",
              "split": "train" if i < 8 else "val"} for i in range(10)]
     for split in empty_in:
-        rows[6 if split == "train" else 9]["negative_text"] = no_token[split]
+        rows[6 if split == "train" else 9]["negative_text"] = NO_TOKEN[split]
     trips = tmp_path / "trips.jsonl"
     trips.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
-    out = tmp_path / "out"
+    return trips
+
+
+@pytest.mark.parametrize("empty_in", [("train",), ("val",), ("train", "val")])
+def test_train_on_a_text_with_no_token_exits_two(tmp_path, capsys, empty_in):
+    trips, out = triplets_with_no_token_text(tmp_path, empty_in), tmp_path / "out"
     assert run(["train", "--triplets", str(trips), "--config", str(small_train_config(tmp_path)),
                 "--out-dir", str(out), "--seed", "1"]) == 2
     err = capsys.readouterr().err
-    # Training meets the train text first; a val text is met at the first validation.
-    assert re.fullmatch(rf"E_EMPTY_TOKENS: text \d+ produced no tokens: '{re.escape(no_token[empty_in[0]])}'\n", err)
+    # Every text is checked before step 0, the train texts before the val texts.
+    assert re.fullmatch(rf"E_EMPTY_TOKENS: text \d+ produced no tokens: '{re.escape(NO_TOKEN[empty_in[0]])}'\n", err)
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_train_rejects_a_val_text_with_no_token_before_step_zero(tmp_path, capsys, monkeypatch):
+    import minembed.trainer as trainer_mod
+
+    calls = []
+    real = trainer_mod.infonce_gradient
+    monkeypatch.setattr(trainer_mod, "infonce_gradient", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    trips = triplets_with_no_token_text(tmp_path, ("val",))
+    assert run(["train", "--triplets", str(trips), "--config", str(small_train_config(tmp_path)),
+                "--out-dir", str(tmp_path / "out"), "--seed", "1"]) == 2
+    # The index counts the run's distinct texts: the train rows hold 10 (8
+    # anchors, one shared positive and negative), then come the val anchors
+    # of rows 8 and 9, then row 9's negative.
+    assert capsys.readouterr().err == f"E_EMPTY_TOKENS: text 12 produced no tokens: '{NO_TOKEN['val']}'\n"
+    assert calls == []
 
 
 def test_train_on_empty_triplets_exits_two(tmp_path):
@@ -531,6 +553,57 @@ def test_triplets_kills_a_provider_that_lingers_after_eof(tmp_path, monkeypatch)
                 "--provider", f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"]) == 0
     assert time.monotonic() - started < 10
     assert len(read_jsonl(out)) == len(read_jsonl(corpus))
+
+
+def provider_script(tmp_path, body):
+    """A provider command running the Python ``body``. A shell writes the
+    provider's pid to the returned file before Python starts, so a test can
+    check that the provider is gone."""
+    script, pid_file = tmp_path / "provider.py", tmp_path / "provider.pid"
+    script.write_text(f"import json, os, sys, time\n{body}\n", encoding="utf-8")
+    python = f"exec {shlex.quote(sys.executable)} {shlex.quote(str(script))}"
+    return f"sh -c {shlex.quote(f'echo $$ > {shlex.quote(str(pid_file))}; {python}')}", pid_file
+
+
+def assert_reaped(pid_file):
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
+
+
+def test_triplets_times_out_on_a_provider_that_never_answers(tmp_path, capsys, monkeypatch):
+    import minembed.triplets as triplets_mod
+
+    monkeypatch.setattr(triplets_mod, "PROVIDER_RESPONSE_TIMEOUT_S", 0.3)
+    provider, pid_file = provider_script(tmp_path, "for line in sys.stdin: pass")  # reads, never answers
+    docs, corpus, out = write_docs(tmp_path, n_per_cluster=5), tmp_path / "corpus.jsonl", tmp_path / "trips.jsonl"
+    assert run(["prepare", "--in", str(docs), "--out", str(corpus), "--seed", "1"]) == 0
+    capsys.readouterr()
+    started = time.monotonic()
+    assert run(["triplets", "--corpus", str(corpus), "--out", str(out), "--min-distance", "1", "--seed", "1",
+                "--provider", provider]) == 2
+    assert time.monotonic() - started < 10
+    err = capsys.readouterr().err
+    assert err.startswith("E_PROVIDER_TIMEOUT: ") and "Traceback" not in err
+    assert not out.exists() and not Path(f"{out}.meta.json").exists()
+    assert_reaped(pid_file)
+
+
+@pytest.mark.parametrize("body, code", [
+    ("for line in sys.stdin: print(json.dumps({'paraphrase': json.loads(line)['text'][::-1]}), flush=True)", 0),
+    # Fails on its first answer, then lingers with requests unanswered.
+    ("sys.stdin.readline(); print('not json', flush=True); time.sleep(15)", 2),
+], ids=["answers", "fails-and-lingers"])
+def test_triplets_leaves_no_provider_running(tmp_path, body, code):
+    # The exit grace stays at its default: a provider with requests still
+    # due is killed at once, not after the grace.
+    provider, pid_file = provider_script(tmp_path, body)
+    docs, corpus, out = write_docs(tmp_path, n_per_cluster=5), tmp_path / "corpus.jsonl", tmp_path / "trips.jsonl"
+    assert run(["prepare", "--in", str(docs), "--out", str(corpus), "--seed", "1"]) == 0
+    started = time.monotonic()
+    assert run(["triplets", "--corpus", str(corpus), "--out", str(out), "--min-distance", "1", "--seed", "1",
+                "--provider", provider]) == code
+    assert time.monotonic() - started < 5
+    assert_reaped(pid_file)
 
 
 def test_gradcheck_command(tmp_path, capsys):
@@ -762,6 +835,10 @@ def test_benchmark_tracing_hooks_find_their_functions(tmp_path):
         "triplets": (["triplets", "--corpus", str(corpus), "--out", str(built), "--min-distance", "20",
                       "--seed", "0"],
                      {"triplets.generate_positive", "triplets.sample_hard_negative"}),
+        "triplets-provider": (["triplets", "--corpus", str(corpus), "--out", str(tmp_path / "provided.jsonl"),
+                               "--min-distance", "20", "--seed", "0", "--provider",
+                               f"{shlex.quote(sys.executable)} {shlex.quote(str(REPO_ROOT / 'perfbench' / 'provider.py'))}"],
+                              {"triplets.generate_positive", "triplets.sample_hard_negative"}),
         "train": (["train", "--triplets", str(trips), "--config", str(config),
                    "--out-dir", str(tmp_path / "out"), "--seed", "0"],
                   {"trainer.forward_batch", "trainer.backward_batch", "trainer.infonce_gradient",
@@ -792,6 +869,12 @@ def test_benchmark_tracing_hooks_find_their_functions(tmp_path):
             skipped = json.loads(Path(f"{built}.meta.json").read_text())["config"]["skipped_negative"]
             assert skipped > 0  # 30 records a split: anchors 10-19 have no record 20 away
             assert data["counts"]["triplets.negative_calls"] == len(read_jsonl(built)) + skipped
+        elif stage == "triplets-provider":
+            # The benchmark provider never gives a degenerate answer: one
+            # request per anchor with text, and one negative draw per request.
+            with_text = sum(1 for row in read_jsonl(corpus) if row["text"])
+            assert data["counts"]["triplets.paraphrase_calls"] == with_text
+            assert data["counts"]["triplets.negative_calls"] == with_text
         elif stage == "train":
             assert data["counts"]["trainer.steps"] == 2  # 8 train rows, batch size 4
         elif stage == "embed":

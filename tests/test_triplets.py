@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import shlex
+import subprocess
 import sys
 from collections.abc import Sequence
 
@@ -12,6 +15,7 @@ from minembed.corpus import SentenceRecord
 from minembed.errors import DataError
 from minembed.storage import read_jsonl, write_jsonl
 from minembed.triplets import (
+    _MAX_IN_FLIGHT_BYTES,
     FALLBACK_STOPWORDS,
     NegativePolicy,
     SubprocessProvider,
@@ -104,6 +108,69 @@ def test_subprocess_provider_malformed_response():
         with pytest.raises(DataError) as err:
             provider("text")
         assert err.value.code == "E_PROVIDER_UNAVAILABLE"
+
+
+class OneRequestAtATimeProvider:
+    """The subprocess client before requests were pipelined: each call
+    writes one request, then blocks on reading its answer line."""
+
+    def __init__(self, command: str) -> None:
+        self._proc = subprocess.Popen(shlex.split(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                      text=True, encoding="utf-8", bufsize=1)
+
+    def __call__(self, text: str) -> str:
+        self._proc.stdin.write(json.dumps({"text": text}, ensure_ascii=False) + "\n")
+        self._proc.stdin.flush()
+        return json.loads(self._proc.stdout.readline())["paraphrase"]
+
+    def close(self) -> None:
+        self._proc.stdin.close()
+        self._proc.wait()
+        self._proc.stdout.close()
+
+
+# Answers "empty ..." with nothing and "same ..." with the text itself (both
+# degenerate); reverses the word order of any other text and marks it.
+_MIXED_PROVIDER_SCRIPT = """\
+import json, sys
+for line in sys.stdin.buffer:
+    text = json.loads(line.decode("utf-8"))["text"]
+    out = "" if text.startswith("empty") else text if text.startswith("same") else " ".join(text.split()[::-1]) + " ∎"
+    sys.stdout.buffer.write(json.dumps({"paraphrase": out}, ensure_ascii=False).encode("utf-8") + b"\\n")
+    sys.stdout.buffer.flush()
+"""
+
+
+def test_pipelined_provider_builds_the_same_triplets_as_one_request_at_a_time(tmp_path):
+    script = tmp_path / "provider.py"
+    script.write_text(_MIXED_PROVIDER_SCRIPT, encoding="utf-8")
+    command = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
+    kinds = ["left atrium {i} is enlarged", "empty answer {i}", "same answer {i}", "", "café naïve 東京 {i} 🫀"]
+    records = [record(f"s{i}", kinds[i % len(kinds)].format(i=i), source=f"src{i % 3}", split=("train", "val")[i % 2])
+               for i in range(900)]
+    # Longer than the in-flight limit, and than a pipe's buffer, both ways.
+    records[450] = record("s450", " ".join(f"w{j}" for j in range(20_000)))
+    assert len(records[450].text) > 100 * 1024 > 3 * _MAX_IN_FLIGHT_BYTES
+    policy = NegativePolicy(min_index_distance=7, require_different_source=True, seed=3)
+    reference = OneRequestAtATimeProvider(command)
+    try:
+        expected = build_triplets(records, policy, reference)
+    finally:
+        reference.close()
+    with SubprocessProvider(command) as provider:
+        result = build_triplets(records, policy, provider)
+    assert result == expected
+    # 900 anchors: 180 empty answers, 180 identical ones, 180 with no text.
+    assert result.skipped_paraphrase == 540 and len(result.triplets) == 360 - result.skipped_negative
+    assert any(t.anchor_id == "s450" for t in result.triplets)
+
+
+def test_subprocess_provider_rejects_a_call_out_of_the_announced_order():
+    with SubprocessProvider(_ECHO_PROVIDER) as provider:
+        provider.expect(["first", "second"])
+        assert provider("first") == "echo first"
+        with pytest.raises(ValueError):
+            provider("third")
 
 
 # -- hard negative sampling ----------------------------------------------------
