@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,11 +28,17 @@ MIN_SENTENCE_CHARS = 20
 # nor does a period after a single-letter initial.
 ABBREVIATIONS = ("fig.", "e.g.", "i.e.", "dr.", "et al.", "vs.", "no.")
 
+# Every branch of the markup patterns but the heading rule's starts with a
+# literal, so `re` skips straight to the next candidate character instead
+# of trying every branch at every position; a leading lookaround would
+# defeat that. The heading rule runs only on text that holds a `#`. The
+# emphasis rule removes, at each position, `**` or `*`, a backtick, `__`,
+# or a `_` not between two word characters.
 _HTML_TAG_RE = re.compile(r"<[^<>]*>")
 _MD_HEADING_RE = re.compile(r"(?m)^[^\S\n]*#{1,6}(?=\s|$)[^\S\n]*")
 _MD_IMAGE_RE = re.compile(r"!\[([^\]]*)\]\([^)]*\)")
 _MD_LINK_RE = re.compile(r"\[([^\]]+)\]\([^)]*\)")
-_MD_EMPHASIS_RE = re.compile(r"\*\*|__|[*`]|(?<!\w)_|_(?!\w)")
+_MD_EMPHASIS_RE = re.compile(r"\*\*?|`|_(?:_|(?<!\w_)|(?!\w))")
 _CITATION_RE = re.compile(r"\[\d+(?:\s*[,–-]\s*\d+)*\]")
 _PARAGRAPH_RE = re.compile(r"\n\s*\n")
 _BOUNDARY_RE = re.compile(r"[.!?](?=\s+[A-Z0-9])")
@@ -77,7 +83,8 @@ def _strip_markup(text: str) -> str:
     # terminates.
     while True:
         updated = _HTML_TAG_RE.sub(" ", text)
-        updated = _MD_HEADING_RE.sub("", updated)
+        if "#" in updated:  # every heading match holds one
+            updated = _MD_HEADING_RE.sub("", updated)
         updated = _MD_EMPHASIS_RE.sub("", updated)
         updated = _CITATION_RE.sub(" ", updated)
         updated = _MD_IMAGE_RE.sub(r"\1", updated)
@@ -101,10 +108,10 @@ def clean_text(raw: str) -> str:
 
 
 def _is_abbreviation_boundary(prefix: str) -> bool:
-    lowered = prefix.lower()
-    if any(lowered.endswith(abbr) for abbr in ABBREVIATIONS):
-        return True
-    return bool(_INITIAL_RE.search(prefix))
+    # A match of the end-anchored _INITIAL_RE spans at most the last 4
+    # characters (3, plus a final newline before `$`), and `^` matches only
+    # at the real start of the string, so the search starts there.
+    return prefix.lower().endswith(ABBREVIATIONS) or bool(_INITIAL_RE.search(prefix, max(0, len(prefix) - 4)))
 
 
 def segment_sentences(text: str) -> list[str]:
@@ -233,7 +240,7 @@ def stratified_split(
             elif pos < n_train + n_test:
                 assignment[indices[j]] = SPLIT_TEST
 
-    return [replace(r, split=assignment[i]) for i, r in enumerate(records)]
+    return [SentenceRecord(r.sent_id, r.source_name, r.text, r.char_len, assignment[i]) for i, r in enumerate(records)]
 
 
 def corpus_stats(records: Sequence[SentenceRecord], tokenizer: Callable[[str], list[int]]) -> CorpusStats:

@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import struct
 import tempfile
 from dataclasses import MISSING, fields
@@ -66,8 +67,16 @@ def digest(path: str | Path) -> str:
     return h.hexdigest()
 
 
+# One encoder for every JSONL row: json.dumps with keywords builds a new one
+# per call.
+_JSON_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+# A \uD800-\uDFFF escape: strict UTF-8 decoding yields no surrogate, so only
+# a line holding one can decode to a string with a lone surrogate.
+_SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def dumps_json_line(row: Mapping) -> str:
-    return json.dumps(row, ensure_ascii=False, separators=(",", ":"))
+    return _JSON_LINE_ENCODER.encode(row)
 
 
 def write_jsonl(path: str | Path, rows: Iterable[Mapping]) -> None:
@@ -97,8 +106,10 @@ def read_lines(path: str | Path) -> list[str]:
 def read_jsonl(path: str | Path, decode: Callable[[dict], Any] | None = None) -> list:
     """One JSON object per non-blank line, each passed through ``decode`` if given.
 
-    A line that is not a JSON object, or that ``decode`` rejects because a
-    key is missing or a value has the wrong type, is E_IO with its line.
+    A line that is not a JSON object, that holds a string with a lone
+    surrogate (which cannot be written back as UTF-8), or that ``decode``
+    rejects because a key is missing or a value has the wrong type, is E_IO
+    with its line.
     """
     rows = []
     for lineno, line in _numbered_lines(path):
@@ -108,6 +119,11 @@ def read_jsonl(path: str | Path, decode: Callable[[dict], Any] | None = None) ->
             raise DataError("E_IO", f"{path}:{lineno}: invalid JSON: {exc}") from exc
         if not isinstance(row, dict):
             raise DataError("E_IO", f"{path}:{lineno}: expected a JSON object")
+        if _SURROGATE_ESCAPE_RE.search(line):
+            try:
+                dumps_json_line(row).encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise DataError("E_IO", f"{path}:{lineno}: lone surrogate in a string: {exc}") from exc
         if decode is not None:
             try:
                 row = decode(row)

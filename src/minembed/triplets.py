@@ -60,6 +60,8 @@ _MAX_IN_FLIGHT_BYTES = 32 * 1024
 # wake-up per answer.
 _ANSWER_BATCH_WAIT_S = 0.0005
 _READ_CHUNK_BYTES = 64 * 1024
+# Bytes of the provider's stderr kept for error messages: the last ones.
+_STDERR_TAIL_BYTES = 2 * 1024
 
 
 @dataclass(frozen=True)
@@ -114,21 +116,28 @@ class SubprocessProvider:
     through a backlog instead of waking once per call. One selector loop
     writes requests to the non-blocking stdin and reads the raw stdout in
     chunks, so a full pipe cannot deadlock the two processes, and a stuck
-    provider fails the run after ``PROVIDER_RESPONSE_TIMEOUT_S``.
+    provider fails the run after ``PROVIDER_RESPONSE_TIMEOUT_S``. The same
+    loop drains the provider's stderr, so a chatty provider never blocks on
+    it; the last ``_STDERR_TAIL_BYTES`` end the message of any error the
+    provider causes, when it wrote any.
     """
 
     def __init__(self, command: str) -> None:
         self.command = command
         try:
             self._proc = subprocess.Popen(
-                shlex.split(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
+                shlex.split(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                bufsize=0,
             )
         except OSError as exc:
             raise DataError("E_PROVIDER_UNAVAILABLE", f"cannot start provider {command!r}: {exc}") from exc
         self._stdin, self._stdout = self._proc.stdin.fileno(), self._proc.stdout.fileno()
+        self._stderr = self._proc.stderr.fileno()
         os.set_blocking(self._stdin, False)
+        os.set_blocking(self._stderr, False)
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._stdout, selectors.EVENT_READ)
+        self._selector.register(self._stderr, selectors.EVENT_READ)
         # Registered for reading, the write end reports only an error: the
         # provider closed its stdin. It is watched for writing while
         # request bytes wait to go out.
@@ -141,6 +150,8 @@ class SubprocessProvider:
         self._partial = b""  # answer bytes after the last newline read
         self._answers: deque[bytes] = deque()  # answer lines no call has taken
         self._eof = False
+        self._stderr_tail = b""  # the last _STDERR_TAIL_BYTES the provider wrote to stderr
+        self._stderr_open = True
         # Once the provider has closed its stdin: when the answers still due are given up.
         self._stdin_closed_by: float | None = None
 
@@ -166,14 +177,14 @@ class SubprocessProvider:
         try:
             return typed_value(json.loads(line.decode("utf-8")), "paraphrase", str)
         except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise DataError("E_PROVIDER_UNAVAILABLE", f"malformed provider response: {line!r}") from exc
+            raise self._error("E_PROVIDER_UNAVAILABLE", f"malformed provider response: {line!r}") from exc
 
     def _pump(self, deadline: float) -> float:
         """One round of the selector loop: queue requests, then write and read
         what the pipes take, waiting at most until ``deadline`` for either.
         Returns the deadline, moved on by any answer byte."""
         if self._eof:
-            raise DataError("E_PROVIDER_UNAVAILABLE", f"provider {self.command!r} closed its stream")
+            raise self._error("E_PROVIDER_UNAVAILABLE", f"provider {self.command!r} closed its stream")
         if self._stdin_closed_by is None:
             self._queue_requests()
             self._selector.modify(self._stdin, selectors.EVENT_WRITE if self._out else selectors.EVENT_READ)
@@ -184,6 +195,8 @@ class SubprocessProvider:
             if key.fd == self._stdout:
                 self._take(os.read(self._stdout, _READ_CHUNK_BYTES))
                 deadline = time.monotonic() + PROVIDER_RESPONSE_TIMEOUT_S
+            elif key.fd == self._stderr:
+                self._read_stderr()
             elif self._out:
                 try:
                     del self._out[: os.write(self._stdin, self._out)]
@@ -199,13 +212,13 @@ class SubprocessProvider:
         if now >= deadline:
             self._proc.kill()
             self._proc.wait()
-            raise DataError(
+            raise self._error(
                 "E_PROVIDER_TIMEOUT",
                 f"provider {self.command!r} sent nothing for {PROVIDER_RESPONSE_TIMEOUT_S:g} s "
                 f"with {len(self._sizes) + len(self._unsent)} requests unanswered",
             )
         if self._stdin_closed_by is not None and now >= self._stdin_closed_by:
-            raise DataError(
+            raise self._error(
                 "E_PROVIDER_UNAVAILABLE",
                 f"provider {self.command!r} closed its stdin with {len(self._sizes) + len(self._unsent)} "
                 "requests unanswered",
@@ -237,6 +250,27 @@ class SubprocessProvider:
             if self._sizes:
                 self._in_flight -= self._sizes.popleft()
 
+    def _read_stderr(self) -> None:
+        # Keep the tail of what the provider wrote; at end of stream, stop
+        # watching the pipe, which would otherwise stay readable.
+        while self._stderr_open:
+            try:
+                chunk = os.read(self._stderr, _READ_CHUNK_BYTES)
+            except BlockingIOError:
+                return
+            if not chunk:
+                self._selector.unregister(self._stderr)
+                self._stderr_open = False
+            self._stderr_tail = (self._stderr_tail + chunk)[-_STDERR_TAIL_BYTES:]
+
+    def _error(self, code: str, message: str) -> DataError:
+        """The error for ``code``, its message ending with the provider's
+        stderr tail, when the provider wrote any."""
+        self._read_stderr()
+        if self._stderr_tail:
+            message += f"; provider stderr ends: {self._stderr_tail.decode('utf-8', 'replace')!r}"
+        return DataError(code, message)
+
     def _close_stdin(self) -> None:
         # The provider closed its stdin: nothing more can be sent, and the
         # requests it has read get PROVIDER_EXIT_GRACE_S to be answered.
@@ -252,6 +286,9 @@ class SubprocessProvider:
         proc = self._proc
         self._selector.close()
         proc.stdin.close()
+        # Nothing reads the provider's stderr from here on; a provider that
+        # writes it now gets a broken pipe rather than blocking its exit.
+        proc.stderr.close()
         if self._calls or self._sizes:
             proc.kill()
         try:

@@ -165,6 +165,22 @@ MALFORMED_INPUTS = {
     "embed-numeric-sent-id": ("texts.jsonl", {"sent_id": 7, "text": "left atrium"},
                               ["embed", "--checkpoint", "{ckpt}", "--texts", "{file}", "--out", "{tmp}/e.cevx"],
                               ["texts.jsonl:1", "'sent_id' must be str, got 7"]),
+    # The JSON escape \ud800 decodes to a lone surrogate, which no UTF-8 file
+    # can hold: the row is rejected where it is read, before it is sent to a
+    # provider or written.
+    "prepare-lone-surrogate": ("docs.jsonl", {"doc_id": "d", "source_name": "s", "text": "Left \ud800 atrium."},
+                               ["prepare", "--in", "{file}", "--out", "{tmp}/c.jsonl", "--seed", "1"],
+                               ["docs.jsonl:1", "lone surrogate"]),
+    "triplets-lone-surrogate": ("c.jsonl", {**SENTENCE_ROW, "text": "left \ud800 atrium"},
+                                ["triplets", "--corpus", "{file}", "--out", "{tmp}/t.jsonl", "--seed", "1"],
+                                ["c.jsonl:1", "lone surrogate"]),
+    "triplets-provider-lone-surrogate": ("c.jsonl", {**SENTENCE_ROW, "text": "left \ud800 atrium"},
+                                         ["triplets", "--corpus", "{file}", "--out", "{tmp}/t.jsonl", "--seed", "1",
+                                          "--provider", "{provider}"],
+                                         ["c.jsonl:1", "lone surrogate"]),
+    "embed-lone-surrogate": ("texts.jsonl", {"sent_id": "s1", "text": "left \ud800 atrium"},
+                             ["embed", "--checkpoint", "{ckpt}", "--texts", "{file}", "--out", "{tmp}/e.cevx"],
+                             ["texts.jsonl:1", "lone surrogate"]),
 }
 
 
@@ -174,7 +190,8 @@ def test_bad_input_file_exits_two_with_e_io(tmp_path, capsys, case):
     file = tmp_path / name if name else None
     if file:
         file.write_text(json.dumps(row) + "\n", encoding="utf-8")
-    fill = {"file": str(file), "tmp": str(tmp_path), "ckpt": str(tiny_checkpoint(tmp_path))}
+    fill = {"file": str(file), "tmp": str(tmp_path), "ckpt": str(tiny_checkpoint(tmp_path)),
+            "provider": f"{shlex.quote(sys.executable)} {shlex.quote(str(REPO_ROOT / 'perfbench' / 'provider.py'))}"}
     assert run([arg.format(**fill) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("E_IO: ") and "Traceback" not in err

@@ -3,15 +3,21 @@
 from __future__ import annotations
 
 import math
+import re
+import string
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from minembed import corpus
 from minembed.corpus import (
+    _MD_EMPHASIS_RE,
     RawDocument,
     SentenceRecord,
+    _is_abbreviation_boundary,
     build_manifest,
     clean_text,
     corpus_stats,
@@ -359,3 +365,105 @@ def test_manifest_rows_roundtrip(tmp_path):
 def test_empty_document_yields_no_records():
     manifest = build_manifest([RawDocument("d", "s", "")])
     assert manifest == []
+
+
+# -- the markup and boundary rewrites, against the code they replaced ----------
+
+# Test-local copies of the code the rewrites replaced, the reference for
+# each: the emphasis rule, the boundary exception, cleaning and segmentation.
+_OLD_ABBREVIATIONS = ("fig.", "e.g.", "i.e.", "dr.", "et al.", "vs.", "no.")
+_OLD_EMPHASIS_RE = re.compile(r"\*\*|__|[*`]|(?<!\w)_|_(?!\w)")
+_OLD_INITIAL_RE = re.compile(r"(?:^|[\s(\"'])[A-Za-z]\.$")
+
+
+def old_is_abbreviation_boundary(prefix: str) -> bool:
+    lowered = prefix.lower()
+    if any(lowered.endswith(abbr) for abbr in _OLD_ABBREVIATIONS):
+        return True
+    return bool(_OLD_INITIAL_RE.search(prefix))
+
+
+def old_clean_text(raw: str) -> str:
+    text = raw
+    while True:
+        updated = re.sub(r"<[^<>]*>", " ", text)
+        updated = re.sub(r"(?m)^[^\S\n]*#{1,6}(?=\s|$)[^\S\n]*", "", updated)
+        updated = _OLD_EMPHASIS_RE.sub("", updated)
+        updated = re.sub(r"\[\d+(?:\s*[,–-]\s*\d+)*\]", " ", updated)
+        updated = re.sub(r"!\[([^\]]*)\]\([^)]*\)", r"\1", updated)
+        updated = re.sub(r"\[([^\]]+)\]\([^)]*\)", r"\1", updated)
+        if updated == text:
+            break
+        text = updated
+    text = "\n".join(ln for ln in text.split("\n") if not ln.strip().isdigit())
+    paragraphs = [" ".join(p.split()) for p in re.split(r"\n\s*\n", text)]
+    return "\n\n".join(p for p in paragraphs if p)
+
+
+def old_segment_sentences(text: str) -> list[str]:
+    sentences: list[str] = []
+    for paragraph in re.split(r"\n+", text):
+        if not paragraph.strip():
+            continue
+        start = 0
+        for match in re.finditer(r"[.!?](?=\s+[A-Z0-9])", paragraph):
+            end = match.end()
+            if paragraph[end - 1] == "." and old_is_abbreviation_boundary(paragraph[start:end]):
+                continue
+            piece = paragraph[start:end].strip()
+            if piece:
+                sentences.append(piece)
+            start = end
+        tail = paragraph[start:].strip()
+        if tail:
+            sentences.append(tail)
+    return sentences
+
+
+# Word and non-word characters around the markup, Unicode letters whose case
+# mapping changes length or form, every kind of space, and the abbreviations.
+_REWRITE_PIECES = st.sampled_from(
+    [*"*_`", *string.ascii_letters, *string.digits, *"éİΣ", *" \t\n\u00a0", *"(\"'."]
+) | st.sampled_from([*_OLD_ABBREVIATIONS, *(a.upper() for a in _OLD_ABBREVIATIONS), "Fig.", "Dr.", "Et al."])
+rewrite_text = st.lists(_REWRITE_PIECES, max_size=40).map("".join)
+
+
+@given(rewrite_text)
+@settings(max_examples=500)
+@example("a_b _c d_ __e__ _ **f** *g* `h` é_ _é İ_x")
+def test_emphasis_rule_removes_what_the_old_pattern_removed(text):
+    assert [m.span() for m in _MD_EMPHASIS_RE.finditer(text)] == [m.span() for m in _OLD_EMPHASIS_RE.finditer(text)]
+    assert _MD_EMPHASIS_RE.sub("", text) == _OLD_EMPHASIS_RE.sub("", text)
+
+
+# A search window of 3 characters instead of 4 would miss an initial before
+# a final newline, as in "(a.\n".
+@given(st.tuples(rewrite_text, st.sampled_from(["", ".", ".\n", "\n", " a.", "(a.\n"])).map("".join))
+@settings(max_examples=500)
+@example("(a.\n")
+@example("a.\n")
+@example("x. \"b.")
+@example("Et al.")
+@example("İ.")
+def test_abbreviation_boundary_matches_the_unbounded_search(prefix):
+    assert _is_abbreviation_boundary(prefix) == old_is_abbreviation_boundary(prefix)
+
+
+def test_build_manifest_matches_the_old_cleaning_and_segmentation(tmp_path, monkeypatch):
+    # Small documents shaped like the benchmark's `mine` workload: every
+    # sentence carries markup or a citation.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from synth import Shape, write_inputs
+
+    shape = Shape(sources=3, docs_per_source=2, paragraphs_per_doc=4, markup_rate=1.0, boilerplate_paragraphs=2,
+                  pool_docs=1, pool_sentences_per_doc=2, pairs=1, qrels=1, epochs=1, lora_only=True)
+    for seed in range(3):
+        write_inputs(shape, seed, tmp_path, "mine")
+        docs = read_jsonl(tmp_path / "docs.jsonl", RawDocument.from_row)
+        assert all(mark in "".join(d.text for d in docs) for mark in ("**", "`", "<b>", "](", "#"))
+        manifest = build_manifest(docs)
+        with monkeypatch.context() as m:
+            m.setattr(corpus, "clean_text", old_clean_text)
+            m.setattr(corpus, "segment_sentences", old_segment_sentences)
+            expected = build_manifest(docs)
+        assert len(manifest) > 20 and manifest == expected

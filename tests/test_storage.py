@@ -14,6 +14,7 @@ from minembed.errors import DataError
 from minembed.storage import (
     Record,
     digest,
+    dumps_json_line,
     ids_sidecar,
     read_embeddings,
     read_jsonl,
@@ -119,6 +120,27 @@ def test_jsonl_invalid_line(tmp_path):
         with pytest.raises(DataError) as err:
             read_jsonl(path, decode)
         assert err.value.code == "E_IO" and f"{path}:2:" in str(err.value)
+
+
+def test_dumps_json_line_matches_json_dumps():
+    rows = [{}, {"text": "café \u2028 \\ \"q\"", "n": 3, "x": -0.1, "big": 1e300, "flag": False, "none": None},
+            {"nested": {"list": [1, 2.5, "é"]}, "nan": float("nan"), "inf": float("-inf")}]
+    for row in rows:
+        assert dumps_json_line(row) == json.dumps(row, ensure_ascii=False, separators=(",", ":"))
+
+
+def test_jsonl_rejects_a_lone_surrogate(tmp_path):
+    # Strict UTF-8 cannot encode a lone surrogate, so a row holding one could
+    # never be written back; it is rejected where it is read, with its line.
+    path = tmp_path / "rows.jsonl"
+    for bad in ('{"text": "a\\ud800b"}', '{"text": "\\uDFFF"}', '{"k\\udc00": 1}', '{"x": ["\\ud83d"]}'):
+        path.write_text('{"ok": 1}\n' + bad + "\n", encoding="utf-8")
+        with pytest.raises(DataError) as err:
+            read_jsonl(path)
+        assert err.value.code == "E_IO" and f"{path}:2: lone surrogate" in str(err.value)
+    # A surrogate pair is one character, and an escaped backslash is no escape.
+    path.write_text('{"text": "\\ud83d\\ude00"}\n{"text": "\\\\ud800"}\n', encoding="utf-8")
+    assert read_jsonl(path) == [{"text": "\U0001f600"}, {"text": "\\ud800"}]
 
 
 @pytest.mark.parametrize(

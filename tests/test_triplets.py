@@ -110,6 +110,54 @@ def test_subprocess_provider_malformed_response():
         assert err.value.code == "E_PROVIDER_UNAVAILABLE"
 
 
+def _python_provider(body: str) -> str:
+    """A provider command running the Python ``body`` after ``import json, sys``."""
+    return f"{shlex.quote(sys.executable)} -c {shlex.quote('import json, sys' + chr(10) + body)}"
+
+
+def test_subprocess_provider_error_ends_with_its_stderr():
+    with SubprocessProvider(_python_provider("sys.stderr.write('boom' + chr(10))")) as provider:
+        with pytest.raises(DataError) as err:
+            provider("text")
+    assert err.value.code == "E_PROVIDER_UNAVAILABLE"
+    assert str(err.value).endswith("closed its stream; provider stderr ends: 'boom\\n'")
+
+
+def test_subprocess_provider_error_of_a_silent_provider_names_no_stderr():
+    with SubprocessProvider("false") as provider:
+        with pytest.raises(DataError) as err:
+            provider("text")
+    assert str(err.value) == "E_PROVIDER_UNAVAILABLE: provider 'false' closed its stream"
+
+
+def test_subprocess_provider_timeout_ends_with_its_stderr(monkeypatch):
+    import minembed.triplets as triplets_mod
+
+    monkeypatch.setattr(triplets_mod, "PROVIDER_RESPONSE_TIMEOUT_S", 0.3)
+    stuck = _python_provider("sys.stderr.write('loading model' + chr(10)); sys.stderr.flush()\nfor line in sys.stdin: pass")
+    with SubprocessProvider(stuck) as provider:
+        with pytest.raises(DataError) as err:
+            provider("text")
+    assert err.value.code == "E_PROVIDER_TIMEOUT"
+    assert str(err.value).endswith("1 requests unanswered; provider stderr ends: 'loading model\\n'")
+
+
+def test_subprocess_provider_drains_a_chatty_stderr():
+    # 1 MiB of stderr, 16 times a pipe's buffer, before the first answer;
+    # then an answer, and a last word on stderr before exiting.
+    chatty = _python_provider(
+        "sys.stderr.write('x' * (1 << 20)); sys.stderr.flush()\n"
+        "print(json.dumps({'paraphrase': 'echo ' + json.loads(sys.stdin.readline())['text']}), flush=True)\n"
+        "sys.stderr.write('done')"
+    )
+    with SubprocessProvider(chatty) as provider:
+        assert provider("first") == "echo first"
+        with pytest.raises(DataError) as err:
+            provider("second")
+    assert err.value.code == "E_PROVIDER_UNAVAILABLE"
+    assert str(err.value).endswith("; provider stderr ends: " + repr("x" * (2048 - 4) + "done"))
+
+
 class OneRequestAtATimeProvider:
     """The subprocess client before requests were pipelined: each call
     writes one request, then blocks on reading its answer line."""
