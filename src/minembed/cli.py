@@ -202,7 +202,7 @@ def _cmd_triplets(args: argparse.Namespace) -> int:
         require_different_source=args.cross_source,
         seed=args.seed,
     )
-    if args.provider:
+    if args.provider is not None:
         with triplets.SubprocessProvider(args.provider) as provider:
             result = triplets.build_triplets(records, policy, provider)
     else:

@@ -27,6 +27,12 @@ MIN_SENTENCE_CHARS = 20
 # Sentence-boundary exceptions: a period ending one of these does not split,
 # nor does a period after a single-letter initial.
 ABBREVIATIONS = ("fig.", "e.g.", "i.e.", "dr.", "et al.", "vs.", "no.")
+# How many last characters of a sentence's prefix the exceptions need: the
+# longest abbreviation. Lowering them ends the same as lowering the whole
+# prefix, since `str.lower` maps each character on its own (a sigma's form
+# depends on its neighbours, but is never ASCII). An initial spans at most
+# 4 characters, and its `^` can match only where the prefix is that short.
+_ABBREVIATION_WINDOW = max(map(len, ABBREVIATIONS))
 
 # Every branch of the markup patterns but the heading rule's starts with a
 # literal, so `re` skips straight to the next candidate character instead
@@ -128,7 +134,9 @@ def segment_sentences(text: str) -> list[str]:
         start = 0
         for match in _BOUNDARY_RE.finditer(paragraph):
             end = match.end()
-            if paragraph[end - 1] == "." and _is_abbreviation_boundary(paragraph[start:end]):
+            if paragraph[end - 1] == "." and _is_abbreviation_boundary(
+                paragraph[max(start, end - _ABBREVIATION_WINDOW) : end]
+            ):
                 continue
             piece = paragraph[start:end].strip()
             if piece:

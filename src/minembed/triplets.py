@@ -47,17 +47,12 @@ PROVIDER_EXIT_GRACE_S = 10.0
 # Seconds to wait for the next answer byte while a call waits on the
 # provider; then it is killed and the run fails with E_PROVIDER_TIMEOUT.
 PROVIDER_RESPONSE_TIMEOUT_S = 60.0
-# Request bytes written ahead of their answers, at most. More are queued
-# only once fewer than half this many are in flight, so requests go out
-# in batches of at least half the limit rather than one per answer.
-_MAX_IN_FLIGHT_BYTES = 32 * 1024
-# Seconds a call that finds no answer, and nothing to write, lets the
-# provider run before it waits on the pipe. Waking on every answer line
-# cost the client and the provider a context switch per answer: on the
-# benchmark's provider (7.7k answers, 2-vCPU x86-64 host) the pause cut
-# the client's wake-ups from about 4,200 to 300 and the paraphrase CPU of
-# both processes by a fifth. A slow provider pays one extra timer
-# wake-up per answer.
+# Seconds a call that finds no answer lets the provider run before each
+# wait on the pipes. Waking on every answer line cost the client and the
+# provider a context switch per answer: on the benchmark's provider (7.7k
+# answers, 2-vCPU x86-64 host) the pause cut the client's wake-ups from
+# about 4,200 to 300 and the paraphrase CPU of both processes by a fifth.
+# A slow provider pays one extra timer wake-up per answer.
 _ANSWER_BATCH_WAIT_S = 0.0005
 _READ_CHUNK_BYTES = 64 * 1024
 # Bytes of the provider's stderr kept for error messages: the last ones.
@@ -111,25 +106,27 @@ class SubprocessProvider:
 
     The command is spawned once. Each call returns the answer to one
     request, and answers are taken in request order. Texts announced with
-    ``expect`` are written ahead of their calls, at most
-    ``_MAX_IN_FLIGHT_BYTES`` of them unanswered, so the provider works
-    through a backlog instead of waking once per call. One selector loop
-    writes requests to the non-blocking stdin and reads the raw stdout in
-    chunks, so a full pipe cannot deadlock the two processes, and a stuck
-    provider fails the run after ``PROVIDER_RESPONSE_TIMEOUT_S``. The same
-    loop drains the provider's stderr, so a chatty provider never blocks on
-    it; the last ``_STDERR_TAIL_BYTES`` end the message of any error the
-    provider causes, when it wrote any.
+    ``expect`` are written ahead of their calls, as fast as the pipe takes
+    them, so the provider works through a backlog instead of waking once
+    per call. One selector loop writes requests to the non-blocking stdin
+    and reads the raw stdout in chunks, so a full pipe cannot deadlock the
+    two processes, and a stuck provider fails the run after
+    ``PROVIDER_RESPONSE_TIMEOUT_S``. The same loop drains the provider's
+    stderr, so a chatty provider never blocks on it; the last
+    ``_STDERR_TAIL_BYTES`` end the message of any error the provider
+    causes, when it wrote any.
     """
 
     def __init__(self, command: str) -> None:
         self.command = command
         try:
+            argv = shlex.split(command)
+            if not argv:
+                raise ValueError("no program given")
             self._proc = subprocess.Popen(
-                shlex.split(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                bufsize=0,
+                argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0
             )
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise DataError("E_PROVIDER_UNAVAILABLE", f"cannot start provider {command!r}: {exc}") from exc
         self._stdin, self._stdout = self._proc.stdin.fileno(), self._proc.stdout.fileno()
         self._stderr = self._proc.stderr.fileno()
@@ -143,10 +140,8 @@ class SubprocessProvider:
         # request bytes wait to go out.
         self._selector.register(self._stdin, selectors.EVENT_READ)
         self._calls: deque[str] = deque()  # announced texts whose call has not come
-        self._unsent: deque[bytes] = deque()  # announced requests not yet queued for writing
-        self._out = bytearray()  # queued request bytes the pipe has not taken
-        self._sizes: deque[int] = deque()  # the size of each queued request not yet answered
-        self._in_flight = 0  # their sum
+        self._out = bytearray()  # announced request bytes the pipe has not taken
+        self._unanswered = 0  # announced requests with no answer line yet
         self._partial = b""  # answer bytes after the last newline read
         self._answers: deque[bytes] = deque()  # answer lines no call has taken
         self._eof = False
@@ -161,7 +156,8 @@ class SubprocessProvider:
         for text in texts:
             self._calls.append(text)
             # The bytes of json.dumps({"text": text}, ensure_ascii=False) and a newline.
-            self._unsent.append(f'{{"text": {encode_basestring(text)}}}\n'.encode("utf-8"))
+            self._out += f'{{"text": {encode_basestring(text)}}}\n'.encode("utf-8")
+            self._unanswered += 1
 
     def __call__(self, text: str) -> str:
         if not self._calls:
@@ -180,16 +176,14 @@ class SubprocessProvider:
             raise self._error("E_PROVIDER_UNAVAILABLE", f"malformed provider response: {line!r}") from exc
 
     def _pump(self, deadline: float) -> float:
-        """One round of the selector loop: queue requests, then write and read
-        what the pipes take, waiting at most until ``deadline`` for either.
-        Returns the deadline, moved on by any answer byte."""
+        """One round of the selector loop: write and read what the pipes take,
+        waiting at most until ``deadline`` for either. Returns the deadline,
+        moved on by any answer byte."""
         if self._eof:
             raise self._error("E_PROVIDER_UNAVAILABLE", f"provider {self.command!r} closed its stream")
         if self._stdin_closed_by is None:
-            self._queue_requests()
             self._selector.modify(self._stdin, selectors.EVENT_WRITE if self._out else selectors.EVENT_READ)
-        if not self._out:
-            time.sleep(_ANSWER_BATCH_WAIT_S)
+        time.sleep(_ANSWER_BATCH_WAIT_S)
         until = deadline if self._stdin_closed_by is None else min(deadline, self._stdin_closed_by)
         for key, _ in self._selector.select(max(0.0, until - time.monotonic())):
             if key.fd == self._stdout:
@@ -215,28 +209,14 @@ class SubprocessProvider:
             raise self._error(
                 "E_PROVIDER_TIMEOUT",
                 f"provider {self.command!r} sent nothing for {PROVIDER_RESPONSE_TIMEOUT_S:g} s "
-                f"with {len(self._sizes) + len(self._unsent)} requests unanswered",
+                f"with {self._unanswered} requests unanswered",
             )
         if self._stdin_closed_by is not None and now >= self._stdin_closed_by:
             raise self._error(
                 "E_PROVIDER_UNAVAILABLE",
-                f"provider {self.command!r} closed its stdin with {len(self._sizes) + len(self._unsent)} "
-                "requests unanswered",
+                f"provider {self.command!r} closed its stdin with {self._unanswered} requests unanswered",
             )
         return deadline
-
-    def _queue_requests(self) -> None:
-        # Refill only below half the limit, so requests go out in batches;
-        # a request longer than the limit goes out alone.
-        if self._in_flight >= _MAX_IN_FLIGHT_BYTES // 2:
-            return
-        while self._unsent:
-            if self._in_flight and self._in_flight + len(self._unsent[0]) > _MAX_IN_FLIGHT_BYTES:
-                break
-            request = self._unsent.popleft()
-            self._out += request
-            self._sizes.append(len(request))
-            self._in_flight += len(request)
 
     def _take(self, chunk: bytes) -> None:
         # Split the answer lines off the stream; at end of stream, a last
@@ -245,10 +225,8 @@ class SubprocessProvider:
             self._eof = True
             chunk = b"\n" if self._partial else b""
         *lines, self._partial = (self._partial + chunk).split(b"\n")
-        for line in lines:
-            self._answers.append(line)
-            if self._sizes:
-                self._in_flight -= self._sizes.popleft()
+        self._answers.extend(lines)
+        self._unanswered = max(0, self._unanswered - len(lines))
 
     def _read_stderr(self) -> None:
         # Keep the tail of what the provider wrote; at end of stream, stop
@@ -289,7 +267,7 @@ class SubprocessProvider:
         # Nothing reads the provider's stderr from here on; a provider that
         # writes it now gets a broken pipe rather than blocking its exit.
         proc.stderr.close()
-        if self._calls or self._sizes:
+        if self._calls or self._unanswered:
             proc.kill()
         try:
             proc.wait(timeout=PROVIDER_EXIT_GRACE_S)

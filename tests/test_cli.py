@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import os
@@ -768,7 +769,12 @@ FAILING_PROVIDER_SCRIPTS = {
 }
 
 
-@pytest.mark.parametrize("provider", ["false", "sleep 0", *sorted(FAILING_PROVIDER_SCRIPTS)])
+# Commands that name no program to start.
+UNSTARTABLE_PROVIDERS = [pytest.param("python -c 'x", id="unclosed-quote"), pytest.param(" ", id="blank"),
+                         pytest.param("", id="empty")]
+
+
+@pytest.mark.parametrize("provider", ["false", "sleep 0", *sorted(FAILING_PROVIDER_SCRIPTS), *UNSTARTABLE_PROVIDERS])
 def test_triplets_provider_failure_exits_two_and_writes_nothing(tmp_path, capsys, monkeypatch, provider):
     # Only a degenerate paraphrase is a skip; any other provider failure stops the run.
     import minembed.triplets as triplets_mod
@@ -821,6 +827,28 @@ def test_readme_lists_every_error_code():
     codes = {code for path in sources for code in re.findall(r'"(E_[A-Z_]+)"', path.read_text(encoding="utf-8"))}
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     assert sorted(c for c in codes | {"E_USAGE"} if not re.search(rf"\b{c}\b", readme)) == []
+
+
+def test_readme_code_references_resolve():
+    # Each `module.name` the README cites, for a minembed module (or the
+    # package itself), is an attribute of it or a counter the benchmark's
+    # tracer records.
+    modules = {path.stem for path in (REPO_ROOT / "src" / "minembed").glob("*.py")} - {"__init__", "__main__"}
+    tracing = (REPO_ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8")
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    cited = set(re.findall(rf"`((?:minembed|{'|'.join(sorted(modules))})\.[A-Za-z_][\w.]*)`", readme))
+    assert len(cited) > 10
+
+    def resolves(reference: str) -> bool:
+        module, *names = reference.split(".")
+        target = importlib.import_module("minembed" if module == "minembed" else f"minembed.{module}")
+        for name in names:
+            if not hasattr(target, name):
+                return f'"{reference}"' in tracing
+            target = getattr(target, name)
+        return True
+
+    assert sorted(ref for ref in cited if not resolves(ref)) == []
 
 
 def test_benchmark_tracing_hooks_find_their_functions(tmp_path):

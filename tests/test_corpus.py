@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import re
 import string
+import time
 from pathlib import Path
 
 import numpy as np
@@ -467,3 +468,33 @@ def test_build_manifest_matches_the_old_cleaning_and_segmentation(tmp_path, monk
             m.setattr(corpus, "segment_sentences", old_segment_sentences)
             expected = build_manifest(docs)
         assert len(manifest) > 20 and manifest == expected
+
+
+# Segmentation passes the boundary test only a prefix's last characters.
+# `old_segment_sentences` passes it the whole prefix, as `segment_sentences`
+# did before, so it is the reference.
+@given(st.lists(_REWRITE_PIECES, max_size=80).map("".join))
+@settings(max_examples=500)
+@example("See Fig. A. See Fig. A. See")
+@example("x et al. B. An Et al. C")
+@example("İ. A ΣΣ. B x. \"b. C")
+@example("A. B")
+@example("(a. B e.g. C\nI.e. D")
+def test_segmentation_matches_the_whole_prefix_search(text):
+    assert segment_sentences(text) == old_segment_sentences(text)
+
+
+def test_segmentation_is_linear_in_a_paragraph_of_abbreviations():
+    # One paragraph, one sentence: every candidate boundary is an
+    # abbreviation or an initial. 8 times the text must take about 8 times
+    # as long; the whole-prefix search took about 64 times as long.
+    def best_time(n):
+        text = "See Fig. A. " * n
+        times = []
+        for _ in range(5):
+            started = time.perf_counter()
+            assert len(segment_sentences(text)) == 1
+            times.append(time.perf_counter() - started)
+        return min(times)
+
+    assert best_time(16_000) < 24 * best_time(2_000)

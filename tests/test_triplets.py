@@ -15,7 +15,6 @@ from minembed.corpus import SentenceRecord
 from minembed.errors import DataError
 from minembed.storage import read_jsonl, write_jsonl
 from minembed.triplets import (
-    _MAX_IN_FLIGHT_BYTES,
     FALLBACK_STOPWORDS,
     NegativePolicy,
     SubprocessProvider,
@@ -142,6 +141,36 @@ def test_subprocess_provider_timeout_ends_with_its_stderr(monkeypatch):
     assert str(err.value).endswith("1 requests unanswered; provider stderr ends: 'loading model\\n'")
 
 
+# Answers the first two requests, then reads on without answering; or
+# answers them, closes its stdin and lingers.
+_ANSWERS_TWO = {
+    "stalls": "for i, line in enumerate(sys.stdin):\n"
+              "    if i < 2: print(json.dumps({'paraphrase': 'echo ' + json.loads(line)['text']}), flush=True)",
+    "closes-stdin": "import os, time\n"
+                    "for _ in range(2): print(json.dumps({'paraphrase': 'echo ' + json.loads(sys.stdin.readline())['text']}), "
+                    "flush=True)\n"
+                    "os.close(0); time.sleep(15)",
+}
+
+
+@pytest.mark.parametrize("kind, code, shortened", [
+    ("stalls", "E_PROVIDER_TIMEOUT", "PROVIDER_RESPONSE_TIMEOUT_S"),
+    ("closes-stdin", "E_PROVIDER_UNAVAILABLE", "PROVIDER_EXIT_GRACE_S"),
+], ids=["stalls", "closes-stdin"])
+def test_subprocess_provider_error_counts_the_requests_unanswered(monkeypatch, kind, code, shortened):
+    import minembed.triplets as triplets_mod
+
+    monkeypatch.setattr(triplets_mod, shortened, 0.3)
+    texts = [f"text {i}" for i in range(5)]
+    with SubprocessProvider(_python_provider(_ANSWERS_TWO[kind])) as provider:
+        provider.expect(texts)
+        assert [provider(t) for t in texts[:2]] == ["echo text 0", "echo text 1"]
+        with pytest.raises(DataError) as err:
+            provider(texts[2])
+    assert err.value.code == code
+    assert str(err.value).endswith(" with 3 requests unanswered")
+
+
 def test_subprocess_provider_drains_a_chatty_stderr():
     # 1 MiB of stderr, 16 times a pipe's buffer, before the first answer;
     # then an answer, and a last word on stderr before exiting.
@@ -196,9 +225,9 @@ def test_pipelined_provider_builds_the_same_triplets_as_one_request_at_a_time(tm
     kinds = ["left atrium {i} is enlarged", "empty answer {i}", "same answer {i}", "", "café naïve 東京 {i} 🫀"]
     records = [record(f"s{i}", kinds[i % len(kinds)].format(i=i), source=f"src{i % 3}", split=("train", "val")[i % 2])
                for i in range(900)]
-    # Longer than the in-flight limit, and than a pipe's buffer, both ways.
+    # Longer than a pipe's buffer, both ways.
     records[450] = record("s450", " ".join(f"w{j}" for j in range(20_000)))
-    assert len(records[450].text) > 100 * 1024 > 3 * _MAX_IN_FLIGHT_BYTES
+    assert len(records[450].text) > 100 * 1024
     policy = NegativePolicy(min_index_distance=7, require_different_source=True, seed=3)
     reference = OneRequestAtATimeProvider(command)
     try:
