@@ -93,13 +93,21 @@ def read_text(path: str | Path) -> str:
         raise DataError("E_IO", f"cannot read {path}: {exc}") from exc
 
 
+def _split_lines(text: str) -> list[str]:
+    """A text's lines, ended only by "\n". ``read_text`` has already turned "\r\n" and "\r"
+    into "\n"; U+2028, U+2029, U+0085 and the other breaks ``str.splitlines`` knows stay
+    inside their line, as JSON lets a string hold them raw. A final "\n" ends the last line."""
+    lines = text.split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
+
+
 def _numbered_lines(path: str | Path) -> list[tuple[int, str]]:
     """(physical line number, line) for each non-blank line of a UTF-8 text file."""
-    return [(lineno, ln) for lineno, ln in enumerate(read_text(path).splitlines(), start=1) if ln.strip()]
+    return [(lineno, ln) for lineno, ln in enumerate(_split_lines(read_text(path)), start=1) if ln.strip()]
 
 
 def read_lines(path: str | Path) -> list[str]:
-    """The non-blank lines of a UTF-8 text file."""
+    """The non-blank lines of a UTF-8 text file, split as ``_split_lines`` says."""
     return [ln for _, ln in _numbered_lines(path)]
 
 
@@ -188,7 +196,7 @@ def write_tensors(path: str | Path, tensors: Mapping[str, np.ndarray]) -> None:
         parts.append(nb)
         parts.append(struct.pack("<B", a.ndim))
         parts.append(struct.pack(f"<{a.ndim}I", *a.shape))
-        parts.append(a.tobytes(order="C"))
+        parts.append(a)  # joined through the buffer protocol, without a bytes copy of each tensor
     write_atomic(path, b"".join(parts))
 
 
@@ -269,6 +277,9 @@ def write_embeddings(path: str | Path, ids: list[str], matrix: np.ndarray) -> No
     m = np.ascontiguousarray(np.asarray(matrix), dtype="<f4")
     if m.ndim != 2 or m.shape[0] != len(ids):
         raise DataError("E_SHAPE_MISMATCH", f"matrix {m.shape} does not match {len(ids)} ids")
+    broken = next((i for i in ids if "\n" in i or "\r" in i), None)
+    if broken is not None:
+        raise DataError("E_IO", f"id {broken!r} holds a line break, so it cannot be one line of {ids_sidecar(path)}")
     header = EMBEDDING_MAGIC + struct.pack("<IIQ", EMBEDDING_VERSION, m.shape[1], m.shape[0])
     write_atomic(path, header + m.tobytes(order="C"))
     write_atomic(ids_sidecar(path), "".join(i + "\n" for i in ids).encode("utf-8"))
@@ -280,7 +291,7 @@ def read_embeddings(path: str | Path) -> tuple[list[str], np.ndarray]:
     matrix, pos = _f32_block(data, pos, (count, dim), path)
     _check_end(data, pos, path)
     sidecar = ids_sidecar(path)
-    ids = read_text(sidecar).splitlines()
+    ids = _split_lines(read_text(sidecar))
     if len(ids) != count:
         raise DataError("E_SHAPE_MISMATCH", f"{sidecar}: {len(ids)} ids for {count} vectors")
     first_line: dict[str, int] = {}

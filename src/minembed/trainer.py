@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import storage
-from .encoder import EncodeCache, EncoderParams, backward_batch, forward_batch, save_checkpoint
+from .encoder import _POOLED_TOKENS, EncodeCache, EncoderParams, backward_batch, forward_batch, save_checkpoint
 from .errors import DataError, NumericError
 from .triplets import Triplet
 
@@ -86,12 +86,24 @@ class OptimizerState:
     ``scratch`` is two flat float64 buffers that every step reuses for its
     temporaries, one chunk of rows at a time. It is working memory, not
     state: nothing in it outlives a step.
+
+    ``live_rows`` is working memory too. It maps a tensor name to R: the
+    sorted, distinct rows of that tensor that can get a nonzero gradient.
+    The caller promises that every other row's gradient is zero at every
+    step, so its moments stay zero and the full update reduces exactly to
+    ``theta -= (0.0 + wd * theta) * lr``; ``adamw_step`` applies that
+    cheap form to them. The ``0.0 +`` turns a -0.0 product into +0.0, as
+    the full update does. This is not lazy Adam: every row still gets its
+    decoupled weight decay at every step, so the results are the same bits.
+    A tensor not named here gets the full update on every row. ``train``
+    sets R for ``E``, from the ids that train texts pool.
     """
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
     scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    live_rows: dict[str, np.ndarray] = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         # A chunk is whole rows: _ADAMW_CHUNK elements' worth, or one row if a row is longer.
@@ -284,6 +296,26 @@ def lr_at_step(step: int, total_steps: int, config: TrainConfig) -> float:
     return config.min_lr + 0.5 * (config.peak_lr - config.min_lr) * (1.0 + math.cos(math.pi * progress))
 
 
+def _full_update(
+    g: np.ndarray, m: np.ndarray, v: np.ndarray, theta: np.ndarray, scratch: tuple[np.ndarray, np.ndarray],
+    correction1: float, correction2: float, lr: float, config: TrainConfig,
+) -> None:
+    """The AdamW update of a block of rows, in place, with its temporaries in ``scratch``."""
+    x, y = (buf[: g.size].reshape(g.shape) for buf in scratch)
+    m *= config.beta1
+    m += np.multiply(1.0 - config.beta1, g, out=x)
+    v *= config.beta2
+    np.multiply(1.0 - config.beta2, g, out=x)
+    v += np.multiply(x, g, out=x)
+    np.divide(m, correction1, out=x)
+    np.sqrt(np.divide(v, correction2, out=y), out=y)
+    y += config.eps
+    x /= y
+    x += np.multiply(config.weight_decay, theta, out=y)
+    x *= lr
+    theta -= x
+
+
 def adamw_step(
     params: EncoderParams,
     grads: dict[str, np.ndarray],
@@ -296,7 +328,11 @@ def adamw_step(
     Each tensor is updated a chunk of rows at a time, and each temporary is
     written into ``state.scratch``, in the order of operations of
     ``theta -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta)``. The update
-    is elementwise, so the chunks change no bit. ``grads`` is only read.
+    is elementwise, so the chunks change no bit. For a tensor with rows R
+    in ``state.live_rows``, each chunk first gathers R's rows, then gives
+    the whole chunk the cheap update of a row with g = m = v = 0, then gives
+    the gathered rows the full update and scatters them back. ``grads`` is
+    only read.
     """
     tensors = params.tensors
     for name, grad in grads.items():
@@ -311,22 +347,25 @@ def adamw_step(
     correction2 = 1.0 - config.beta2**state.t
     for name, grad in grads.items():
         rows = max(1, _ADAMW_CHUNK // grad[0].size)
+        live = state.live_rows.get(name)
         for lo in range(0, len(grad), rows):
             # Slices along the first axis are views, whatever the strides, so the updates land in place.
-            g, m, v, theta = (t[lo : lo + rows] for t in (grad, state.m[name], state.v[name], tensors[name]))
-            x, y = (buf[: g.size].reshape(g.shape) for buf in state.scratch)
-            m *= config.beta1
-            m += np.multiply(1.0 - config.beta1, g, out=x)
-            v *= config.beta2
-            np.multiply(1.0 - config.beta2, g, out=x)
-            v += np.multiply(x, g, out=x)
-            np.divide(m, correction1, out=x)
-            np.sqrt(np.divide(v, correction2, out=y), out=y)
-            y += config.eps
-            x /= y
-            x += np.multiply(config.weight_decay, theta, out=y)
+            chunk = [t[lo : lo + rows] for t in (grad, state.m[name], state.v[name], tensors[name])]
+            if live is None:
+                _full_update(*chunk, state.scratch, correction1, correction2, lr, config)
+                continue
+            start, stop = np.searchsorted(live, (lo, lo + rows))
+            picked = live[start:stop] - lo
+            gathered = [t[picked] for t in chunk]
+            # A row outside R has g = m = v = 0, where the full update reduces exactly to this.
+            theta = chunk[3]
+            x = state.scratch[0][: theta.size].reshape(theta.shape)
+            np.add(0.0, np.multiply(config.weight_decay, theta, out=x), out=x)
             x *= lr
             theta -= x
+            _full_update(*gathered, state.scratch, correction1, correction2, lr, config)
+            for t, part in zip(chunk[1:], gathered[1:]):
+                t[picked] = part
     return params, state
 
 
@@ -364,7 +403,9 @@ def train(
     Writes ``epoch-<n>.cemb`` checkpoints and a per-step JSONL log when
     ``out_dir`` is given. Bit-deterministic for fixed inputs and config.
     Each distinct text is tokenized once per run, and the gradient buffers
-    and AdamW scratch are allocated once and reused by every step.
+    and AdamW scratch are allocated once and reused by every step. Unless
+    only the adapters train, AdamW gives the full update only to the ``E``
+    rows that train texts pool (``OptimizerState.live_rows``).
     """
     if not triplets:
         raise DataError("E_NO_TRAIN_DATA", "no training triplets")
@@ -380,6 +421,12 @@ def train(
         if not ids:
             raise DataError("E_EMPTY_TOKENS", f"text {i} produced no tokens: {text!r}")
     state = init_optimizer_state(params, config.train_lora_only)
+    if not config.train_lora_only:
+        # R: the E rows that train texts pool. Validation takes no gradient, so its texts stay out.
+        pooled = _POOLED_TOKENS[params.pooling]
+        pooled_ids = (token_ids[text][pooled] for t in triplets
+                      for text in (t.anchor_text, t.positive_text, t.negative_text))
+        state.live_rows["E"] = np.array(sorted(set(chain.from_iterable(pooled_ids))), dtype=np.intp)
     buffers = gradient_buffers(params, config.train_lora_only)
     steps_per_epoch = math.ceil(len(triplets) / config.batch_size)
     total_steps = steps_per_epoch * config.epochs

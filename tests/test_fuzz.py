@@ -119,26 +119,33 @@ def assert_fails_cleanly(valid_inputs: Path, argv: list[str], replaced: dict[str
 
 
 _PRINTABLE = [bytes([c]) for c in range(ord("!"), ord("~") + 1)]
+# Characters that str.splitlines breaks at, and that a JSON string may hold raw.
+LINE_SEPARATORS = "\u2028\u2029\x85"
+
+
+def _text(max_size: int):
+    """Strings that often hold one of LINE_SEPARATORS."""
+    return st.text(st.characters(codec="utf-8") | st.sampled_from(LINE_SEPARATORS), max_size=max_size)
 
 
 def _wrong_value(expected: type):
     others = [st.none(), st.booleans(), st.floats(allow_nan=False), st.lists(st.integers(), max_size=2),
-              st.dictionaries(st.text(max_size=2), st.integers(), max_size=1)]
-    return st.one_of(*others, st.text(max_size=4) if expected is int else st.integers())
+              st.dictionaries(_text(2), st.integers(), max_size=1)]
+    return st.one_of(*others, _text(4) if expected is int else st.integers())
 
 
 @st.composite
 def _wrong_typed(draw, data: bytes, fields: dict[str, type]):
     """JSON lines with one row's field, or the whole row, of the wrong type."""
-    lines = data.decode("utf-8").splitlines()
+    lines = data.decode("utf-8").split("\n")[:-1]
     index = draw(st.integers(0, len(lines) - 1))
     if draw(st.booleans()):
         row = json.loads(lines[index])
         field = draw(st.sampled_from(sorted(fields)))
         row[field] = draw(_wrong_value(fields[field]))
     else:
-        row = draw(st.one_of(st.none(), st.integers(), st.text(max_size=4), st.lists(st.integers(), max_size=2)))
-    lines[index] = json.dumps(row)
+        row = draw(st.one_of(st.none(), st.integers(), _text(4), st.lists(st.integers(), max_size=2)))
+    lines[index] = json.dumps(row, ensure_ascii=False)  # a line separator in a string goes in raw
     return "".join(line + "\n" for line in lines).encode("utf-8")
 
 
@@ -236,7 +243,7 @@ def bad_flag(draw):
     if isinstance(rule, list):
         value = draw(st.sampled_from(rule))
     else:
-        value = draw(st.one_of(st.integers(-5, 5).map(str), st.floats().map(repr), st.text(max_size=6)).filter(rule))
+        value = draw(st.one_of(st.integers(-5, 5).map(str), st.floats().map(repr), _text(6)).filter(rule))
     argv = list(COMMANDS[command][0])
     if flag in argv:
         argv[argv.index(flag) + 1] = value
@@ -249,3 +256,33 @@ def bad_flag(draw):
 @given(argv=bad_flag())
 def test_a_bad_flag_value_fails_cleanly(valid_inputs, argv):
     assert_fails_cleanly(valid_inputs, argv, {})
+
+
+@pytest.mark.parametrize("command", ["prepare", "triplets", "train", "embed", "stats", "gradcheck"])
+def test_line_separators_inside_json_strings_stay_inside_their_line(valid_inputs, command):
+    """Valid inputs whose every string holds a raw U+2028, U+2029 or U+0085
+    are still valid; embedded ids keep the character through the sidecar."""
+    argv, inputs = COMMANDS[command]
+    with tempfile.TemporaryDirectory() as scratch:
+        workspace = Path(scratch)
+        _copy_inputs(valid_inputs, workspace)
+        for key, fields in inputs.items():
+            path = workspace / FILES[key][0]
+            if path.suffix != ".jsonl":
+                continue
+            rows = [json.loads(line) for line in path.read_text(encoding="utf-8").split("\n")[:-1]]
+            for i, row in enumerate(rows):
+                for name in fields:
+                    if fields[name] is str and name != "split":
+                        # At index 1, so that distinct ids stay distinct.
+                        row[name] = row[name][:1] + LINE_SEPARATORS[i % 3] + row[name][1:]
+                if "char_len" in row:
+                    row["char_len"] = len(row["text"])
+            path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows), encoding="utf-8")
+        code, err = _runs(workspace, argv)
+        assert code == 0, err
+        if command == "embed":
+            ids = [r["anchor_id"] for r in rows]
+            (workspace / "pairs.tsv").write_text("".join(f"{a}\tpos::{a}\n" for a in ids), encoding="utf-8")
+            code, err = _runs(workspace, ["eval", "--embeddings", "{dir}/out.cevx", "--pairs", "{pairs}"])
+            assert code == 0, err

@@ -18,6 +18,7 @@ from minembed.storage import (
     ids_sidecar,
     read_embeddings,
     read_jsonl,
+    read_lines,
     read_pairs,
     read_qrels,
     read_tensors,
@@ -105,6 +106,31 @@ def test_jsonl_roundtrip_and_format(tmp_path):
     assert read_jsonl(path) == rows
     for line in raw.decode("utf-8").splitlines():
         json.loads(line)
+
+
+# Characters str.splitlines breaks at besides "\n" and "\r"; JSON writes the first three raw.
+OTHER_LINE_BREAKS = "\u2028\u2029\x85\x0b\x0c\x1c\x1d\x1e"
+
+
+def test_jsonl_roundtrip_keeps_line_separators_inside_strings(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    rows = [{"a": "x\x85y"}, {"a": "p\u2028q", "b": "\u2029"}, {"a": OTHER_LINE_BREAKS}, {"\u2028": 1}]
+    write_jsonl(path, rows)
+    assert "\u2028".encode("utf-8") in path.read_bytes()  # written raw, not escaped
+    assert read_jsonl(path) == rows
+    # A CRLF file still reads as LF, with its physical line numbers.
+    path.write_bytes(b'{"a": 1}\r\n\r\n{"a": "x\xe2\x80\xa8y"}\r\n[2]\r\n')
+    with pytest.raises(DataError) as err:
+        read_jsonl(path)
+    assert f"{path}:4: expected a JSON object" in str(err.value)
+    path.write_bytes(b'{"a": 1}\r\n\r\n{"a": "x\xe2\x80\xa8y"}\r\n')
+    assert read_jsonl(path) == [{"a": 1}, {"a": "x\u2028y"}]
+
+
+def test_read_lines_splits_at_newline_only(tmp_path):
+    path = tmp_path / "texts.txt"
+    path.write_text("one\u2028still one\r\ntwo\x85too\n\nthree\rfour", encoding="utf-8", newline="")
+    assert read_lines(path) == ["one\u2028still one", "two\x85too", "three", "four"]
 
 
 def test_jsonl_invalid_line(tmp_path):
@@ -201,6 +227,20 @@ def test_embeddings_roundtrip(tmp_path):
     assert loaded_ids == ids
     assert np.array_equal(loaded, matrix)
     assert ids_sidecar(path).exists()
+
+
+def test_embeddings_roundtrip_ids_with_line_separators(tmp_path):
+    path = tmp_path / "emb.cevx"
+    ids = ["a\u2028b", "c", "\u2029", "d\x85e" + OTHER_LINE_BREAKS]
+    write_embeddings(path, ids, np.ones((4, 2), dtype=np.float32))
+    assert read_embeddings(path)[0] == ids
+    # "\n" or "\r" would end the id's line in the sidecar: rejected, and nothing is written.
+    for bad in ("x\ny", "x\ry", "x\r\n"):
+        out = tmp_path / "bad.cevx"
+        with pytest.raises(DataError) as err:
+            write_embeddings(out, ["ok", bad], np.ones((2, 2), dtype=np.float32))
+        assert err.value.code == "E_IO" and repr(bad) in str(err.value)
+        assert not out.exists() and not ids_sidecar(out).exists()
 
 
 def test_embeddings_rewrite_is_byte_identical(tmp_path):

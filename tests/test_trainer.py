@@ -592,6 +592,123 @@ def test_reused_buffers_do_not_leak_to_other_callers(small_params, tmp_path):
     assert gradient_check(check_params, check_batch, samples=30, config=config, seed=2) == before_train
 
 
+def inplace_adamw_step(params, grads, state, lr, config):
+    """The chunked in-place update as it was before rows outside R got the cheap form,
+    full on every row whatever ``state.live_rows`` says; the bits to match."""
+    import minembed.trainer as trainer_mod
+
+    tensors = params.tensors
+    state.t += 1
+    correction1 = 1.0 - config.beta1**state.t
+    correction2 = 1.0 - config.beta2**state.t
+    for name, grad in grads.items():
+        rows = max(1, trainer_mod._ADAMW_CHUNK // grad[0].size)
+        for lo in range(0, len(grad), rows):
+            g, m, v, theta = (t[lo : lo + rows] for t in (grad, state.m[name], state.v[name], tensors[name]))
+            x, y = (buf[: g.size].reshape(g.shape) for buf in state.scratch)
+            m *= config.beta1
+            m += np.multiply(1.0 - config.beta1, g, out=x)
+            v *= config.beta2
+            np.multiply(1.0 - config.beta2, g, out=x)
+            v += np.multiply(x, g, out=x)
+            np.divide(m, correction1, out=x)
+            np.sqrt(np.divide(v, correction2, out=y), out=y)
+            y += config.eps
+            x /= y
+            x += np.multiply(config.weight_decay, theta, out=y)
+            x *= lr
+            theta -= x
+    return params, state
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+@pytest.mark.parametrize("chunk", [None, 40, 8])
+def test_row_split_adamw_matches_full_update_bit_for_bit(monkeypatch, weight_decay, chunk):
+    import minembed.trainer as trainer_mod
+
+    if chunk is not None:
+        # 40: chunks of a few rows and a partial last one; 8: E's 16-value rows are longer than a chunk.
+        monkeypatch.setattr(trainer_mod, "_ADAMW_CHUNK", chunk)
+    config = TrainConfig(weight_decay=weight_decay)
+    params = init_params(4, vocab_size=64, d_emb=16, d_hid=12, d_out=8, lora_rank=2)
+    rng = np.random.default_rng(9)
+    live = np.sort(rng.choice(64, size=24, replace=False))
+    outside = np.setdiff1d(np.arange(64), live)
+    emb = params.tensors["E"]
+    emb[outside[0]] = -0.0  # -0.0 outside R must stay -0.0, as the full update leaves it
+    emb[outside[1], ::2] = -0.0
+    emb[live[0]] = -0.0
+    ref_params = params.copy()
+    state, ref_state = init_optimizer_state(params), init_optimizer_state(ref_params)
+    state.live_rows["E"] = live
+    hot = live[:16]  # R is a strict superset of the rows that ever get a gradient
+    for step, lr in enumerate([1e-2, 0.0, 5e-2, 0.0, 3e-3, 2e-2] * 2):
+        grads = {name: rng.normal(size=t.shape) for name, t in params.tensors.items()}
+        grads["E"][:] = 0.0
+        touched = hot[rng.random(hot.size) < 0.6]  # a row of R gets no gradient in some steps
+        grads["E"][touched] = rng.normal(size=(touched.size, 16))
+        adamw_step(params, grads, state, lr, config)
+        inplace_adamw_step(ref_params, grads, ref_state, lr, config)
+        assert state.t == ref_state.t == step + 1
+        for name in TENSOR_NAMES:
+            assert _same_bits(params.tensors[name], ref_params.tensors[name]), (step, name)
+            assert _same_bits(state.m[name], ref_state.m[name]), (step, name)
+            assert _same_bits(state.v[name], ref_state.v[name]), (step, name)
+    assert np.signbit(emb[outside[0]]).all() and not state.m["E"][outside].any()
+    assert not _same_bits(state.m["E"][hot], np.zeros_like(state.m["E"][hot]))
+
+
+_CLUSTER_WORDS = (["apex", "basal", "mitral", "aortic"], ["quartz", "basalt", "shale", "gneiss"])
+
+
+def _toy_triplets(n: int, seed: int, split: str, words: tuple[list[str], list[str]]) -> list[Triplet]:
+    rng = np.random.default_rng(seed)
+    pick = lambda vocab: " ".join(rng.choice(vocab, size=3))
+    # Positives and negatives end in a word of their own, so that each role pools rows no other role pools.
+    return [Triplet(f"{split}{i}", pick(words[i % 2]), pick(words[i % 2]) + f" {split}echo", f"{split}n{i}",
+                    pick(words[1 - i % 2]) + f" {split}tail", split) for i in range(n)]
+
+
+@pytest.mark.parametrize("pooling, lora_only", [("mean", False), ("last_token", False), ("mean", True)])
+def test_train_gradient_reaches_only_r_and_bytes_match_full_update(tmp_path, monkeypatch, pooling, lora_only):
+    import minembed.trainer as trainer_mod
+
+    train_set = _toy_triplets(12, 4, "train", _CLUSTER_WORDS)
+    # Validation texts with words of their own: validation takes no gradient, so their rows stay out of R.
+    val_set = _toy_triplets(6, 5, "val", (["zebra", "yonder"], ["xylem", "walrus"]))
+    config = small_config(epochs=2, train_lora_only=lora_only)
+    seen = []
+
+    def checked(params, grads, state, lr, config):
+        if lora_only:
+            assert state.live_rows == {} and "E" not in grads
+        else:
+            outside = np.ones(len(grads["E"]), dtype=bool)
+            outside[state.live_rows["E"]] = False
+            assert not grads["E"][outside].any()
+            seen.append(state.live_rows["E"].tolist())
+        return adamw_step(params, grads, state, lr, config)
+
+    def run(out_dir, step):
+        monkeypatch.setattr(trainer_mod, "adamw_step", step)
+        params = init_params(2, vocab_size=512, d_emb=16, d_hid=24, d_out=12, lora_rank=4, pooling=pooling)
+        train(train_set, params, config, val_triplets=val_set, out_dir=out_dir)
+        return params
+
+    params = run(tmp_path / "split", checked)
+    pooled = slice(None) if pooling == "mean" else slice(-1, None)
+    pooled_ids = lambda triplets: {i for t in triplets for text in (t.anchor_text, t.positive_text, t.negative_text)
+                                   for i in params.tokenizer(text)[pooled]}
+    if not lora_only:
+        assert seen == [sorted(pooled_ids(train_set))] * 6
+        assert pooled_ids(val_set) - pooled_ids(train_set)
+    run(tmp_path / "full", inplace_adamw_step)
+    names = sorted(p.name for p in (tmp_path / "split").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "full").iterdir()) and "epoch-2.cemb" in names
+    for name in names:
+        assert (tmp_path / "split" / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+
+
 # -- train loop --------------------------------------------------------------------
 
 
