@@ -55,11 +55,21 @@ def fnv1a_64(data: bytes) -> int:
     return h
 
 
-@functools.lru_cache(maxsize=None)
-def _token_hash(token: str) -> int:
-    # Memoized: a corpus repeats its tokens, so each distinct token string is hashed
-    # once, and the memo grows with the distinct tokens seen, not with the texts.
-    return fnv1a_64(token.encode("utf-8"))
+class _TokenIds(dict):
+    """Token string -> id under one vocabulary size; a token not seen yet is hashed once."""
+
+    def __init__(self, vocab_size: int) -> None:
+        super().__init__()
+        self.vocab_size = vocab_size
+
+    def __missing__(self, token: str) -> int:
+        self[token] = token_id = fnv1a_64(token.encode("utf-8")) % self.vocab_size
+        return token_id
+
+
+# One memo per vocabulary size, kept for the life of the process: a corpus repeats its
+# tokens, so the memo grows with the distinct tokens seen, not with the texts.
+_token_ids = functools.cache(_TokenIds)
 
 
 @dataclass(frozen=True)
@@ -69,7 +79,7 @@ class Tokenizer:
     vocab_size: int = DEFAULT_VOCAB_SIZE
 
     def __call__(self, text: str) -> list[int]:
-        return [_token_hash(tok) % self.vocab_size for tok in _TOKEN_RE.findall(text.lower())]
+        return list(map(_token_ids(self.vocab_size).__getitem__, _TOKEN_RE.findall(text.lower())))
 
 
 def tensor_shapes(vocab: int, d_emb: int, d_hid: int, d_out: int, rank: int) -> dict[str, tuple[int, ...]]:

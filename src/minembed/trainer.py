@@ -87,35 +87,46 @@ class OptimizerState:
     temporaries, one chunk of rows at a time. It is working memory, not
     state: nothing in it outlives a step.
 
-    ``live_rows`` is working memory too. It maps a tensor name to R: the
-    sorted, distinct rows of that tensor that can get a nonzero gradient.
-    The caller promises that every other row's gradient is zero at every
-    step, so its moments stay zero and the full update reduces exactly to
-    ``theta -= (0.0 + wd * theta) * lr``; ``adamw_step`` applies that
-    cheap form to them. The ``0.0 +`` turns a -0.0 product into +0.0, as
-    the full update does. This is not lazy Adam: every row still gets its
-    decoupled weight decay at every step, so the results are the same bits.
-    A tensor not named here gets the full update on every row. ``train``
-    sets R for ``E``, from the ids that train texts pool.
+    ``live_rows`` maps a tensor name to R: the sorted, distinct rows of
+    that tensor that can get a nonzero gradient. The caller promises that
+    every other row's gradient is zero at every step. Those rows' moments
+    then stay zero, so a tensor with R keeps only R's moments: ``m`` and
+    ``v`` hold ``len(R)`` rows, in R's order. Outside R the full update
+    reduces exactly to ``theta -= (0.0 + wd * theta) * lr``, and
+    ``adamw_step`` applies that cheap form there. The ``0.0 +`` turns a
+    -0.0 product into +0.0, as the full update does. This is not lazy Adam:
+    every row still gets its decoupled weight decay at every step, so the
+    results are the same bits. A tensor not named here keeps full moments
+    and gets the full update on every row. ``init_optimizer_state`` builds
+    the moments to match R; ``train`` sets R for ``E``, from the ids that
+    train texts pool.
     """
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
     scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-    live_rows: dict[str, np.ndarray] = field(init=False, repr=False, compare=False, default_factory=dict)
+    live_rows: dict[str, np.ndarray] = field(repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         # A chunk is whole rows: _ADAMW_CHUNK elements' worth, or one row if a row is longer.
-        size = max([_ADAMW_CHUNK, *(m[0].size for m in self.m.values())])
+        size = max([_ADAMW_CHUNK, *(math.prod(m.shape[1:]) for m in self.m.values())])
         self.scratch = (np.empty(size), np.empty(size))
 
 
-def init_optimizer_state(params: EncoderParams, lora_only: bool = False) -> OptimizerState:
-    names = params.trainable_names(lora_only)
+def init_optimizer_state(
+    params: EncoderParams, lora_only: bool = False, live_rows: Mapping[str, np.ndarray] | None = None
+) -> OptimizerState:
+    """Zero moments for every trained tensor: ``len(R)`` rows for a tensor
+    with rows R in ``live_rows``, full-size for the others."""
+    live_rows = dict(live_rows or {})
+    shapes = {n: params.tensors[n].shape for n in params.trainable_names(lora_only)}
+    for name, rows in live_rows.items():
+        shapes[name] = (len(rows), *shapes[name][1:])
     return OptimizerState(
-        m={n: np.zeros_like(params.tensors[n]) for n in names},
-        v={n: np.zeros_like(params.tensors[n]) for n in names},
+        m={n: np.zeros(shape) for n, shape in shapes.items()},
+        v={n: np.zeros(shape) for n, shape in shapes.items()},
+        live_rows=live_rows,
     )
 
 
@@ -231,15 +242,19 @@ def batch_loss(
     return _infonce(a, p, n, config.temperature)[0]
 
 
-def gradient_buffers(params: EncoderParams, lora_only: bool) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """One gradient buffer per trained tensor, and a flat float64 scratch as
-    long as the largest, which holds the squares the gradient norm sums.
+def gradient_buffers(
+    params: EncoderParams, lora_only: bool, live_rows: Mapping[str, np.ndarray] | None = None
+) -> tuple[dict[str, np.ndarray], np.ndarray, dict[str, np.ndarray]]:
+    """One zeroed gradient buffer per trained tensor, a flat float64 scratch
+    as long as the largest, which holds the squares the gradient norm sums,
+    and ``live_rows``, which maps a tensor to R, the only rows of it that a
+    gradient may reach (see ``OptimizerState``).
 
     The buffers are row-major whatever the tensors' layout: the ``E``
     scatter writes through a flat view, and the norm sums in row order.
     """
-    grads = {name: np.empty_like(params.tensors[name], order="C") for name in params.trainable_names(lora_only)}
-    return grads, np.empty(max(g.size for g in grads.values()))
+    grads = {name: np.zeros_like(params.tensors[name], order="C") for name in params.trainable_names(lora_only)}
+    return grads, np.empty(max(g.size for g in grads.values())), dict(live_rows or {})
 
 
 def infonce_gradient(
@@ -250,13 +265,15 @@ def infonce_gradient(
     seed: int = 0,
     *,
     token_ids: Mapping[str, Sequence[int]] | None = None,
-    out: tuple[dict[str, np.ndarray], np.ndarray] | None = None,
+    out: tuple[dict[str, np.ndarray], np.ndarray, dict[str, np.ndarray]] | None = None,
 ) -> tuple[dict[str, np.ndarray], BatchLossReport]:
     """Exact analytic gradient of the batch loss for every trained tensor.
 
     ``token_ids`` is handed to ``forward_batch``. Without ``out`` the
-    gradient comes in fresh arrays. With it, ``out`` is a pair from
-    ``gradient_buffers``, which is zeroed, filled and returned.
+    gradient comes in fresh arrays. With it, ``out`` is a triple from
+    ``gradient_buffers``, whose buffers are zeroed, filled and returned. A
+    buffer with rows R is zeroed on R only, since the batch's gradient
+    reaches no other row of it and they are still zero.
     """
     if not batch:
         raise DataError("E_EMPTY_BATCH", "cannot take gradients of an empty batch")
@@ -264,9 +281,12 @@ def infonce_gradient(
     (a, _), (p, _), (n, _) = roles
     report, grad_sims = _infonce(a, p, n, config.temperature)
 
-    grads, squares = out if out is not None else gradient_buffers(params, config.train_lora_only)
-    for g in grads.values():
-        g.fill(0.0)
+    grads, squares, live_rows = out if out is not None else gradient_buffers(params, config.train_lora_only)
+    for name, g in grads.items():
+        if name in live_rows:
+            g[live_rows[name]] = 0.0
+        else:
+            g.fill(0.0)
     # Chain rule through the sims: d_pos[i, j] = dL/d(a_i . p_j), d_neg[i] = dL/d(a_i . n_i).
     d_pos, d_neg = grad_sims[:, :-1], grad_sims[:, -1:]
     for (_, cache), grad in zip(roles, (d_pos @ p + d_neg * n, d_pos.T @ a, d_neg * a)):
@@ -316,6 +336,14 @@ def _full_update(
     theta -= x
 
 
+def _row_chunks(*arrays: np.ndarray):
+    """Equal slices of rows of ``arrays``, about ``_ADAMW_CHUNK`` values each, or one row if a row is longer."""
+    rows = max(1, _ADAMW_CHUNK // math.prod(arrays[0].shape[1:]))
+    for lo in range(0, len(arrays[0]), rows):
+        # Slices along the first axis are views, whatever the strides, so the updates land in place.
+        yield [t[lo : lo + rows] for t in arrays]
+
+
 def adamw_step(
     params: EncoderParams,
     grads: dict[str, np.ndarray],
@@ -328,44 +356,44 @@ def adamw_step(
     Each tensor is updated a chunk of rows at a time, and each temporary is
     written into ``state.scratch``, in the order of operations of
     ``theta -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta)``. The update
-    is elementwise, so the chunks change no bit. For a tensor with rows R
-    in ``state.live_rows``, each chunk first gathers R's rows, then gives
-    the whole chunk the cheap update of a row with g = m = v = 0, then gives
-    the gathered rows the full update and scatters them back. ``grads`` is
-    only read.
+    is elementwise, so the chunks change no bit. For a tensor with rows R in
+    ``state.live_rows``, only R's gradient rows are read and checked: they
+    and R's weights are gathered once, every row gets the cheap update of a
+    row with g = m = v = 0, R's gathered rows get the full update with the
+    compact moments, and they are scattered back once. ``grads`` is only read.
     """
     tensors = params.tensors
+    blocks = {}
     for name, grad in grads.items():
         if name not in state.m:
             raise DataError("E_SHAPE_MISMATCH", f"gradient for untracked tensor {name!r}")
         if grad.shape != tensors[name].shape:
             raise DataError("E_SHAPE_MISMATCH", f"{name}: gradient {grad.shape} vs parameter {tensors[name].shape}")
-        if not np.all(np.isfinite(grad)):
+        live = state.live_rows.get(name)
+        g = grad if live is None else grad[live]
+        if g.shape != state.m[name].shape:
+            raise DataError("E_SHAPE_MISMATCH", f"{name}: gradient rows {g.shape} vs moments {state.m[name].shape}")
+        if not np.all(np.isfinite(g)):
             raise NumericError("E_NONFINITE_GRAD", f"non-finite gradient in {name}")
+        blocks[name] = g
     state.t += 1
     correction1 = 1.0 - config.beta1**state.t
     correction2 = 1.0 - config.beta2**state.t
-    for name, grad in grads.items():
-        rows = max(1, _ADAMW_CHUNK // grad[0].size)
+    for name, g in blocks.items():
+        theta = tensors[name]
         live = state.live_rows.get(name)
-        for lo in range(0, len(grad), rows):
-            # Slices along the first axis are views, whatever the strides, so the updates land in place.
-            chunk = [t[lo : lo + rows] for t in (grad, state.m[name], state.v[name], tensors[name])]
-            if live is None:
-                _full_update(*chunk, state.scratch, correction1, correction2, lr, config)
-                continue
-            start, stop = np.searchsorted(live, (lo, lo + rows))
-            picked = live[start:stop] - lo
-            gathered = [t[picked] for t in chunk]
+        if live is not None:
+            whole, theta = theta, theta[live]
             # A row outside R has g = m = v = 0, where the full update reduces exactly to this.
-            theta = chunk[3]
-            x = state.scratch[0][: theta.size].reshape(theta.shape)
-            np.add(0.0, np.multiply(config.weight_decay, theta, out=x), out=x)
-            x *= lr
-            theta -= x
-            _full_update(*gathered, state.scratch, correction1, correction2, lr, config)
-            for t, part in zip(chunk[1:], gathered[1:]):
-                t[picked] = part
+            for (chunk,) in _row_chunks(whole):
+                x = state.scratch[0][: chunk.size].reshape(chunk.shape)
+                np.add(0.0, np.multiply(config.weight_decay, chunk, out=x), out=x)
+                x *= lr
+                chunk -= x
+        for chunk in _row_chunks(g, state.m[name], state.v[name], theta):
+            _full_update(*chunk, state.scratch, correction1, correction2, lr, config)
+        if live is not None:
+            whole[live] = theta
     return params, state
 
 
@@ -404,8 +432,9 @@ def train(
     ``out_dir`` is given. Bit-deterministic for fixed inputs and config.
     Each distinct text is tokenized once per run, and the gradient buffers
     and AdamW scratch are allocated once and reused by every step. Unless
-    only the adapters train, AdamW gives the full update only to the ``E``
-    rows that train texts pool (``OptimizerState.live_rows``).
+    only the adapters train, each step zeroes and checks only the ``E``
+    rows that train texts pool, and AdamW keeps moments for and gives the
+    full update to only those rows (``OptimizerState.live_rows``).
     """
     if not triplets:
         raise DataError("E_NO_TRAIN_DATA", "no training triplets")
@@ -420,14 +449,15 @@ def train(
     for i, (text, ids) in enumerate(token_ids.items()):
         if not ids:
             raise DataError("E_EMPTY_TOKENS", f"text {i} produced no tokens: {text!r}")
-    state = init_optimizer_state(params, config.train_lora_only)
+    live_rows = {}
     if not config.train_lora_only:
         # R: the E rows that train texts pool. Validation takes no gradient, so its texts stay out.
         pooled = _POOLED_TOKENS[params.pooling]
         pooled_ids = (token_ids[text][pooled] for t in triplets
                       for text in (t.anchor_text, t.positive_text, t.negative_text))
-        state.live_rows["E"] = np.array(sorted(set(chain.from_iterable(pooled_ids))), dtype=np.intp)
-    buffers = gradient_buffers(params, config.train_lora_only)
+        live_rows["E"] = np.array(sorted(set(chain.from_iterable(pooled_ids))), dtype=np.intp)
+    state = init_optimizer_state(params, config.train_lora_only, live_rows)
+    buffers = gradient_buffers(params, config.train_lora_only, live_rows)
     steps_per_epoch = math.ceil(len(triplets) / config.batch_size)
     total_steps = steps_per_epoch * config.epochs
     reports: list[EpochReport] = []

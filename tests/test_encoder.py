@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +23,7 @@ from minembed.encoder import (
     load_checkpoint,
     save_checkpoint,
 )
-from minembed.encoder import _token_hash
+from minembed.encoder import _token_ids
 from minembed.errors import DataError
 from minembed.storage import read_tensors, write_tensors
 
@@ -75,8 +77,33 @@ def test_memoized_token_hash_matches_fnv1a(token):
     # Asked twice, so the second answer comes from the memo.
     for _ in range(2):
         for vocab in (64, 16384):
-            assert _token_hash(token) % vocab == fnv1a_64(token.encode("utf-8")) % vocab
+            assert _token_ids(vocab)[token] == fnv1a_64(token.encode("utf-8")) % vocab
     assert Tokenizer(vocab_size=64)(token) == [reference_fnv1a_64(token.lower().encode("utf-8")) % 64]
+
+
+@functools.lru_cache(maxsize=None)
+def _hash_memo(token: str) -> int:
+    return fnv1a_64(token.encode("utf-8"))
+
+
+def reference_tokenize(text: str, vocab_size: int) -> list[int]:
+    """The tokenizer as it was before the per-vocabulary id memo: one memoized hash per token, then the modulus."""
+    return [_hash_memo(tok) % vocab_size for tok in re.findall(r"[^\W_]+", text.lower())]
+
+
+# Underscores and digits, letters whose lowercase form differs in length or kind
+# (dotted capital I, sharp s, final sigma), a no-break space and punctuation.
+_TOKENIZER_ALPHABET = "abzAZ09_İıßẞΣσςÉé心房\u00a0 \t\n.,;:!?-'\"()"
+
+
+@given(st.lists(st.text(alphabet=_TOKENIZER_ALPHABET, max_size=40), max_size=6))
+@settings(max_examples=300)
+def test_token_id_memo_matches_reference_tokenizer(texts):
+    # Two vocabulary sizes in one process, each text asked twice: each size keeps its own memo.
+    for _ in range(2):
+        for text in texts:
+            for vocab in (64, 16384):
+                assert Tokenizer(vocab_size=vocab)(text) == reference_tokenize(text, vocab)
 
 
 # -- forward pass ----------------------------------------------------------------

@@ -551,13 +551,13 @@ def test_in_place_adamw_matches_reference_bit_for_bit(
     else:
         state = init_optimizer_state(params, lora_only)
     ref_state = OptimizerState(m={n: m.copy() for n, m in state.m.items()}, v={n: v.copy() for n, v in state.v.items()})
-    buffers, squares = gradient_buffers(params, lora_only)
+    buffers, squares, live_rows = gradient_buffers(params, lora_only)
     for g in buffers.values():
         g.fill(np.nan)  # stale values must not leak in
     for step in range(6):
         batch = make_batch(6, seed=step)
         ref_grads, ref_report = infonce_gradient(batch, ref_params, config, seed=step)
-        grads, report = infonce_gradient(batch, params, config, seed=step, out=(buffers, squares))
+        grads, report = infonce_gradient(batch, params, config, seed=step, out=(buffers, squares, live_rows))
         assert grads is buffers and sorted(grads) == sorted(names)
         assert all(_same_bits(grads[n], ref_grads[n]) for n in names)
         assert _same_bits(report.grad_norm, reference_grad_norm(ref_grads))
@@ -592,6 +592,23 @@ def test_reused_buffers_do_not_leak_to_other_callers(small_params, tmp_path):
     assert gradient_check(check_params, check_batch, samples=30, config=config, seed=2) == before_train
 
 
+def _block_update(g, m, v, theta, scratch, correction1, correction2, lr, config):
+    """The chunked in-place AdamW update of one block of rows, its temporaries in ``scratch``."""
+    x, y = (buf[: g.size].reshape(g.shape) for buf in scratch)
+    m *= config.beta1
+    m += np.multiply(1.0 - config.beta1, g, out=x)
+    v *= config.beta2
+    np.multiply(1.0 - config.beta2, g, out=x)
+    v += np.multiply(x, g, out=x)
+    np.divide(m, correction1, out=x)
+    np.sqrt(np.divide(v, correction2, out=y), out=y)
+    y += config.eps
+    x /= y
+    x += np.multiply(config.weight_decay, theta, out=y)
+    x *= lr
+    theta -= x
+
+
 def inplace_adamw_step(params, grads, state, lr, config):
     """The chunked in-place update as it was before rows outside R got the cheap form,
     full on every row whatever ``state.live_rows`` says; the bits to match."""
@@ -604,20 +621,8 @@ def inplace_adamw_step(params, grads, state, lr, config):
     for name, grad in grads.items():
         rows = max(1, trainer_mod._ADAMW_CHUNK // grad[0].size)
         for lo in range(0, len(grad), rows):
-            g, m, v, theta = (t[lo : lo + rows] for t in (grad, state.m[name], state.v[name], tensors[name]))
-            x, y = (buf[: g.size].reshape(g.shape) for buf in state.scratch)
-            m *= config.beta1
-            m += np.multiply(1.0 - config.beta1, g, out=x)
-            v *= config.beta2
-            np.multiply(1.0 - config.beta2, g, out=x)
-            v += np.multiply(x, g, out=x)
-            np.divide(m, correction1, out=x)
-            np.sqrt(np.divide(v, correction2, out=y), out=y)
-            y += config.eps
-            x /= y
-            x += np.multiply(config.weight_decay, theta, out=y)
-            x *= lr
-            theta -= x
+            chunk = (t[lo : lo + rows] for t in (grad, state.m[name], state.v[name], tensors[name]))
+            _block_update(*chunk, state.scratch, correction1, correction2, lr, config)
     return params, state
 
 
@@ -639,8 +644,8 @@ def test_row_split_adamw_matches_full_update_bit_for_bit(monkeypatch, weight_dec
     emb[outside[1], ::2] = -0.0
     emb[live[0]] = -0.0
     ref_params = params.copy()
-    state, ref_state = init_optimizer_state(params), init_optimizer_state(ref_params)
-    state.live_rows["E"] = live
+    # The reference keeps full-size moments; the state under test keeps R's rows only.
+    state, ref_state = init_optimizer_state(params, live_rows={"E": live}), init_optimizer_state(ref_params)
     hot = live[:16]  # R is a strict superset of the rows that ever get a gradient
     for step, lr in enumerate([1e-2, 0.0, 5e-2, 0.0, 3e-3, 2e-2] * 2):
         grads = {name: rng.normal(size=t.shape) for name, t in params.tensors.items()}
@@ -652,10 +657,32 @@ def test_row_split_adamw_matches_full_update_bit_for_bit(monkeypatch, weight_dec
         assert state.t == ref_state.t == step + 1
         for name in TENSOR_NAMES:
             assert _same_bits(params.tensors[name], ref_params.tensors[name]), (step, name)
-            assert _same_bits(state.m[name], ref_state.m[name]), (step, name)
-            assert _same_bits(state.v[name], ref_state.v[name]), (step, name)
-    assert np.signbit(emb[outside[0]]).all() and not state.m["E"][outside].any()
-    assert not _same_bits(state.m["E"][hot], np.zeros_like(state.m["E"][hot]))
+            ref_m, ref_v = ref_state.m[name], ref_state.v[name]
+            if name == "E":
+                # The reference's moments outside R stay exactly zero; the compact moments are its R rows.
+                zero = np.zeros((outside.size, 16))
+                assert _same_bits(ref_m[outside], zero) and _same_bits(ref_v[outside], zero), step
+                ref_m, ref_v = ref_m[live], ref_v[live]
+            assert _same_bits(state.m[name], ref_m), (step, name)
+            assert _same_bits(state.v[name], ref_v), (step, name)
+    assert np.signbit(emb[outside[0]]).all() and state.m["E"].shape == state.v["E"].shape == (live.size, 16)
+    assert not _same_bits(state.m["E"][: hot.size], np.zeros((hot.size, 16)))
+
+
+def test_adamw_rejects_full_moments_when_r_is_set():
+    # R set on a state whose moments are full-size would misread the moments; nothing may move.
+    params, state = one_tensor_setup(0.5)
+    state.live_rows["E"] = np.array([1, 3])
+    grads = {name: np.zeros_like(t) for name, t in params.tensors.items()}
+    before = {name: t.copy() for name, t in params.tensors.items()}
+    with pytest.raises(DataError) as err:
+        adamw_step(params, grads, state, lr=1e-3, config=TrainConfig())
+    assert err.value.code == "E_SHAPE_MISMATCH" and state.t == 0
+    assert all(_same_bits(params.tensors[n], before[n]) for n in before)
+    compact = init_optimizer_state(params, live_rows={"E": np.array([1, 3])})
+    assert compact.m["E"].shape == compact.v["E"].shape == (2, 2) and compact.m["W1"].shape == (2, 2)
+    adamw_step(params, grads, compact, lr=1e-3, config=TrainConfig())
+    assert compact.t == 1
 
 
 _CLUSTER_WORDS = (["apex", "basal", "mitral", "aortic"], ["quartz", "basalt", "shale", "gneiss"])
@@ -677,7 +704,7 @@ def test_train_gradient_reaches_only_r_and_bytes_match_full_update(tmp_path, mon
     # Validation texts with words of their own: validation takes no gradient, so their rows stay out of R.
     val_set = _toy_triplets(6, 5, "val", (["zebra", "yonder"], ["xylem", "walrus"]))
     config = small_config(epochs=2, train_lora_only=lora_only)
-    seen = []
+    seen, states = [], {}
 
     def checked(params, grads, state, lr, config):
         if lora_only:
@@ -687,7 +714,16 @@ def test_train_gradient_reaches_only_r_and_bytes_match_full_update(tmp_path, mon
             outside[state.live_rows["E"]] = False
             assert not grads["E"][outside].any()
             seen.append(state.live_rows["E"].tolist())
+        states["split"] = state
         return adamw_step(params, grads, state, lr, config)
+
+    def full(params, grads, state, lr, config):
+        # The reference update keeps full-size moments of its own, whatever train built.
+        ref = states.setdefault("full", OptimizerState(m={n: np.zeros_like(g) for n, g in grads.items()},
+                                                       v={n: np.zeros_like(g) for n, g in grads.items()}))
+        inplace_adamw_step(params, grads, ref, lr, config)
+        state.t = ref.t
+        return params, state
 
     def run(out_dir, step):
         monkeypatch.setattr(trainer_mod, "adamw_step", step)
@@ -702,11 +738,133 @@ def test_train_gradient_reaches_only_r_and_bytes_match_full_update(tmp_path, mon
     if not lora_only:
         assert seen == [sorted(pooled_ids(train_set))] * 6
         assert pooled_ids(val_set) - pooled_ids(train_set)
-    run(tmp_path / "full", inplace_adamw_step)
+    run(tmp_path / "full", full)
     names = sorted(p.name for p in (tmp_path / "split").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "full").iterdir()) and "epoch-2.cemb" in names
     for name in names:
         assert (tmp_path / "split" / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+    split, ref = states["split"], states["full"]
+    assert split.t == ref.t == 6 and sorted(split.m) == sorted(ref.m)
+    for name in ref.m:
+        ref_m, ref_v = ref.m[name], ref.v[name]
+        if name == "E":
+            live = split.live_rows["E"]
+            outside = np.setdiff1d(np.arange(len(ref_m)), live)
+            zero = np.zeros((outside.size, ref_m.shape[1]))
+            assert _same_bits(ref_m[outside], zero) and _same_bits(ref_v[outside], zero)
+            ref_m, ref_v = ref_m[live], ref_v[live]
+        assert _same_bits(split.m[name], ref_m) and _same_bits(split.v[name], ref_v), name
+
+
+def row_split_adamw_step(params, grads, state, lr, config):
+    """The update as it was when moments were full-size and each chunk gathered
+    and scattered its own R rows; the bits to match."""
+    import minembed.trainer as trainer_mod
+
+    tensors = params.tensors
+    for name, grad in grads.items():
+        if not np.all(np.isfinite(grad)):
+            raise NumericError("E_NONFINITE_GRAD", f"non-finite gradient in {name}")
+    state.t += 1
+    correction1 = 1.0 - config.beta1**state.t
+    correction2 = 1.0 - config.beta2**state.t
+    for name, grad in grads.items():
+        rows = max(1, trainer_mod._ADAMW_CHUNK // grad[0].size)
+        live = state.live_rows.get(name)
+        for lo in range(0, len(grad), rows):
+            chunk = [t[lo : lo + rows] for t in (grad, state.m[name], state.v[name], tensors[name])]
+            if live is None:
+                _block_update(*chunk, state.scratch, correction1, correction2, lr, config)
+                continue
+            start, stop = np.searchsorted(live, (lo, lo + rows))
+            picked = live[start:stop] - lo
+            gathered = [t[picked] for t in chunk]
+            theta = chunk[3]
+            x = state.scratch[0][: theta.size].reshape(theta.shape)
+            np.add(0.0, np.multiply(config.weight_decay, theta, out=x), out=x)
+            x *= lr
+            theta -= x
+            _block_update(*gathered, state.scratch, correction1, correction2, lr, config)
+            for t, part in zip(chunk[1:], gathered[1:]):
+                t[picked] = part
+    return params, state
+
+
+@pytest.mark.parametrize("lora_only", [False, True])
+def test_default_shape_r_sized_optimizer_work_matches_row_split_bytes(tmp_path, monkeypatch, lora_only):
+    import minembed.trainer as trainer_mod
+    from minembed.encoder import DEFAULT_D_EMB, DEFAULT_VOCAB_SIZE
+
+    rng = np.random.default_rng(17)
+    words = ["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz"), size=7)) for _ in range(800)]
+    text = lambda: " ".join(rng.choice(words, size=5))
+    train_set = [Triplet(f"a{i}", text(), text(), f"n{i}", text(), "train") for i in range(256)]
+    val_set = [Triplet(f"va{i}", text(), text(), f"vn{i}", text(), "val") for i in range(32)]
+    config = TrainConfig(batch_size=128, epochs=2, seed=5, train_lora_only=lora_only)  # 4 steps
+    chunk_rows = trainer_mod._ADAMW_CHUNK // DEFAULT_D_EMB
+    steps, states = [], {}
+
+    def checked(params, grads, state, lr, config):
+        if lora_only:
+            assert state.live_rows == {} and "E" not in grads
+            assert all(state.m[n].shape == state.v[n].shape == params.tensors[n].shape for n in grads)
+        else:
+            live = state.live_rows["E"]
+            assert np.unique(live // chunk_rows).size == DEFAULT_VOCAB_SIZE // chunk_rows  # R reaches every chunk
+            assert state.m["E"].shape == state.v["E"].shape == (live.size, DEFAULT_D_EMB)
+            outside = np.setdiff1d(np.arange(DEFAULT_VOCAB_SIZE), live)
+            assert _same_bits(grads["E"][outside], np.zeros((outside.size, DEFAULT_D_EMB)))
+            assert grads["E"][live].any()
+        steps.append(state.t)
+        states["changed"] = state
+        return adamw_step(params, grads, state, lr, config)
+
+    def row_split(params, grads, state, lr, config):
+        # Full-size moments of its own, with the R that train built.
+        ref = states.setdefault("ref", OptimizerState(m={n: np.zeros_like(g) for n, g in grads.items()},
+                                                      v={n: np.zeros_like(g) for n, g in grads.items()}))
+        ref.live_rows = state.live_rows
+        row_split_adamw_step(params, grads, ref, lr, config)
+        state.t = ref.t
+        return params, state
+
+    def run(out_dir, step):
+        monkeypatch.setattr(trainer_mod, "adamw_step", step)
+        params = init_params(3, pooling="mean")
+        train(train_set, params, config, val_triplets=val_set, out_dir=out_dir)
+        return params
+
+    params = run(tmp_path / "changed", checked)
+    assert steps == [0, 1, 2, 3]
+    run(tmp_path / "row-split", row_split)
+    names = sorted(p.name for p in (tmp_path / "changed").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "row-split").iterdir()) and "epoch-2.cemb" in names
+    for name in names:
+        assert (tmp_path / "changed" / name).read_bytes() == (tmp_path / "row-split" / name).read_bytes(), name
+    changed, ref = states["changed"], states["ref"]
+    for name in ref.m:
+        live = changed.live_rows.get(name, slice(None))
+        assert _same_bits(changed.m[name], ref.m[name][live]) and _same_bits(changed.v[name], ref.v[name][live])
+
+    batch = train_set[:4]
+    if not lora_only:
+        # A NaN in a row of R is still caught, before anything moves.
+        live = changed.live_rows["E"]
+        state = init_optimizer_state(params, live_rows={"E": live})
+        grads = {n: np.zeros_like(t) for n, t in params.tensors.items()}
+        grads["E"][live[live.size // 2], 5] = np.nan
+        before = params.tensors["E"].copy()
+        with pytest.raises(NumericError) as err:
+            adamw_step(params, grads, state, lr=1e-3, config=config)
+        assert err.value.code == "E_NONFINITE_GRAD" and state.t == 0 and _same_bits(params.tensors["E"], before)
+        # Buffers with R are zeroed on R only, and give the bits of fresh buffers.
+        buffers = gradient_buffers(params, False, {"E": live})
+        buffers[0]["E"][live] = np.nan
+        fresh, _ = infonce_gradient(batch, params, config, seed=1)
+        reused, _ = infonce_gradient(batch, params, config, seed=1, out=buffers)
+        assert all(_same_bits(reused[n], fresh[n]) for n in fresh)
+    # gradient_check takes fresh, fully zeroed buffers and no R.
+    assert gradient_check(params, batch, samples=20, config=config, seed=2) <= 1e-4
 
 
 # -- train loop --------------------------------------------------------------------
