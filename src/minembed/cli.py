@@ -2,9 +2,10 @@
 
 Subcommands: prepare, triplets, train, embed, eval, stats, gradcheck.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
-Diagnostics go to stderr; data goes to files or stdout. Every run that
-writes files also writes a run-metadata JSON with config, seed, and
-SHA-256 digests of inputs and outputs.
+Diagnostics go to stderr; data goes to files or stdout. A command that
+writes files returns the provenance of its run (path, config, seed, inputs,
+outputs), and ``run`` alone writes it as run metadata once the command has
+succeeded, with SHA-256 digests and the seconds since argument parsing began.
 """
 
 from __future__ import annotations
@@ -144,23 +145,22 @@ def build_parser() -> argparse.ArgumentParser:
 # -- command implementations ---------------------------------------------
 
 
-def _load_documents(input_path: str) -> list[corpus.RawDocument]:
+def _load_documents(input_path: str) -> tuple[list[corpus.RawDocument], list[Path]]:
+    """The documents of ``--in`` and the files they were read from, in order."""
     path = Path(input_path)
     if path.is_dir():
-        docs = []
-        for file in sorted(path.glob("*.txt")):
-            docs.append(corpus.RawDocument(doc_id=file.stem, source_name=file.stem, text=storage.read_text(file)))
-        if not docs:
+        files = sorted(path.glob("*.txt"))
+        if not files:
             raise UsageError(f"no .txt files in {path}")
-        return docs
+        return [corpus.RawDocument(doc_id=f.stem, source_name=f.stem, text=storage.read_text(f)) for f in files], files
     if not path.exists():
         raise UsageError(f"input {path} does not exist")
     if path.suffix == ".jsonl":
-        return storage.read_jsonl(path, corpus.RawDocument.from_row)
-    return [corpus.RawDocument(doc_id=path.stem, source_name=path.stem, text=storage.read_text(path))]
+        return storage.read_jsonl(path, corpus.RawDocument.from_row), [path]
+    return [corpus.RawDocument(doc_id=path.stem, source_name=path.stem, text=storage.read_text(path))], [path]
 
 
-def _cmd_prepare(args: argparse.Namespace) -> int:
+def _cmd_prepare(args: argparse.Namespace) -> dict:
     # Checked before the corpus is read; NaN fails every comparison, so each
     # condition is written to fail on it.
     if not 0.0 < args.train_frac < 1.0:
@@ -169,33 +169,19 @@ def _cmd_prepare(args: argparse.Namespace) -> int:
         raise UsageError(f"--test-frac must be >= 0, got {args.test_frac}")
     if not args.train_frac + args.test_frac <= 1.0:
         raise UsageError(f"--train-frac + --test-frac must be <= 1, got {args.train_frac + args.test_frac}")
-    started = time.monotonic()
-    docs = _load_documents(args.input)
+    docs, inputs = _load_documents(args.input)
     records = corpus.build_manifest(docs, min_chars=args.min_chars)
     records = corpus.stratified_split(records, train_frac=args.train_frac, seed=args.seed, test_frac=args.test_frac)
     storage.write_jsonl(args.out, [r.to_row() for r in records])
-    storage.write_run_metadata(
-        args.out + ".meta.json",
-        command="prepare",
-        config={
-            "min_chars": args.min_chars,
-            "train_frac": args.train_frac,
-            "test_frac": args.test_frac,
-        },
-        seed=args.seed,
-        inputs=[],
-        outputs=[args.out],
-        duration_s=time.monotonic() - started,
-    )
     counts = {s: sum(r.split == s for r in records) for s in corpus.SPLITS}
     print(f"prepare: {len(records)} sentences ({counts})", file=sys.stderr)
-    return 0
+    config = {"min_chars": args.min_chars, "train_frac": args.train_frac, "test_frac": args.test_frac}
+    return dict(path=args.out + ".meta.json", config=config, seed=args.seed, inputs=inputs, outputs=[args.out])
 
 
-def _cmd_triplets(args: argparse.Namespace) -> int:
+def _cmd_triplets(args: argparse.Namespace) -> dict:
     if args.min_distance < 1:
         raise UsageError(f"--min-distance must be >= 1, got {args.min_distance}")
-    started = time.monotonic()
     records = storage.read_jsonl(args.corpus, corpus.SentenceRecord.from_row)
     policy = triplets.NegativePolicy(
         min_index_distance=args.min_distance,
@@ -208,27 +194,19 @@ def _cmd_triplets(args: argparse.Namespace) -> int:
     else:
         result = triplets.build_triplets(records, policy)
     storage.write_jsonl(args.out, [t.to_row() for t in result.triplets])
-    storage.write_run_metadata(
-        args.out + ".meta.json",
-        command="triplets",
-        config={
-            "min_distance": args.min_distance,
-            "cross_source": args.cross_source,
-            "provider": args.provider,
-            "skipped_paraphrase": result.skipped_paraphrase,
-            "skipped_negative": result.skipped_negative,
-        },
-        seed=args.seed,
-        inputs=[args.corpus],
-        outputs=[args.out],
-        duration_s=time.monotonic() - started,
-    )
     print(
         f"triplets: {len(result.triplets)} built, "
         f"{result.skipped_paraphrase} paraphrase skips, {result.skipped_negative} negative skips",
         file=sys.stderr,
     )
-    return 0
+    config = {
+        "min_distance": args.min_distance,
+        "cross_source": args.cross_source,
+        "provider": args.provider,
+        "skipped_paraphrase": result.skipped_paraphrase,
+        "skipped_negative": result.skipped_negative,
+    }
+    return dict(path=args.out + ".meta.json", config=config, seed=args.seed, inputs=[args.corpus], outputs=[args.out])
 
 
 def _train_config_from(args: argparse.Namespace) -> tuple[trainer.TrainConfig, dict]:
@@ -257,8 +235,7 @@ def _train_config_from(args: argparse.Namespace) -> tuple[trainer.TrainConfig, d
     return trainer.TrainConfig(**values), encoder_cfg
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def _cmd_train(args: argparse.Namespace) -> dict:
     config, encoder_cfg = _train_config_from(args)
     all_triplets = storage.read_jsonl(args.triplets, triplets.Triplet.from_row)
     train_rows = [t for t in all_triplets if t.split == "train"]
@@ -270,21 +247,17 @@ def _cmd_train(args: argparse.Namespace) -> int:
     params, reports = trainer.train(train_rows, params, config, val_triplets=val_rows or None, out_dir=args.out_dir)
     out_dir = Path(args.out_dir)
     storage.write_jsonl(out_dir / "train-report.jsonl", [vars(r) for r in reports])
-    outputs = [out_dir / "train-report.jsonl", out_dir / "train-log.jsonl"]
-    outputs += [r.checkpoint for r in reports if r.checkpoint]
-    storage.write_run_metadata(
-        out_dir / "run-metadata.json",
-        command="train",
-        config={**vars(config), **encoder_cfg},
-        seed=config.seed,
-        inputs=[args.triplets] + ([args.val] if args.val else []),
-        outputs=outputs,
-        duration_s=time.monotonic() - started,
-    )
     for r in reports:
         val = f"{r.val_loss:.6f}" if r.val_loss is not None else "n/a"
         print(f"epoch {r.epoch}: train loss {r.mean_train_loss:.6f}, val loss {val}", file=sys.stderr)
-    return 0
+    return dict(
+        path=out_dir / "run-metadata.json",
+        config={**vars(config), **encoder_cfg},
+        seed=config.seed,
+        inputs=[args.triplets] + ([args.val] if args.val else []),
+        outputs=[out_dir / "train-report.jsonl", out_dir / "train-log.jsonl"]
+        + [r.checkpoint for r in reports if r.checkpoint],
+    )
 
 
 def _row_texts(row: dict) -> list[tuple[str | None, str]]:
@@ -315,8 +288,7 @@ def _load_texts(path_str: str) -> tuple[list[str], list[str]]:
     return [f"line-{i + 1:06d}" for i in range(len(lines))], lines
 
 
-def _cmd_embed(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def _cmd_embed(args: argparse.Namespace) -> dict:
     params = load_checkpoint(args.checkpoint)
     if args.pooling not in (None, params.pooling):
         raise PipelineError(
@@ -327,17 +299,9 @@ def _cmd_embed(args: argparse.Namespace) -> int:
         [encode_batch(texts[i : i + 256], params) for i in range(0, len(texts), 256)]
     ) if texts else np.zeros((0, params.tensors["W2"].shape[1]))
     storage.write_embeddings(args.out, ids, vectors)
-    storage.write_run_metadata(
-        args.out + ".meta.json",
-        command="embed",
-        config={"pooling": params.pooling},
-        seed=None,
-        inputs=[args.checkpoint, args.texts],
-        outputs=[args.out, storage.ids_sidecar(args.out)],
-        duration_s=time.monotonic() - started,
-    )
     print(f"embed: {len(ids)} vectors of dim {vectors.shape[1] if len(ids) else 0}", file=sys.stderr)
-    return 0
+    return dict(path=args.out + ".meta.json", config={"pooling": params.pooling}, seed=None,
+                inputs=[args.checkpoint, args.texts], outputs=[args.out, storage.ids_sidecar(args.out)])
 
 
 def _parse_ks(text: str) -> list[int]:
@@ -350,7 +314,7 @@ def _parse_ks(text: str) -> list[int]:
     return ks
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: argparse.Namespace) -> None:
     ids, matrix = storage.read_embeddings(args.embeddings)
     # One float64 copy, each id a view of its row; rebinding frees the float32 original.
     matrix = matrix.astype(np.float64)
@@ -385,17 +349,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         print(report_tables(report.to_dict(), model_name=Path(args.embeddings).stem))
     else:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    return 0
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
+def _cmd_stats(args: argparse.Namespace) -> None:
     records = storage.read_jsonl(args.corpus, corpus.SentenceRecord.from_row)
     stats = corpus.corpus_stats(records, Tokenizer())
     print(json.dumps(vars(stats), indent=2, sort_keys=True))
-    return 0
 
 
-def _cmd_gradcheck(args: argparse.Namespace) -> int:
+def _cmd_gradcheck(args: argparse.Namespace) -> None:
     for flag, value in (("--samples", args.samples), ("--batch-size", args.batch_size)):
         if value < 1:
             raise UsageError(f"{flag} must be >= 1, got {value}")
@@ -408,7 +370,6 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     config = trainer.TrainConfig(seed=args.seed, train_lora_only=args.lora_only)
     error = trainer.gradient_check(params, batch, h=args.h, samples=args.samples, config=config, seed=args.seed)
     print(json.dumps({"max_rel_error": error, "samples": args.samples, "h": args.h, "lora_only": args.lora_only}))
-    return 0
 
 
 def report_tables(report: dict, model_name: str = "model") -> str:
@@ -448,7 +409,11 @@ def _render_table(headers: list[str], rows: list[list[str]]) -> str:
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Dispatch a command line; returns the process exit code."""
+    """Dispatch a command line; returns the process exit code.
+
+    A command that writes files returns the keywords of its run metadata,
+    which is written here, after the command has succeeded."""
+    started = time.monotonic()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -457,7 +422,10 @@ def run(argv: list[str] | None = None) -> int:
             return 1
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise UsageError(f"--seed must be nonnegative, got {args.seed}")
-        return args.func(args)
+        written = args.func(args)
+        if written is not None:
+            storage.write_run_metadata(**written, command=args.command, duration_s=time.monotonic() - started)
+        return 0
     except PipelineError as exc:
         print(str(exc), file=sys.stderr)
         return exc.exit_code

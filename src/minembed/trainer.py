@@ -440,7 +440,10 @@ def train(
         raise DataError("E_NO_TRAIN_DATA", "no training triplets")
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
+        try:
+            out_path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # e.g. a regular file at out_dir or above it
+            raise DataError("E_IO", f"cannot create directory {out_path}: {exc}") from exc
 
     texts = ((t.anchor_text, t.positive_text, t.negative_text) for t in chain(triplets, val_triplets or ()))
     # Stored as int64 arrays: a third of the memory of lists of Python ints.

@@ -18,7 +18,7 @@ import pytest
 
 from minembed.cli import build_parser, report_tables, run
 from minembed.encoder import init_params, save_checkpoint
-from minembed.storage import ids_sidecar, read_embeddings, read_jsonl, write_embeddings, write_tensors
+from minembed.storage import digest, ids_sidecar, read_embeddings, read_jsonl, write_embeddings, write_tensors
 
 from conftest import two_cluster_records
 
@@ -101,6 +101,24 @@ def test_prepare_directory_input(tmp_path):
     rows = read_jsonl(out)
     assert len(rows) == 2
     assert all(r["source_name"] == "book-one" for r in rows)
+
+
+@pytest.mark.parametrize("kind", ["file", "directory"])
+def test_prepare_records_its_inputs(tmp_path, kind):
+    if kind == "file":
+        source = write_docs(tmp_path)
+        inputs = [source]
+    else:
+        source = tmp_path / "docs"
+        source.mkdir()
+        inputs = [source / "a.txt", source / "b.txt"]
+        for path in reversed(inputs):
+            path.write_text(f"The {path.stem} ventricle appears dilated today.", encoding="utf-8")
+        (source / "notes.md").write_text("Not a document of the corpus.", encoding="utf-8")
+    out = tmp_path / "corpus.jsonl"
+    assert run(["prepare", "--in", str(source), "--out", str(out), "--seed", "1"]) == 0
+    meta = json.loads(Path(f"{out}.meta.json").read_text(encoding="utf-8"))
+    assert meta["input_digests"] == {str(path): digest(path) for path in inputs}
 
 
 def test_unknown_flag_exits_one(tmp_path, capsys):
@@ -708,6 +726,87 @@ def test_pipeline_reruns_byte_identical(tmp_path):
     assert trips_a.read_bytes() == trips_b.read_bytes()
     assert ckpt_a.read_bytes() == ckpt_b.read_bytes()
     assert emb_a.read_bytes() == emb_b.read_bytes()
+
+
+RUN_METADATA_KEYS = {"command", "config", "seed", "artifact_version", "input_digests", "output_digests",
+                     "duration_seconds"}
+# command: (command line, its run metadata or None for a command that writes no file)
+RUN_METADATA_CASES = {
+    "prepare": (["prepare", "--in", "{docs}", "--out", "{out}/c.jsonl", "--seed", "1"], "{out}/c.jsonl.meta.json"),
+    "triplets": (["triplets", "--corpus", "{corpus}", "--out", "{out}/t.jsonl", "--min-distance", "1", "--seed", "1"],
+                 "{out}/t.jsonl.meta.json"),
+    "train": (["train", "--triplets", "{trips}", "--config", "{config}", "--out-dir", "{out}/train", "--seed", "1"],
+              "{out}/train/run-metadata.json"),
+    "embed": (["embed", "--checkpoint", "{ckpt}", "--texts", "{trips}", "--out", "{out}/e.cevx"],
+              "{out}/e.cevx.meta.json"),
+    "eval": (["eval", "--embeddings", "{emb}", "--pairs", "{pairs}"], None),
+    "stats": (["stats", "--corpus", "{corpus}"], None),
+    "gradcheck": (["gradcheck", "--checkpoint", "{ckpt}", "--batch", "{trips}", "--samples", "5",
+                   "--batch-size", "4"], None),
+}
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """The inputs of every command: one pipeline run and a pairs file."""
+    root = tmp_path_factory.mktemp("pipeline")
+    corpus, trips, ckpt, emb = run_pipeline(root)
+    pairs = root / "pairs.tsv"
+    pairs.write_text("".join(f"{row['anchor_id']}\tpos::{row['anchor_id']}\n" for row in read_jsonl(trips)[:4]),
+                     encoding="utf-8")
+    return {"root": root, "docs": root / "docs.jsonl", "corpus": corpus, "trips": trips, "ckpt": ckpt, "emb": emb,
+            "pairs": pairs, "config": root / "config.json"}
+
+
+@pytest.mark.parametrize("command", list(RUN_METADATA_CASES))
+def test_run_metadata_contract(tmp_path, pipeline, command):
+    """Every command that writes files writes one run metadata of the same
+    keys, digesting each file it wrote; the others write no file."""
+    argv, meta_path = RUN_METADATA_CASES[command]
+    fill = {**{name: str(path) for name, path in pipeline.items()}, "out": str(tmp_path)}
+
+    def files():
+        return {path for root in (tmp_path, pipeline["root"]) for path in root.rglob("*") if path.is_file()}
+
+    before = files()
+    assert run([arg.format(**fill) for arg in argv]) == 0
+    added = files() - before
+    if meta_path is None:
+        assert added == set()
+        return
+    meta_path = Path(meta_path.format(**fill))
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    assert set(meta) == RUN_METADATA_KEYS
+    assert meta["command"] == command
+    assert meta["input_digests"] and meta["output_digests"]
+    for kind in ("input_digests", "output_digests"):
+        assert meta[kind] == {path: digest(path) for path in meta[kind]}
+    assert {Path(path) for path in meta["output_digests"]} | {meta_path} == added
+
+
+OUT_UNDER_A_FILE = {
+    "prepare": ["prepare", "--in", "{docs}", "--out", "{file}/c.jsonl", "--seed", "1"],
+    "triplets": ["triplets", "--corpus", "{corpus}", "--out", "{file}/t.jsonl", "--min-distance", "1", "--seed", "1"],
+    "embed": ["embed", "--checkpoint", "{ckpt}", "--texts", "{trips}", "--out", "{file}/e.cevx"],
+    "train": ["train", "--triplets", "{trips}", "--out-dir", "{file}", "--seed", "1"],
+    "train-below": ["train", "--triplets", "{trips}", "--out-dir", "{file}/sub", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_UNDER_A_FILE))
+def test_output_under_a_regular_file_exits_two(tmp_path, capsys, case):
+    docs, corpus, trips = write_docs(tmp_path, n_per_cluster=5), tmp_path / "corpus.jsonl", tmp_path / "trips.jsonl"
+    assert run(["prepare", "--in", str(docs), "--out", str(corpus), "--seed", "1"]) == 0
+    assert run(["triplets", "--corpus", str(corpus), "--out", str(trips), "--min-distance", "1", "--seed", "1"]) == 0
+    file = tmp_path / "file"
+    file.write_text("a regular file\n", encoding="utf-8")
+    fill = {"docs": docs, "corpus": corpus, "trips": trips, "ckpt": tiny_checkpoint(tmp_path), "file": file}
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run([arg.format(**fill) for arg in OUT_UNDER_A_FILE[case]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("E_IO: ") and "Traceback" not in err and str(file) in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_config_file_overrides_flags(tmp_path):
