@@ -184,20 +184,30 @@ def write_json(path: str | Path, obj: Mapping) -> None:
 # -- CEMB tensor checkpoints -------------------------------------------------
 
 
+def _write_f32(path: str | Path, parts: list[bytes | np.ndarray]) -> None:
+    """Write ``parts`` from one buffer: bytes as they are, each array cast into place as row-major <f4."""
+    buf = bytearray(sum(len(part) if isinstance(part, bytes) else 4 * part.size for part in parts))
+    pos = 0
+    for part in parts:
+        if isinstance(part, bytes):
+            buf[pos : pos + len(part)] = part
+            pos += len(part)
+        else:
+            np.frombuffer(buf, "<f4", part.size, pos).reshape(part.shape)[...] = part
+            pos += 4 * part.size
+    write_atomic(path, buf)
+
+
 def write_tensors(path: str | Path, tensors: Mapping[str, np.ndarray]) -> None:
-    """Serialize named tensors as f32 little-endian in insertion order."""
-    parts = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION), struct.pack("<I", len(tensors))]
+    """Serialize named tensors as f32 little-endian in insertion order; a 0-d tensor is stored with shape (1,)."""
+    parts = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(tensors))]
     for name, arr in tensors.items():
-        a = np.ascontiguousarray(np.asarray(arr), dtype="<f4")
+        a = np.atleast_1d(np.asarray(arr))
         nb = name.encode("utf-8")
         if len(nb) > 0xFFFF:
             raise DataError("E_IO", f"tensor name too long: {name!r}")
-        parts.append(struct.pack("<H", len(nb)))
-        parts.append(nb)
-        parts.append(struct.pack("<B", a.ndim))
-        parts.append(struct.pack(f"<{a.ndim}I", *a.shape))
-        parts.append(a)  # joined through the buffer protocol, without a bytes copy of each tensor
-    write_atomic(path, b"".join(parts))
+        parts += [struct.pack("<H", len(nb)) + nb + struct.pack(f"<B{a.ndim}I", a.ndim, *a.shape), a]
+    _write_f32(path, parts)
 
 
 def _skip(data: bytes, pos: int, size: int, path: str | Path) -> int:
@@ -274,14 +284,13 @@ def ids_sidecar(path: str | Path) -> Path:
 
 def write_embeddings(path: str | Path, ids: list[str], matrix: np.ndarray) -> None:
     """Write an id-aligned embedding matrix plus its ids sidecar file."""
-    m = np.ascontiguousarray(np.asarray(matrix), dtype="<f4")
+    m = np.atleast_1d(np.asarray(matrix))
     if m.ndim != 2 or m.shape[0] != len(ids):
         raise DataError("E_SHAPE_MISMATCH", f"matrix {m.shape} does not match {len(ids)} ids")
     broken = next((i for i in ids if "\n" in i or "\r" in i), None)
     if broken is not None:
         raise DataError("E_IO", f"id {broken!r} holds a line break, so it cannot be one line of {ids_sidecar(path)}")
-    header = EMBEDDING_MAGIC + struct.pack("<IIQ", EMBEDDING_VERSION, m.shape[1], m.shape[0])
-    write_atomic(path, header + m.tobytes(order="C"))
+    _write_f32(path, [EMBEDDING_MAGIC + struct.pack("<IIQ", EMBEDDING_VERSION, m.shape[1], m.shape[0]), m])
     write_atomic(ids_sidecar(path), "".join(i + "\n" for i in ids).encode("utf-8"))
 
 

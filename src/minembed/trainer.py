@@ -81,11 +81,14 @@ _ADAMW_CHUNK = 1 << 15
 
 @dataclass
 class OptimizerState:
-    """AdamW first and second moments plus the step counter.
+    """AdamW first and second moments plus the step counter, and the
+    working memory that every step of a run reuses but no step reads from another.
 
-    ``scratch`` is two flat float64 buffers that every step reuses for its
-    temporaries, one chunk of rows at a time. It is working memory, not
-    state: nothing in it outlives a step.
+    ``grads`` is one float64 gradient buffer per trained tensor, row-major
+    whatever the tensor's layout: the ``E`` scatter writes through a flat
+    view, and the norm sums in row order. ``scratch`` is two flat float64
+    buffers for temporaries: AdamW's, a chunk of rows at a time, and the
+    squares the norm sums, which make the first as long as the largest gradient.
 
     ``live_rows`` maps a tensor name to R: the sorted, distinct rows of
     that tensor that can get a nonzero gradient. The caller promises that
@@ -98,8 +101,8 @@ class OptimizerState:
     every row still gets its decoupled weight decay at every step, so the
     results are the same bits. A tensor not named here keeps full moments
     and gets the full update on every row. ``init_optimizer_state`` builds
-    the moments to match R; ``train`` sets R for ``E``, from the ids that
-    train texts pool.
+    the moments, ``grads`` and ``scratch`` to match R; ``train`` sets R for
+    ``E``, from the ids that train texts pool.
     """
 
     m: dict[str, np.ndarray]
@@ -107,26 +110,27 @@ class OptimizerState:
     t: int = 0
     scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     live_rows: dict[str, np.ndarray] = field(repr=False, compare=False, default_factory=dict)
+    grads: dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # A chunk is whole rows: _ADAMW_CHUNK elements' worth, or one row if a row is longer.
         size = max([_ADAMW_CHUNK, *(math.prod(m.shape[1:]) for m in self.m.values())])
-        self.scratch = (np.empty(size), np.empty(size))
+        self.scratch = (np.empty(max([size, *(g.size for g in self.grads.values())])), np.empty(size))
 
 
 def init_optimizer_state(
     params: EncoderParams, lora_only: bool = False, live_rows: Mapping[str, np.ndarray] | None = None
 ) -> OptimizerState:
-    """Zero moments for every trained tensor: ``len(R)`` rows for a tensor
-    with rows R in ``live_rows``, full-size for the others."""
+    """Zero moments for every trained tensor, ``len(R)`` rows for a tensor with rows R
+    in ``live_rows`` and full-size for the others, the zeroed ``grads`` and the ``scratch`` to match."""
     live_rows = dict(live_rows or {})
-    shapes = {n: params.tensors[n].shape for n in params.trainable_names(lora_only)}
-    for name, rows in live_rows.items():
-        shapes[name] = (len(rows), *shapes[name][1:])
+    grads = {n: np.zeros_like(params.tensors[n], order="C") for n in params.trainable_names(lora_only)}
+    shapes = {n: (len(live_rows[n]), *g.shape[1:]) if n in live_rows else g.shape for n, g in grads.items()}
     return OptimizerState(
         m={n: np.zeros(shape) for n, shape in shapes.items()},
         v={n: np.zeros(shape) for n, shape in shapes.items()},
         live_rows=live_rows,
+        grads=grads,
     )
 
 
@@ -242,21 +246,6 @@ def batch_loss(
     return _infonce(a, p, n, config.temperature)[0]
 
 
-def gradient_buffers(
-    params: EncoderParams, lora_only: bool, live_rows: Mapping[str, np.ndarray] | None = None
-) -> tuple[dict[str, np.ndarray], np.ndarray, dict[str, np.ndarray]]:
-    """One zeroed gradient buffer per trained tensor, a flat float64 scratch
-    as long as the largest, which holds the squares the gradient norm sums,
-    and ``live_rows``, which maps a tensor to R, the only rows of it that a
-    gradient may reach (see ``OptimizerState``).
-
-    The buffers are row-major whatever the tensors' layout: the ``E``
-    scatter writes through a flat view, and the norm sums in row order.
-    """
-    grads = {name: np.zeros_like(params.tensors[name], order="C") for name in params.trainable_names(lora_only)}
-    return grads, np.empty(max(g.size for g in grads.values())), dict(live_rows or {})
-
-
 def infonce_gradient(
     batch: Sequence[Triplet],
     params: EncoderParams,
@@ -265,28 +254,28 @@ def infonce_gradient(
     seed: int = 0,
     *,
     token_ids: Mapping[str, Sequence[int]] | None = None,
-    out: tuple[dict[str, np.ndarray], np.ndarray, dict[str, np.ndarray]] | None = None,
+    out: OptimizerState | None = None,
 ) -> tuple[dict[str, np.ndarray], BatchLossReport]:
     """Exact analytic gradient of the batch loss for every trained tensor.
 
-    ``token_ids`` is handed to ``forward_batch``. Without ``out`` the
-    gradient comes in fresh arrays. With it, ``out`` is a triple from
-    ``gradient_buffers``, whose buffers are zeroed, filled and returned. A
-    buffer with rows R is zeroed on R only, since the batch's gradient
-    reaches no other row of it and they are still zero.
+    ``token_ids`` is handed to ``forward_batch``. ``out.grads``, or a fresh
+    ``init_optimizer_state``'s without ``out``, is zeroed, filled and
+    returned. A buffer with rows R in ``out.live_rows`` is zeroed on R only,
+    since the batch's gradient reaches no other row and they are still zero.
     """
     if not batch:
         raise DataError("E_EMPTY_BATCH", "cannot take gradients of an empty batch")
+    state = out if out is not None else init_optimizer_state(params, config.train_lora_only)
+    stray = sorted(set(state.grads).symmetric_difference(params.trainable_names(config.train_lora_only)))
+    if stray:
+        raise DataError("E_SHAPE_MISMATCH", f"gradient buffers do not match the trained tensors at {stray[0]!r}")
     roles = _encode_roles(batch, params, train_mode, seed, token_ids)
     (a, _), (p, _), (n, _) = roles
     report, grad_sims = _infonce(a, p, n, config.temperature)
 
-    grads, squares, live_rows = out if out is not None else gradient_buffers(params, config.train_lora_only)
+    grads, squares = state.grads, state.scratch[0]
     for name, g in grads.items():
-        if name in live_rows:
-            g[live_rows[name]] = 0.0
-        else:
-            g.fill(0.0)
+        g[state.live_rows.get(name, ...)] = 0.0
     # Chain rule through the sims: d_pos[i, j] = dL/d(a_i . p_j), d_neg[i] = dL/d(a_i . n_i).
     d_pos, d_neg = grad_sims[:, :-1], grad_sims[:, -1:]
     for (_, cache), grad in zip(roles, (d_pos @ p + d_neg * n, d_pos.T @ a, d_neg * a)):
@@ -430,21 +419,14 @@ def train(
 
     Writes ``epoch-<n>.cemb`` checkpoints and a per-step JSONL log when
     ``out_dir`` is given. Bit-deterministic for fixed inputs and config.
-    Each distinct text is tokenized once per run, and the gradient buffers
-    and AdamW scratch are allocated once and reused by every step. Unless
+    Each distinct text is tokenized once per run, and one state from
+    ``init_optimizer_state`` holds the buffers every step reuses. Unless
     only the adapters train, each step zeroes and checks only the ``E``
     rows that train texts pool, and AdamW keeps moments for and gives the
     full update to only those rows (``OptimizerState.live_rows``).
     """
     if not triplets:
         raise DataError("E_NO_TRAIN_DATA", "no training triplets")
-    out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
-        try:
-            out_path.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:  # e.g. a regular file at out_dir or above it
-            raise DataError("E_IO", f"cannot create directory {out_path}: {exc}") from exc
-
     texts = ((t.anchor_text, t.positive_text, t.negative_text) for t in chain(triplets, val_triplets or ()))
     # Stored as int64 arrays: a third of the memory of lists of Python ints.
     token_ids = {text: array("q", params.tokenizer(text)) for text in dict.fromkeys(chain.from_iterable(texts))}
@@ -452,6 +434,13 @@ def train(
     for i, (text, ids) in enumerate(token_ids.items()):
         if not ids:
             raise DataError("E_EMPTY_TOKENS", f"text {i} produced no tokens: {text!r}")
+    # Made only once every text has passed, so a run that fails on its inputs leaves no directory.
+    out_path = Path(out_dir) if out_dir is not None else None
+    if out_path is not None:
+        try:
+            out_path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # e.g. a regular file at out_dir or above it
+            raise DataError("E_IO", f"cannot create directory {out_path}: {exc}") from exc
     live_rows = {}
     if not config.train_lora_only:
         # R: the E rows that train texts pool. Validation takes no gradient, so its texts stay out.
@@ -460,7 +449,6 @@ def train(
                       for text in (t.anchor_text, t.positive_text, t.negative_text))
         live_rows["E"] = np.array(sorted(set(chain.from_iterable(pooled_ids))), dtype=np.intp)
     state = init_optimizer_state(params, config.train_lora_only, live_rows)
-    buffers = gradient_buffers(params, config.train_lora_only, live_rows)
     steps_per_epoch = math.ceil(len(triplets) / config.batch_size)
     total_steps = steps_per_epoch * config.epochs
     reports: list[EpochReport] = []
@@ -473,7 +461,7 @@ def train(
             batch = [triplets[i] for i in chosen]
             grads, report = infonce_gradient(
                 batch, params, config, train_mode=True, seed=_role_seed(config.seed, 3 + step),
-                token_ids=token_ids, out=buffers,
+                token_ids=token_ids, out=state,
             )
             if not math.isfinite(report.loss):
                 raise NumericError("E_NONFINITE_GRAD", f"non-finite loss at step {step}")

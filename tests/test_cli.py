@@ -394,13 +394,14 @@ def triplets_with_no_token_text(tmp_path, empty_in):
 
 @pytest.mark.parametrize("empty_in", [("train",), ("val",), ("train", "val")])
 def test_train_on_a_text_with_no_token_exits_two(tmp_path, capsys, empty_in):
-    trips, out = triplets_with_no_token_text(tmp_path, empty_in), tmp_path / "out"
+    trips, out = triplets_with_no_token_text(tmp_path, empty_in), tmp_path / "out" / "deep"
     assert run(["train", "--triplets", str(trips), "--config", str(small_train_config(tmp_path)),
                 "--out-dir", str(out), "--seed", "1"]) == 2
     err = capsys.readouterr().err
     # Every text is checked before step 0, the train texts before the val texts.
     assert re.fullmatch(rf"E_EMPTY_TOKENS: text \d+ produced no tokens: '{re.escape(NO_TOKEN[empty_in[0]])}'\n", err)
-    assert not out.exists() or not any(out.iterdir())
+    # The out-dir and its missing parents are made only after every text has passed.
+    assert not out.exists() and not out.parent.exists()
 
 
 def test_train_rejects_a_val_text_with_no_token_before_step_zero(tmp_path, capsys, monkeypatch):

@@ -303,6 +303,67 @@ def test_embeddings_id_count_must_match(tmp_path):
         write_embeddings(tmp_path / "e.cevx", ["only-one"], np.ones((2, 2), dtype=np.float32))
 
 
+def _reference_tensor_bytes(tensors) -> bytes:
+    """A CEMB as the writer made it with a float32 copy of each tensor joined into one bytes."""
+    parts = [b"CEMB", struct.pack("<I", 1), struct.pack("<I", len(tensors))]
+    for name, arr in tensors.items():
+        a = np.ascontiguousarray(np.asarray(arr), dtype="<f4")
+        nb = name.encode("utf-8")
+        parts += [struct.pack("<H", len(nb)), nb, struct.pack("<B", a.ndim), struct.pack(f"<{a.ndim}I", *a.shape), a]
+    return b"".join(parts)
+
+
+def _reference_embedding_bytes(matrix) -> bytes:
+    """A CEVX as the writer made it with a contiguous float32 copy, its bytes and the header added."""
+    m = np.ascontiguousarray(np.asarray(matrix), dtype="<f4")
+    return b"CEVX" + struct.pack("<IIQ", 1, m.shape[1], m.shape[0]) + m.tobytes(order="C")
+
+
+_VALUES = np.concatenate([np.random.default_rng(3).normal(size=14), [np.nan, -0.0, np.inf, 1e-45, 1e-300, 1 / 3]])
+F32_INPUTS = {
+    "float64": _VALUES.reshape(5, 4),
+    "float32": _VALUES.reshape(4, 5).astype(np.float32),
+    "fortran": np.asfortranarray(_VALUES.reshape(5, 4)),
+    "big-endian": _VALUES.reshape(4, 5).astype(">f8"),
+    "big-endian-f32": _VALUES.reshape(10, 2).astype(">f4"),
+    "strided": _VALUES.reshape(10, 2)[::3],
+    "zero-rows": np.zeros((0, 3)),
+    "0-d": np.float64(1 / 3),
+    "3-d": _VALUES.reshape(2, 5, 2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(F32_INPUTS))
+def test_f32_writers_keep_their_bytes(tmp_path, monkeypatch, kind):
+    import minembed.storage as storage_mod
+
+    sizes = []
+    real = storage_mod.write_atomic
+    monkeypatch.setattr(storage_mod, "write_atomic", lambda path, data: sizes.append(len(data)) or real(path, data))
+    arr = F32_INPUTS[kind]
+    tensors = {"x": arr, "w": np.arange(6.0).reshape(2, 3)}
+    write_tensors(tmp_path / "t.cemb", tensors)
+    assert (tmp_path / "t.cemb").read_bytes() == _reference_tensor_bytes(tensors)
+    # What write_atomic is handed measures as the file's byte count, which storage.write_bytes sums.
+    assert sizes == [(tmp_path / "t.cemb").stat().st_size]
+    ids = [f"i{k}" for k in range(np.atleast_1d(arr).shape[0])]
+    if np.ndim(arr) == 2:
+        write_embeddings(tmp_path / "e.cevx", ids, arr)
+        assert (tmp_path / "e.cevx").read_bytes() == _reference_embedding_bytes(arr)
+        assert sizes[1] == (tmp_path / "e.cevx").stat().st_size
+    else:
+        with pytest.raises(DataError) as err:
+            write_embeddings(tmp_path / "e.cevx", ids, arr)
+        shape = np.ascontiguousarray(arr).shape
+        assert err.value.code == "E_SHAPE_MISMATCH" and str(err.value).endswith(f"matrix {shape} does not match {len(ids)} ids")
+
+
+def test_every_f32_input_in_one_checkpoint_keeps_its_bytes(tmp_path):
+    for tensors in ({}, F32_INPUTS):
+        write_tensors(tmp_path / "t.cemb", tensors)
+        assert (tmp_path / "t.cemb").read_bytes() == _reference_tensor_bytes(tensors)
+
+
 def test_tensors_trailing_garbage(tmp_path):
     path = tmp_path / "t.cemb"
     write_tensors(path, {"a": np.ones(3, dtype=np.float32)})

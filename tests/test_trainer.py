@@ -17,7 +17,6 @@ from minembed.trainer import (
     adamw_step,
     batch_loss,
     evaluation_loss,
-    gradient_buffers,
     gradient_check,
     infonce_gradient,
     infonce_loss,
@@ -353,6 +352,22 @@ def test_empty_batch_rejected(small_params):
     assert err.value.code == "E_EMPTY_BATCH"
 
 
+@pytest.mark.parametrize("built_for", ["by-hand", "lora-only", "every-tensor"])
+def test_gradient_rejects_buffers_for_other_tensors(small_params, built_for):
+    names = small_params.trainable_names(False)
+    if built_for == "by-hand":  # moments only, so no gradient buffer at all
+        config = small_config()
+        out = OptimizerState(m={n: np.zeros_like(small_params.tensors[n]) for n in names},
+                             v={n: np.zeros_like(small_params.tensors[n]) for n in names})
+    else:
+        config = small_config(train_lora_only=built_for == "every-tensor")
+        out = init_optimizer_state(small_params, lora_only=built_for == "lora-only")
+    stray = set(out.grads).symmetric_difference(small_params.trainable_names(config.train_lora_only))
+    with pytest.raises(DataError) as err:
+        infonce_gradient(make_batch(3, seed=2), small_params, config, out=out)
+    assert err.value.code == "E_SHAPE_MISMATCH" and repr(sorted(stray)[0]) in str(err.value)
+
+
 # -- learning-rate schedule -------------------------------------------------------
 
 
@@ -551,14 +566,14 @@ def test_in_place_adamw_matches_reference_bit_for_bit(
     else:
         state = init_optimizer_state(params, lora_only)
     ref_state = OptimizerState(m={n: m.copy() for n, m in state.m.items()}, v={n: v.copy() for n, v in state.v.items()})
-    buffers, squares, live_rows = gradient_buffers(params, lora_only)
-    for g in buffers.values():
+    buffers = init_optimizer_state(params, lora_only)
+    for g in buffers.grads.values():
         g.fill(np.nan)  # stale values must not leak in
     for step in range(6):
         batch = make_batch(6, seed=step)
         ref_grads, ref_report = infonce_gradient(batch, ref_params, config, seed=step)
-        grads, report = infonce_gradient(batch, params, config, seed=step, out=(buffers, squares, live_rows))
-        assert grads is buffers and sorted(grads) == sorted(names)
+        grads, report = infonce_gradient(batch, params, config, seed=step, out=buffers)
+        assert grads is buffers.grads and sorted(grads) == sorted(names)
         assert all(_same_bits(grads[n], ref_grads[n]) for n in names)
         assert _same_bits(report.grad_norm, reference_grad_norm(ref_grads))
         assert _same_bits(ref_report.grad_norm, report.grad_norm)
@@ -707,6 +722,7 @@ def test_train_gradient_reaches_only_r_and_bytes_match_full_update(tmp_path, mon
     seen, states = [], {}
 
     def checked(params, grads, state, lr, config):
+        assert grads is state.grads  # one state owns the buffers infonce_gradient fills
         if lora_only:
             assert state.live_rows == {} and "E" not in grads
         else:
@@ -805,6 +821,7 @@ def test_default_shape_r_sized_optimizer_work_matches_row_split_bytes(tmp_path, 
     steps, states = [], {}
 
     def checked(params, grads, state, lr, config):
+        assert grads is state.grads  # one state owns the buffers infonce_gradient fills
         if lora_only:
             assert state.live_rows == {} and "E" not in grads
             assert all(state.m[n].shape == state.v[n].shape == params.tensors[n].shape for n in grads)
@@ -858,8 +875,8 @@ def test_default_shape_r_sized_optimizer_work_matches_row_split_bytes(tmp_path, 
             adamw_step(params, grads, state, lr=1e-3, config=config)
         assert err.value.code == "E_NONFINITE_GRAD" and state.t == 0 and _same_bits(params.tensors["E"], before)
         # Buffers with R are zeroed on R only, and give the bits of fresh buffers.
-        buffers = gradient_buffers(params, False, {"E": live})
-        buffers[0]["E"][live] = np.nan
+        buffers = init_optimizer_state(params, live_rows={"E": live})
+        buffers.grads["E"][live] = np.nan
         fresh, _ = infonce_gradient(batch, params, config, seed=1)
         reused, _ = infonce_gradient(batch, params, config, seed=1, out=buffers)
         assert all(_same_bits(reused[n], fresh[n]) for n in fresh)
@@ -935,6 +952,43 @@ def test_train_tokenizes_each_distinct_text_once(tmp_path, monkeypatch):
           small_config(epochs=3), val_triplets=val_set, out_dir=tmp_path)
     distinct = {text for t in train_set + val_set for text in (t.anchor_text, t.positive_text, t.negative_text)}
     assert len(calls) == len(distinct) and set(calls) == distinct
+
+
+def test_train_allocates_its_step_memory_once(monkeypatch):
+    import tracemalloc
+
+    import minembed.trainer as trainer_mod
+    from minembed.encoder import DEFAULT_D_EMB, DEFAULT_VOCAB_SIZE
+
+    # Each step's rise in traced memory, from the start of its gradient to the end of its update.
+    starts, rises = [], []
+    gradient, update = trainer_mod.infonce_gradient, trainer_mod.adamw_step
+
+    def traced_gradient(*args, **kwargs):
+        tracemalloc.reset_peak()
+        starts.append(tracemalloc.get_traced_memory()[0])
+        return gradient(*args, **kwargs)
+
+    def traced_update(*args, **kwargs):
+        result = update(*args, **kwargs)
+        rises.append(tracemalloc.get_traced_memory()[1] - starts[-1])
+        return result
+
+    monkeypatch.setattr(trainer_mod, "infonce_gradient", traced_gradient)
+    monkeypatch.setattr(trainer_mod, "adamw_step", traced_update)
+    rng = np.random.default_rng(23)
+    words = ["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz"), size=6)) for _ in range(300)]
+    text = lambda: " ".join(rng.choice(words, size=5))
+    train_set = [Triplet(f"a{i}", text(), text(), f"n{i}", text(), "train") for i in range(48)]
+    params = init_params(4, pooling="mean")
+    tracemalloc.start()
+    try:
+        train(train_set, params, TrainConfig(batch_size=16, epochs=2, seed=1))
+    finally:
+        tracemalloc.stop()
+    # A step that allocated E's gradient buffer (8.4 MB) again would rise by all of it.
+    e_grad_bytes = DEFAULT_VOCAB_SIZE * DEFAULT_D_EMB * 8
+    assert len(rises) == 6 and max(rises[1:]) < e_grad_bytes / 2, rises
 
 
 def test_train_lora_only_freezes_base(tmp_path):
