@@ -11,7 +11,6 @@ succeeded, with SHA-256 digests and the seconds since argument parsing began.
 from __future__ import annotations
 
 import argparse
-import functools
 import inspect
 import json
 import math
@@ -260,15 +259,20 @@ def _cmd_train(args: argparse.Namespace) -> dict:
     )
 
 
+def _string(row: dict, key: str) -> str:
+    # The exact-type fast path of ``storage.Record.from_row``; typed_value rules on every other value.
+    value = row[key]
+    return value if type(value) is str else storage.typed_value(row, key, str)
+
+
 def _row_texts(row: dict) -> list[tuple[str | None, str]]:
     """(id, text) pairs of one row: a triplet row's anchor and positive, the
     positive id prefixed with ``pos::``, or a manifest row's text, with id
     None when the row has no ``sent_id``. Each of these values must be a string."""
-    text = functools.partial(storage.typed_value, row, expected=str)
     if "anchor_id" in row:
-        anchor_id = text("anchor_id")
-        return [(anchor_id, text("anchor_text")), (f"pos::{anchor_id}", text("positive_text"))]
-    return [(text("sent_id") if "sent_id" in row else None, text("text"))]
+        anchor_id = _string(row, "anchor_id")
+        return [(anchor_id, _string(row, "anchor_text")), (f"pos::{anchor_id}", _string(row, "positive_text"))]
+    return [(_string(row, "sent_id") if "sent_id" in row else None, _string(row, "text"))]
 
 
 def _load_texts(path_str: str) -> tuple[list[str], list[str]]:

@@ -44,6 +44,9 @@ ADAPTER_NAMES = ("lora_A1", "lora_B1", "lora_A2", "lora_B2")
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _TOKEN_RE = re.compile(r"[^\W_]+")
+# On ASCII text _TOKEN_RE's tokens are the runs of letters and digits: this table
+# lowercases A-Z and turns every other byte into a space, so bytes.split finds them.
+_FOLD = bytes(c + 32 if 65 <= c <= 90 else c if 48 <= c <= 57 or 97 <= c <= 122 else 32 for c in range(256))
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -74,12 +77,19 @@ _token_ids = functools.cache(_TokenIds)
 
 @dataclass(frozen=True)
 class Tokenizer:
-    """Hash tokenizer: lowercase, split on non-alphanumeric runs, FNV-1a mod vocab."""
+    """Hash tokenizer: lowercase, split on non-alphanumeric runs, FNV-1a mod vocab.
+
+    ASCII text takes a C path (``_FOLD``) with the regex's tokens, as strings, so the
+    memo keeps one entry and one id per token whichever path found it."""
 
     vocab_size: int = DEFAULT_VOCAB_SIZE
 
     def __call__(self, text: str) -> list[int]:
-        return list(map(_token_ids(self.vocab_size).__getitem__, _TOKEN_RE.findall(text.lower())))
+        if text.isascii():
+            tokens = text.encode().translate(_FOLD).decode().split()
+        else:
+            tokens = _TOKEN_RE.findall(text.lower())
+        return list(map(_token_ids(self.vocab_size).__getitem__, tokens))
 
 
 def tensor_shapes(vocab: int, d_emb: int, d_hid: int, d_out: int, rank: int) -> dict[str, tuple[int, ...]]:

@@ -73,6 +73,9 @@ _JSON_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 # A \uD800-\uDFFF escape: strict UTF-8 decoding yields no surrogate, so only
 # a line holding one can decode to a string with a lone surrogate.
 _SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
+# json.loads(line) is this decoder's raw_decode plus whitespace, BOM and
+# extra-data handling in Python; a line that raw_decode reads whole needs none of it.
+_JSON_DECODER = json.JSONDecoder()
 
 
 def dumps_json_line(row: Mapping) -> str:
@@ -101,14 +104,32 @@ def _split_lines(text: str) -> list[str]:
     return lines[:-1] if lines[-1] == "" else lines
 
 
-def _numbered_lines(path: str | Path) -> list[tuple[int, str]]:
-    """(physical line number, line) for each non-blank line of a UTF-8 text file."""
-    return [(lineno, ln) for lineno, ln in enumerate(_split_lines(read_text(path)), start=1) if ln.strip()]
+def _numbered_lines(text: str) -> list[tuple[int, str]]:
+    """(physical line number, line) for each non-blank line of a text file's contents."""
+    return [(lineno, ln) for lineno, ln in enumerate(_split_lines(text), start=1) if ln.strip()]
 
 
 def read_lines(path: str | Path) -> list[str]:
     """The non-blank lines of a UTF-8 text file, split as ``_split_lines`` says."""
-    return [ln for _, ln in _numbered_lines(path)]
+    return [ln for _, ln in _numbered_lines(read_text(path))]
+
+
+def _decode_json(line: str) -> Any:
+    """``json.loads(line)``: one ``raw_decode`` when that reads the whole line, else
+    ``json.loads`` itself, so every other line gets its value or its error as before."""
+    try:
+        value, end = _JSON_DECODER.raw_decode(line)
+    except json.JSONDecodeError:
+        end = -1
+    return value if end == len(line) else json.loads(line)
+
+
+def _jsonl_lines(path: str | Path) -> tuple[list[tuple[int, str]], bool]:
+    """``_numbered_lines`` of a file, and whether its text holds a surrogate escape:
+    an escape the whole text lacks is in none of its lines. The text is freed on
+    return, so it is not held beside its lines while they are decoded."""
+    text = read_text(path)
+    return _numbered_lines(text), _SURROGATE_ESCAPE_RE.search(text) is not None
 
 
 def read_jsonl(path: str | Path, decode: Callable[[dict], Any] | None = None) -> list:
@@ -119,15 +140,16 @@ def read_jsonl(path: str | Path, decode: Callable[[dict], Any] | None = None) ->
     rejects because a key is missing or a value has the wrong type, is E_IO
     with its line.
     """
+    lines, escapes = _jsonl_lines(path)
     rows = []
-    for lineno, line in _numbered_lines(path):
+    for lineno, line in lines:
         try:
-            row = json.loads(line)
+            row = _decode_json(line)
         except json.JSONDecodeError as exc:
             raise DataError("E_IO", f"{path}:{lineno}: invalid JSON: {exc}") from exc
         if not isinstance(row, dict):
             raise DataError("E_IO", f"{path}:{lineno}: expected a JSON object")
-        if _SURROGATE_ESCAPE_RE.search(line):
+        if escapes and _SURROGATE_ESCAPE_RE.search(line):
             try:
                 dumps_json_line(row).encode("utf-8")
             except UnicodeEncodeError as exc:
@@ -320,7 +342,7 @@ def read_embeddings(path: str | Path) -> tuple[list[str], np.ndarray]:
 def read_qrels(path: str | Path) -> dict[tuple[str, str], int]:
     """Read tab-separated (query_id, cand_id, grade) relevance judgments, each pair once."""
     qrels: dict[tuple[str, str], int] = {}
-    for lineno, line in _numbered_lines(path):
+    for lineno, line in _numbered_lines(read_text(path)):
         cols = line.split("\t")
         if len(cols) != 3:
             raise DataError("E_IO", f"{path}:{lineno}: expected 3 tab-separated columns")
@@ -341,7 +363,7 @@ def read_pairs(path: str | Path) -> list[tuple[str, str, float | None]]:
     each score a finite number."""
     pairs: list[tuple[str, str, float | None]] = []
     width = None
-    for lineno, line in _numbered_lines(path):
+    for lineno, line in _numbered_lines(read_text(path)):
         cols = line.split("\t")
         if len(cols) not in (2, 3):
             raise DataError("E_IO", f"{path}:{lineno}: expected 2 or 3 tab-separated columns")

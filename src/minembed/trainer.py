@@ -86,9 +86,10 @@ class OptimizerState:
 
     ``grads`` is one float64 gradient buffer per trained tensor, row-major
     whatever the tensor's layout: the ``E`` scatter writes through a flat
-    view, and the norm sums in row order. ``scratch`` is two flat float64
-    buffers for temporaries: AdamW's, a chunk of rows at a time, and the
-    squares the norm sums, which make the first as long as the largest gradient.
+    view, and the norm sums in row order. ``squares`` holds one zeroed
+    buffer of each gradient's shape, for the squares the norm sums.
+    ``scratch`` is two flat float64 buffers for temporaries, a chunk of rows
+    at a time: AdamW's, and the norm's gathered rows of a tensor with R.
 
     ``live_rows`` maps a tensor name to R: the sorted, distinct rows of
     that tensor that can get a nonzero gradient. The caller promises that
@@ -111,18 +112,21 @@ class OptimizerState:
     scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     live_rows: dict[str, np.ndarray] = field(repr=False, compare=False, default_factory=dict)
     grads: dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
+    squares: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # A chunk is whole rows: _ADAMW_CHUNK elements' worth, or one row if a row is longer.
         size = max([_ADAMW_CHUNK, *(math.prod(m.shape[1:]) for m in self.m.values())])
-        self.scratch = (np.empty(max([size, *(g.size for g in self.grads.values())])), np.empty(size))
+        self.scratch = (np.empty(size), np.empty(size))
+        self.squares = {name: np.zeros_like(g) for name, g in self.grads.items()}
 
 
 def init_optimizer_state(
     params: EncoderParams, lora_only: bool = False, live_rows: Mapping[str, np.ndarray] | None = None
 ) -> OptimizerState:
     """Zero moments for every trained tensor, ``len(R)`` rows for a tensor with rows R
-    in ``live_rows`` and full-size for the others, the zeroed ``grads`` and the ``scratch`` to match."""
+    in ``live_rows`` and full-size for the others, the zeroed ``grads`` and ``squares``
+    and the ``scratch`` to match."""
     live_rows = dict(live_rows or {})
     grads = {n: np.zeros_like(params.tensors[n], order="C") for n in params.trainable_names(lora_only)}
     shapes = {n: (len(live_rows[n]), *g.shape[1:]) if n in live_rows else g.shape for n, g in grads.items()}
@@ -273,7 +277,7 @@ def infonce_gradient(
     (a, _), (p, _), (n, _) = roles
     report, grad_sims = _infonce(a, p, n, config.temperature)
 
-    grads, squares = state.grads, state.scratch[0]
+    grads = state.grads
     for name, g in grads.items():
         g[state.live_rows.get(name, ...)] = 0.0
     # Chain rule through the sims: d_pos[i, j] = dL/d(a_i . p_j), d_neg[i] = dL/d(a_i . n_i).
@@ -281,11 +285,32 @@ def infonce_gradient(
     for (_, cache), grad in zip(roles, (d_pos @ p + d_neg * n, d_pos.T @ a, d_neg * a)):
         backward_batch(grad, cache, params, grads)
 
-    # g and its squares are both row-major, so .sum() adds them in the pairwise order of np.sum(g * g).
-    report.grad_norm = math.sqrt(math.fsum(
-        float(np.multiply(g, g, out=squares[: g.size].reshape(g.shape)).sum()) for g in grads.values()
-    ))
+    report.grad_norm = _grad_norm(state)
     return grads, report
+
+
+def _grad_norm(state: OptimizerState) -> float:
+    """The 2-norm of ``state.grads``, each buffer's squares summed whole into one float.
+
+    A buffer and its squares are both row-major, so ``.sum()`` adds them in the
+    pairwise order of ``np.sum(g * g)``. For a tensor with rows R only R's rows
+    are squared, through ``scratch`` a chunk of rows at a time: every other row
+    of the gradient is zero, and its squares, never written, are zero too, so
+    the sum is the same bits."""
+    sums = []
+    for name, g in state.grads.items():
+        squares, live = state.squares[name], state.live_rows.get(name)
+        if live is None:
+            np.multiply(g, g, out=squares)
+        else:
+            row = math.prod(g.shape[1:])
+            step = max(1, len(state.scratch[0]) // row)
+            for lo in range(0, len(live), step):
+                rows = live[lo : lo + step]
+                x = np.take(g, rows, axis=0, out=state.scratch[0][: rows.size * row].reshape(-1, *g.shape[1:]))
+                squares[rows] = np.multiply(x, x, out=x)
+        sums.append(float(squares.sum()))
+    return math.sqrt(math.fsum(sums))
 
 
 def lr_at_step(step: int, total_steps: int, config: TrainConfig) -> float:

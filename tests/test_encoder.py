@@ -106,6 +106,39 @@ def test_token_id_memo_matches_reference_tokenizer(texts):
                 assert Tokenizer(vocab_size=vocab)(text) == reference_tokenize(text, vocab)
 
 
+_REGEX_TOKEN = re.compile(r"[^\W_]+")
+
+
+def regex_tokenize(text: str, vocab_size: int) -> list[int]:
+    """The tokenizer as it was before its ASCII path: the regex over the lowercased text for every text."""
+    return [fnv1a_64(tok.encode("utf-8")) % vocab_size for tok in _REGEX_TOKEN.findall(text.lower())]
+
+
+_ASCII = "".join(map(chr, range(128)))
+# Word characters whose lowercase form differs in length or kind, an Arabic-Indic digit,
+# fullwidth letters and digits, a connector that is not a word character, and U+2028.
+_NON_ASCII = "İẞΣ٣ＡｚＺ０‿\u2028"
+
+
+@given(st.lists(st.one_of(st.text(alphabet=_ASCII, max_size=40), st.text(alphabet=_ASCII + _NON_ASCII, max_size=40)),
+                max_size=6))
+@settings(max_examples=500)
+def test_ascii_path_gives_the_regex_ids(texts):
+    for text in texts:
+        for vocab in (64, 16384):
+            assert Tokenizer(vocab_size=vocab)(text) == regex_tokenize(text, vocab), text
+
+
+def test_a_token_found_by_both_paths_is_one_memo_entry():
+    vocab = 7919  # a size no other test uses, so the memo starts empty
+    memo = _token_ids(vocab)
+    assert not memo
+    ascii_ids = Tokenizer(vocab_size=vocab)("Word_2 word")
+    both_ids = Tokenizer(vocab_size=vocab)("WORD 2 café")
+    assert ascii_ids == [memo["word"], memo["2"], memo["word"]] and both_ids == [memo["word"], memo["2"], memo["café"]]
+    assert sorted(memo) == ["2", "café", "word"]  # str keys only, each token once
+
+
 # -- forward pass ----------------------------------------------------------------
 
 

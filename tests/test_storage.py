@@ -169,6 +169,58 @@ def test_jsonl_rejects_a_lone_surrogate(tmp_path):
     assert read_jsonl(path) == [{"text": "\U0001f600"}, {"text": "\\ud800"}]
 
 
+def per_line_loads_reader(path, decode=None):
+    """read_jsonl as it was, one json.loads per line, with the surrogate check on every
+    row rather than only on lines holding an escape; the rows and errors to match."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    rows = []
+    for lineno, line in enumerate(lines[:-1] if lines[-1] == "" else lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError("E_IO", f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(row, dict):
+            raise DataError("E_IO", f"{path}:{lineno}: expected a JSON object")
+        try:
+            json.dumps(row, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise DataError("E_IO", f"{path}:{lineno}: lone surrogate in a string: {exc}") from exc
+        if decode is not None:
+            try:
+                row = decode(row)
+            except KeyError as exc:
+                raise DataError("E_IO", f"{path}:{lineno}: missing key {exc.args[0]!r}") from exc
+            except (TypeError, ValueError) as exc:
+                raise DataError("E_IO", f"{path}:{lineno}: bad value: {exc}") from exc
+        rows.append(row)
+    return rows
+
+
+def _outcome(reader, path, decode):
+    try:
+        return repr(reader(path, decode))  # repr, so that a NaN equals itself
+    except DataError as exc:
+        return f"{exc.code}|{exc}"
+
+
+@pytest.mark.parametrize("line", [
+    '{"a": 1, "b": [1, 2.5, null, true], "c": {"d": "é"}, "e": -0.0, "f": 1e400}',
+    '{}', '  {"a": 1}', '{"a": 1}  ', '\t{"a": 1}\t', ' \t {"a": 1} \t ', '\ufeff{"a": 1}',
+    '{"a":1} {"b":2}', '{"a":1},{"b":2}', '{"a": 1}x', '{"a":', '[1]', '"x"', 'NaN', '{"a": NaN}',
+    '{"a": "\\udc80"}', '{"a": "\\\\udc80"}', '{"a": "x\u2028y"}', '{"\u2028": "\u2029\x85"}',
+    '{"name": "a", "count": 2}', '{"name": "a", "count": "2"}', '{"name": "a"}',
+])
+@pytest.mark.parametrize("where", ["alone", "after a row"])
+@pytest.mark.parametrize("decode", [None, "record"])
+def test_read_jsonl_matches_per_line_loads(tmp_path, line, where, decode):
+    path = tmp_path / "rows.jsonl"
+    path.write_text(('{"name": "z", "count": 0}\n\n' if where == "after a row" else "") + line + "\n", encoding="utf-8")
+    decode = _Row.from_row if decode else None
+    assert _outcome(read_jsonl, path, decode) == _outcome(per_line_loads_reader, path, decode)
+
+
 @pytest.mark.parametrize(
     "value, expected, fits",
     [

@@ -684,6 +684,36 @@ def test_row_split_adamw_matches_full_update_bit_for_bit(monkeypatch, weight_dec
     assert not _same_bits(state.m["E"][: hot.size], np.zeros((hot.size, 16)))
 
 
+@pytest.mark.parametrize("chunk", [None, 40])
+def test_grad_norm_squares_only_r_with_the_dense_bits(monkeypatch, chunk):
+    import minembed.trainer as trainer_mod
+
+    if chunk is not None:
+        monkeypatch.setattr(trainer_mod, "_ADAMW_CHUNK", chunk)  # 40: one 64-value row of R at a time
+    rng = np.random.default_rng(29)
+    words = ["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz"), size=6)) for _ in range(600)]
+    text = lambda: " ".join(rng.choice(words, size=5))
+    batch = [Triplet(f"a{i}", text(), text(), f"n{i}", text(), "train") for i in range(64)]
+    params = init_params(6, pooling="mean")  # the default vocabulary: R's rows lie all over E
+    live = np.array(sorted({i for t in batch for x in (t.anchor_text, t.positive_text, t.negative_text)
+                            for i in params.tokenizer(x)}), dtype=np.intp)
+    state = init_optimizer_state(params, live_rows={"E": live})
+    config = TrainConfig(batch_size=64)
+    for seed in range(3):
+        grads, report = infonce_gradient(batch, params, config, seed=seed, out=state)
+        _, fresh = infonce_gradient(batch, params, config, seed=seed)
+        assert _same_bits(report.grad_norm, reference_grad_norm(grads))
+        assert _same_bits(report.grad_norm, fresh.grad_norm)
+    # Values of several magnitudes on R alone: a sum of R's squares without the zero rows
+    # between them, as one compact block, moves the bits of some of these.
+    for _ in range(20):
+        scales = 10.0 ** rng.integers(-8, 2, live.size)[:, None]
+        grads["E"][live] = rng.normal(size=(live.size, grads["E"].shape[1])) * scales
+        assert _same_bits(trainer_mod._grad_norm(state), reference_grad_norm(grads))
+    outside = np.setdiff1d(np.arange(len(grads["E"])), live)
+    assert not state.squares["E"][outside].any() and state.squares["E"][live].any()
+
+
 def test_adamw_rejects_full_moments_when_r_is_set():
     # R set on a state whose moments are full-size would misread the moments; nothing may move.
     params, state = one_tensor_setup(0.5)
