@@ -11,33 +11,29 @@ succeeded, with SHA-256 digests and the seconds since argument parsing began.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import sys
 import time
-from dataclasses import fields
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
-from . import corpus, metrics, storage, trainer, triplets
+# corpus, trainer and triplets are imported by the commands that run them, so
+# eval and embed load neither the trainer nor the miner.
+from . import metrics, storage
 from .encoder import POOLINGS, Tokenizer, encode_batch, init_params, load_checkpoint
 from .errors import DataError, PipelineError, UsageError
 
-# Config keys and their defaults: every TrainConfig field, then every
-# init_params keyword except the seed, which TrainConfig already carries.
-_TRAIN_CONFIG_KEYS = {f.name: f.default for f in fields(trainer.TrainConfig)}
-_ENCODER_CONFIG_KEYS = {
-    name: param.default for name, param in inspect.signature(init_params).parameters.items() if name != "seed"
-}
 
-_TRAIN_DEFAULTS_HELP = (
-    "Config keys and their defaults: "
-    + ", ".join(f"{key}={value}" for key, value in {**_TRAIN_CONFIG_KEYS, **_ENCODER_CONFIG_KEYS}.items())
-    + ". A JSON config file passed via --config overrides flags."
-)
+def _train_config_keys() -> tuple[dict, dict]:
+    """Config keys and their defaults: every TrainConfig field, then every
+    init_params keyword except the seed, which TrainConfig already carries."""
+    import inspect
+    from dataclasses import fields
+    from . import trainer
+    encoder_keys = {name: p.default for name, p in inspect.signature(init_params).parameters.items() if name != "seed"}
+    return {f.name: f.default for f in fields(trainer.TrainConfig)}, encoder_keys
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,6 +41,12 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(f"{self.prog}: {message}")
+
+    def format_help(self) -> str:
+        # A callable epilog is built only when help is printed.
+        if callable(self.epilog):
+            self.epilog = self.epilog()
+        return super().format_help()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,7 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
         "train",
         help="train the encoder on triplets with the contrastive objective",
         formatter_class=fmt,
-        epilog=_TRAIN_DEFAULTS_HELP,
+        epilog=lambda: (
+            "Config keys and their defaults: "
+            + ", ".join(f"{key}={value}" for keys in _train_config_keys() for key, value in keys.items())
+            + ". A JSON config file passed via --config overrides flags."
+        ),
     )
     p.add_argument("--triplets", required=True, help="triplet file; rows with split=train are used")
     p.add_argument("--val", default=None, help="validation triplet file (default: split=val rows of --triplets)")
@@ -144,8 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
 # -- command implementations ---------------------------------------------
 
 
-def _load_documents(input_path: str) -> tuple[list[corpus.RawDocument], list[Path]]:
-    """The documents of ``--in`` and the files they were read from, in order."""
+def _load_documents(input_path: str) -> tuple[list, list[Path]]:
+    """The documents of ``--in`` (``corpus.RawDocument``) and the files they were read from, in order."""
+    from . import corpus
     path = Path(input_path)
     if path.is_dir():
         files = sorted(path.glob("*.txt"))
@@ -168,6 +175,7 @@ def _cmd_prepare(args: argparse.Namespace) -> dict:
         raise UsageError(f"--test-frac must be >= 0, got {args.test_frac}")
     if not args.train_frac + args.test_frac <= 1.0:
         raise UsageError(f"--train-frac + --test-frac must be <= 1, got {args.train_frac + args.test_frac}")
+    from . import corpus
     docs, inputs = _load_documents(args.input)
     records = corpus.build_manifest(docs, min_chars=args.min_chars)
     records = corpus.stratified_split(records, train_frac=args.train_frac, seed=args.seed, test_frac=args.test_frac)
@@ -181,6 +189,7 @@ def _cmd_prepare(args: argparse.Namespace) -> dict:
 def _cmd_triplets(args: argparse.Namespace) -> dict:
     if args.min_distance < 1:
         raise UsageError(f"--min-distance must be >= 1, got {args.min_distance}")
+    from . import corpus, triplets
     records = storage.read_jsonl(args.corpus, corpus.SentenceRecord.from_row)
     policy = triplets.NegativePolicy(
         min_index_distance=args.min_distance,
@@ -208,19 +217,23 @@ def _cmd_triplets(args: argparse.Namespace) -> dict:
     return dict(path=args.out + ".meta.json", config=config, seed=args.seed, inputs=[args.corpus], outputs=[args.out])
 
 
-def _train_config_from(args: argparse.Namespace) -> tuple[trainer.TrainConfig, dict]:
-    """Defaults, then flags, then config-file keys (highest precedence).
+def _train_config_from(args: argparse.Namespace) -> tuple:
+    """Defaults, then flags, then config-file keys (highest precedence): a
+    ``trainer.TrainConfig`` and the ``init_params`` keywords.
 
     Each config value must have (``storage.typed_value``) the type of the
     ``TrainConfig`` field or of the ``init_params`` default that it overrides.
     """
-    values = {**_TRAIN_CONFIG_KEYS, "seed": args.seed, "train_lora_only": args.lora_only}
-    encoder_cfg = dict(_ENCODER_CONFIG_KEYS)
-    types = get_type_hints(trainer.TrainConfig) | {key: type(default) for key, default in _ENCODER_CONFIG_KEYS.items()}
+    from typing import get_type_hints
+    from . import trainer
+    train_keys, encoder_cfg = _train_config_keys()
+    values = {**train_keys, "seed": args.seed, "train_lora_only": args.lora_only}
+    types = get_type_hints(trainer.TrainConfig) | {key: type(default) for key, default in encoder_cfg.items()}
     if args.config:
+        text = storage.read_text(args.config)
         try:
-            overrides = json.loads(storage.read_text(args.config))
-        except json.JSONDecodeError as exc:
+            overrides = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # also a too-long integer, or nesting too deep
             raise UsageError(f"cannot parse config {args.config}: {exc}") from exc
         if not isinstance(overrides, dict):
             raise UsageError(f"config {args.config} must be a JSON object")
@@ -235,6 +248,7 @@ def _train_config_from(args: argparse.Namespace) -> tuple[trainer.TrainConfig, d
 
 
 def _cmd_train(args: argparse.Namespace) -> dict:
+    from . import trainer, triplets
     config, encoder_cfg = _train_config_from(args)
     all_triplets = storage.read_jsonl(args.triplets, triplets.Triplet.from_row)
     train_rows = [t for t in all_triplets if t.split == "train"]
@@ -356,6 +370,7 @@ def _cmd_eval(args: argparse.Namespace) -> None:
 
 
 def _cmd_stats(args: argparse.Namespace) -> None:
+    from . import corpus
     records = storage.read_jsonl(args.corpus, corpus.SentenceRecord.from_row)
     stats = corpus.corpus_stats(records, Tokenizer())
     print(json.dumps(vars(stats), indent=2, sort_keys=True))
@@ -367,6 +382,7 @@ def _cmd_gradcheck(args: argparse.Namespace) -> None:
             raise UsageError(f"{flag} must be >= 1, got {value}")
     if not 0.0 < args.h < math.inf:  # also false for NaN
         raise UsageError(f"--h must be finite and > 0, got {args.h}")
+    from . import trainer, triplets
     params = load_checkpoint(args.checkpoint)
     batch = storage.read_jsonl(args.batch, triplets.Triplet.from_row)[: args.batch_size]
     if not batch:

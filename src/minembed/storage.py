@@ -145,7 +145,7 @@ def read_jsonl(path: str | Path, decode: Callable[[dict], Any] | None = None) ->
     for lineno, line in lines:
         try:
             row = _decode_json(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also a too-long integer, or nesting too deep
             raise DataError("E_IO", f"{path}:{lineno}: invalid JSON: {exc}") from exc
         if not isinstance(row, dict):
             raise DataError("E_IO", f"{path}:{lineno}: expected a JSON object")
@@ -392,7 +392,7 @@ def write_run_metadata(
     outputs: Iterable[str | Path],
     duration_s: float,
 ) -> None:
-    """Record the provenance of one run: config, seeds, digests, duration."""
+    """Record the provenance of one run: config, seeds, digests, duration, peak memory."""
     meta = {
         "command": command,
         "config": dict(config),
@@ -401,5 +401,22 @@ def write_run_metadata(
         "input_digests": {str(p): digest(p) for p in inputs},
         "output_digests": {str(p): digest(p) for p in outputs},
         "duration_seconds": duration_s,
+        "peak_rss_mb": _peak_rss_mb(),
     }
     write_json(path, meta)
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident memory in MiB: ``VmHWM``, which starts afresh at
+    exec, so unlike ``ru_maxrss`` it does not carry the memory of the process that
+    started this one; ``ru_maxrss`` where ``/proc`` is absent."""
+    try:
+        with open("/proc/self/status", "rb") as fh:  # binary: the Name line need not be ASCII
+            for line in fh:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    import resource
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

@@ -172,7 +172,8 @@ class SubprocessProvider:
         line = self._answers.popleft()
         try:
             return typed_value(json.loads(line.decode("utf-8")), "paraphrase", str)
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        # ValueError: bad UTF-8 or JSON, or an integer too long to convert; RecursionError: deep nesting.
+        except (ValueError, RecursionError, KeyError, TypeError) as exc:
             raise self._error("E_PROVIDER_UNAVAILABLE", f"malformed provider response: {line!r}") from exc
 
     def _pump(self, deadline: float) -> float:

@@ -219,6 +219,23 @@ def test_bad_input_file_exits_two_with_e_io(tmp_path, capsys, case):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(n for n in (name, "tiny.cemb") if n)
 
 
+# JSONL lines CPython's decoder rejects with ValueError and RecursionError, not JSONDecodeError.
+UNDECODABLE_LINES = {"5000-digit integer": '{"sent_id": "s1", "text": "x", "n": ' + "7" * 5000 + "}",
+                     "100000 nested arrays": "[" * 100_000}
+
+
+@pytest.mark.parametrize("line", UNDECODABLE_LINES.values(), ids=UNDECODABLE_LINES)
+@pytest.mark.parametrize("argv", [["embed", "--checkpoint", "{ckpt}", "--texts", "{file}", "--out", "{tmp}/e.cevx"],
+                                  ["stats", "--corpus", "{file}"]], ids=["embed", "stats"])
+def test_jsonl_the_decoder_cannot_read_exits_two_with_e_io(tmp_path, capsys, line, argv):
+    file = tmp_path / "rows.jsonl"
+    file.write_text(line + "\n", encoding="utf-8")
+    fill = {"file": str(file), "tmp": str(tmp_path), "ckpt": str(tiny_checkpoint(tmp_path))}
+    assert run([arg.format(**fill) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"E_IO: {file}:1: invalid JSON: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "override",
     [{"epochs": "2"}, {"epochs": 2.0}, {"batch_size": True}, {"peak_lr": "1e-3"},
@@ -274,7 +291,10 @@ def test_embed_on_malformed_checkpoint_exits_two(tmp_path, capsys, corrupt, code
 
 @pytest.mark.parametrize(
     "content, code, status",
-    [(b"\xff\xfe{}", "E_IO", 2), (None, "E_IO", 2), (b"{not json", "E_USAGE", 1), (b"[1]", "E_USAGE", 1)],
+    [(b"\xff\xfe{}", "E_IO", 2), (None, "E_IO", 2), (b"{not json", "E_USAGE", 1), (b"[1]", "E_USAGE", 1),
+     # JSON that CPython's decoder rejects with ValueError and RecursionError, not JSONDecodeError.
+     pytest.param(b'{"epochs": ' + b"7" * 5000 + b"}", "E_USAGE", 1, id="5000-digit integer"),
+     pytest.param(b"[" * 100_000, "E_USAGE", 1, id="100000 nested arrays")],
 )
 def test_config_file_errors(tmp_path, capsys, content, code, status):
     # An unreadable or undecodable config is an input error; bad JSON is a usage error.
@@ -427,7 +447,7 @@ def test_train_on_empty_triplets_exits_two(tmp_path):
 
 
 def test_numeric_failure_exits_three(tmp_path, monkeypatch):
-    import minembed.cli as cli_mod
+    import minembed.trainer as trainer_mod
     from minembed.errors import NumericError
 
     trips = tmp_path / "t.jsonl"
@@ -440,7 +460,7 @@ def test_numeric_failure_exits_three(tmp_path, monkeypatch):
     def exploding_train(*args, **kwargs):
         raise NumericError("E_NONFINITE_GRAD", "non-finite loss at step 0")
 
-    monkeypatch.setattr(cli_mod.trainer, "train", exploding_train)
+    monkeypatch.setattr(trainer_mod, "train", exploding_train)
     assert run(["train", "--triplets", str(trips), "--out-dir", str(tmp_path / "out"), "--seed", "1"]) == 3
 
 
@@ -730,7 +750,7 @@ def test_pipeline_reruns_byte_identical(tmp_path):
 
 
 RUN_METADATA_KEYS = {"command", "config", "seed", "artifact_version", "input_digests", "output_digests",
-                     "duration_seconds"}
+                     "duration_seconds", "peak_rss_mb"}
 # command: (command line, its run metadata or None for a command that writes no file)
 RUN_METADATA_CASES = {
     "prepare": (["prepare", "--in", "{docs}", "--out", "{out}/c.jsonl", "--seed", "1"], "{out}/c.jsonl.meta.json"),
@@ -783,6 +803,35 @@ def test_run_metadata_contract(tmp_path, pipeline, command):
     for kind in ("input_digests", "output_digests"):
         assert meta[kind] == {path: digest(path) for path in meta[kind]}
     assert {Path(path) for path in meta["output_digests"]} | {meta_path} == added
+
+
+# command line: the minembed modules it must not load
+_MINER_AND_TRAINER = {"minembed.trainer", "minembed.triplets", "minembed.corpus"}
+STAGE_MODULES_NOT_LOADED = {
+    ("eval", "--embeddings", "{emb}", "--pairs", "{pairs}"): _MINER_AND_TRAINER,
+    ("eval", "--embeddings", "{emb}", "--qrels", "{qrels}"): _MINER_AND_TRAINER,
+    ("embed", "--checkpoint", "{ckpt}", "--texts", "{trips}", "--out", "{out}/e.cevx"): _MINER_AND_TRAINER,
+    ("prepare", "--in", "{docs}", "--out", "{out}/c.jsonl", "--seed", "1"): {"minembed.trainer", "minembed.triplets"},
+}
+
+
+@pytest.mark.parametrize("argv", list(STAGE_MODULES_NOT_LOADED), ids=lambda argv: " ".join(argv[:1] + argv[3:4]))
+def test_each_stage_loads_only_the_modules_it_runs(tmp_path, pipeline, argv):
+    qrels = tmp_path / "qrels.tsv"
+    qrels.write_text("".join(f"{row['anchor_id']}\tpos::{row['anchor_id']}\t1\n"
+                             for row in read_jsonl(pipeline["trips"])[:4]), encoding="utf-8")
+    fill = {**{name: str(path) for name, path in pipeline.items()}, "out": str(tmp_path), "qrels": str(qrels)}
+    # Through the package, as `python -m minembed` runs it.
+    code = ("import json, sys, minembed.cli\n"
+            "status = minembed.cli.run(sys.argv[1:])\n"
+            "print(json.dumps([status, sorted(m for m in sys.modules if m.startswith('minembed'))]))")
+    pythonpath = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    proc = subprocess.run([sys.executable, "-c", code, *(arg.format(**fill) for arg in argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    status, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert status == 0, proc.stderr
+    assert set(loaded) & STAGE_MODULES_NOT_LOADED[argv] == set()
 
 
 OUT_UNDER_A_FILE = {

@@ -169,6 +169,22 @@ def test_jsonl_rejects_a_lone_surrogate(tmp_path):
     assert read_jsonl(path) == [{"text": "\U0001f600"}, {"text": "\\ud800"}]
 
 
+# JSON that CPython's decoder rejects with an error other than JSONDecodeError.
+UNDECODABLE_JSON = {
+    "5000-digit integer": '{"text": "x", "n": ' + "7" * 5000 + "}",  # ValueError: int_max_str_digits
+    "100000 nested arrays": "[" * 100_000,  # RecursionError
+}
+
+
+@pytest.mark.parametrize("line", UNDECODABLE_JSON.values(), ids=UNDECODABLE_JSON)
+def test_read_jsonl_reports_undecodable_json_as_invalid(tmp_path, line):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"ok": 1}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        read_jsonl(path)
+    assert err.value.code == "E_IO" and str(err.value).startswith(f"E_IO: {path}:2: invalid JSON: ")
+
+
 def per_line_loads_reader(path, decode=None):
     """read_jsonl as it was, one json.loads per line, with the surrogate check on every
     row rather than only on lines holding an escape; the rows and errors to match."""
@@ -558,3 +574,22 @@ def test_run_metadata_digests_recomputable(tmp_path):
     assert meta["input_digests"][str(source)] == digest(source)
     assert meta["output_digests"][str(out)] == digest(out)
     assert meta["command"] == "test"
+    assert 0 < meta["peak_rss_mb"] < 1e6
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is read from Linux's /proc")
+def test_peak_rss_is_vmhwm_or_else_ru_maxrss(monkeypatch):
+    import resource
+
+    import minembed.storage as storage_mod
+
+    def hwm_mb():
+        with open("/proc/self/status", "rb") as fh:
+            return next(int(ln.split()[1]) for ln in fh if ln.startswith(b"VmHWM:")) / 1024
+
+    before = hwm_mb()
+    assert before <= storage_mod._peak_rss_mb() <= hwm_mb()
+    # Where /proc is absent it falls back to ru_maxrss.
+    monkeypatch.setattr(storage_mod, "open", lambda *args, **kwargs: open("/nonexistent/status"), raising=False)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    assert before <= storage_mod._peak_rss_mb() <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

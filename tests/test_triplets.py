@@ -114,6 +114,17 @@ def _python_provider(body: str) -> str:
     return f"{shlex.quote(sys.executable)} -c {shlex.quote('import json, sys' + chr(10) + body)}"
 
 
+@pytest.mark.parametrize("reply", ["'{\"paraphrase\": ' + '7' * 5000 + '}'", "'[' * 100_000"],
+                         ids=["5000-digit integer", "100000 nested arrays"])
+def test_subprocess_provider_reply_json_cannot_decode_is_malformed(reply):
+    # CPython's decoder rejects these with ValueError and RecursionError, not JSONDecodeError.
+    body = f"for line in sys.stdin: print({reply}, flush=True)"
+    with SubprocessProvider(_python_provider(body)) as provider:
+        with pytest.raises(DataError) as err:
+            provider("text")
+    assert err.value.code == "E_PROVIDER_UNAVAILABLE" and "malformed provider response" in str(err.value)
+
+
 def test_subprocess_provider_error_ends_with_its_stderr():
     with SubprocessProvider(_python_provider("sys.stderr.write('boom' + chr(10))")) as provider:
         with pytest.raises(DataError) as err:
