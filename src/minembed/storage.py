@@ -55,6 +55,15 @@ def write_atomic(path: str | Path, data: bytes) -> None:
         raise DataError("E_IO", f"cannot write {path}: {exc}") from exc
 
 
+def _encode_text(path: str | Path, text: str) -> bytes:
+    """``text`` as UTF-8, to be written to ``path``. Text that UTF-8 cannot encode,
+    such as a lone surrogate (a file name that is not UTF-8 gives one), is E_IO."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise DataError("E_IO", f"cannot write {path}: {exc}") from exc
+
+
 def digest(path: str | Path) -> str:
     """SHA-256 hex digest of a file's bytes."""
     h = hashlib.sha256()
@@ -84,8 +93,7 @@ def dumps_json_line(row: Mapping) -> str:
 
 def write_jsonl(path: str | Path, rows: Iterable[Mapping]) -> None:
     """Write one compact JSON object per line, atomically."""
-    payload = "".join(dumps_json_line(r) + "\n" for r in rows)
-    write_atomic(path, payload.encode("utf-8"))
+    write_atomic(path, _encode_text(path, "".join(dumps_json_line(r) + "\n" for r in rows)))
 
 
 def read_text(path: str | Path) -> str:
@@ -200,7 +208,7 @@ class Record:
 
 
 def write_json(path: str | Path, obj: Mapping) -> None:
-    write_atomic(path, (json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    write_atomic(path, _encode_text(path, json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True) + "\n"))
 
 
 # -- CEMB tensor checkpoints -------------------------------------------------
@@ -225,7 +233,7 @@ def write_tensors(path: str | Path, tensors: Mapping[str, np.ndarray]) -> None:
     parts = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(tensors))]
     for name, arr in tensors.items():
         a = np.atleast_1d(np.asarray(arr))
-        nb = name.encode("utf-8")
+        nb = _encode_text(path, name)
         if len(nb) > 0xFFFF:
             raise DataError("E_IO", f"tensor name too long: {name!r}")
         parts += [struct.pack("<H", len(nb)) + nb + struct.pack(f"<B{a.ndim}I", a.ndim, *a.shape), a]
@@ -312,8 +320,9 @@ def write_embeddings(path: str | Path, ids: list[str], matrix: np.ndarray) -> No
     broken = next((i for i in ids if "\n" in i or "\r" in i), None)
     if broken is not None:
         raise DataError("E_IO", f"id {broken!r} holds a line break, so it cannot be one line of {ids_sidecar(path)}")
+    sidecar = _encode_text(ids_sidecar(path), "".join(i + "\n" for i in ids))  # before either file is written
     _write_f32(path, [EMBEDDING_MAGIC + struct.pack("<IIQ", EMBEDDING_VERSION, m.shape[1], m.shape[0]), m])
-    write_atomic(ids_sidecar(path), "".join(i + "\n" for i in ids).encode("utf-8"))
+    write_atomic(ids_sidecar(path), sidecar)
 
 
 def read_embeddings(path: str | Path) -> tuple[list[str], np.ndarray]:

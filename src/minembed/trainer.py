@@ -88,8 +88,8 @@ class OptimizerState:
     whatever the tensor's layout: the ``E`` scatter writes through a flat
     view, and the norm sums in row order. ``squares`` holds one zeroed
     buffer of each gradient's shape, for the squares the norm sums.
-    ``scratch`` is two flat float64 buffers for temporaries, a chunk of rows
-    at a time: AdamW's, and the norm's gathered rows of a tensor with R.
+    ``scratch`` is two flat float64 buffers for AdamW's temporaries, a chunk
+    of rows at a time.
 
     ``live_rows`` maps a tensor name to R: the sorted, distinct rows of
     that tensor that can get a nonzero gradient. The caller promises that
@@ -129,7 +129,7 @@ def init_optimizer_state(
     and the ``scratch`` to match."""
     live_rows = dict(live_rows or {})
     grads = {n: np.zeros_like(params.tensors[n], order="C") for n in params.trainable_names(lora_only)}
-    shapes = {n: (len(live_rows[n]), *g.shape[1:]) if n in live_rows else g.shape for n, g in grads.items()}
+    shapes = {n: g[live_rows.get(n, ...)].shape for n, g in grads.items()}
     return OptimizerState(
         m={n: np.zeros(shape) for n, shape in shapes.items()},
         v={n: np.zeros(shape) for n, shape in shapes.items()},
@@ -294,21 +294,12 @@ def _grad_norm(state: OptimizerState) -> float:
 
     A buffer and its squares are both row-major, so ``.sum()`` adds them in the
     pairwise order of ``np.sum(g * g)``. For a tensor with rows R only R's rows
-    are squared, through ``scratch`` a chunk of rows at a time: every other row
-    of the gradient is zero, and its squares, never written, are zero too, so
-    the sum is the same bits."""
+    are squared: every other row of the gradient is zero, and its squares, never
+    written, are zero too, so the sum is the same bits."""
     sums = []
     for name, g in state.grads.items():
-        squares, live = state.squares[name], state.live_rows.get(name)
-        if live is None:
-            np.multiply(g, g, out=squares)
-        else:
-            row = math.prod(g.shape[1:])
-            step = max(1, len(state.scratch[0]) // row)
-            for lo in range(0, len(live), step):
-                rows = live[lo : lo + step]
-                x = np.take(g, rows, axis=0, out=state.scratch[0][: rows.size * row].reshape(-1, *g.shape[1:]))
-                squares[rows] = np.multiply(x, x, out=x)
+        rows, squares = state.live_rows.get(name, ...), state.squares[name]
+        squares[rows] = np.square(g[rows])
         sums.append(float(squares.sum()))
     return math.sqrt(math.fsum(sums))
 
@@ -370,11 +361,12 @@ def adamw_step(
     Each tensor is updated a chunk of rows at a time, and each temporary is
     written into ``state.scratch``, in the order of operations of
     ``theta -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta)``. The update
-    is elementwise, so the chunks change no bit. For a tensor with rows R in
-    ``state.live_rows``, only R's gradient rows are read and checked: they
-    and R's weights are gathered once, every row gets the cheap update of a
-    row with g = m = v = 0, R's gathered rows get the full update with the
-    compact moments, and they are scattered back once. ``grads`` is only read.
+    is elementwise, so the chunks change no bit. A tensor's rows are read as
+    ``grad[rows]`` and ``theta[rows]``, ``rows`` its R in ``state.live_rows``
+    or every row, so only R's gradient rows are checked. With R, R's gathered
+    rows get the full update with the compact moments, every row the cheap
+    update of a row with g = m = v = 0, and R's are scattered back once.
+    ``grads`` is only read.
     """
     tensors = params.tensors
     blocks = {}
@@ -383,8 +375,7 @@ def adamw_step(
             raise DataError("E_SHAPE_MISMATCH", f"gradient for untracked tensor {name!r}")
         if grad.shape != tensors[name].shape:
             raise DataError("E_SHAPE_MISMATCH", f"{name}: gradient {grad.shape} vs parameter {tensors[name].shape}")
-        live = state.live_rows.get(name)
-        g = grad if live is None else grad[live]
+        g = grad[state.live_rows.get(name, ...)]
         if g.shape != state.m[name].shape:
             raise DataError("E_SHAPE_MISMATCH", f"{name}: gradient rows {g.shape} vs moments {state.m[name].shape}")
         if not np.all(np.isfinite(g)):
@@ -395,19 +386,18 @@ def adamw_step(
     correction2 = 1.0 - config.beta2**state.t
     for name, g in blocks.items():
         theta = tensors[name]
-        live = state.live_rows.get(name)
-        if live is not None:
-            whole, theta = theta, theta[live]
+        rows = state.live_rows.get(name, ...)
+        block = theta[rows]  # a view of every row, or a copy of R's
+        for chunk in _row_chunks(g, state.m[name], state.v[name], block):
+            _full_update(*chunk, state.scratch, correction1, correction2, lr, config)
+        if name in state.live_rows:
             # A row outside R has g = m = v = 0, where the full update reduces exactly to this.
-            for (chunk,) in _row_chunks(whole):
+            for (chunk,) in _row_chunks(theta):
                 x = state.scratch[0][: chunk.size].reshape(chunk.shape)
                 np.add(0.0, np.multiply(config.weight_decay, chunk, out=x), out=x)
                 x *= lr
                 chunk -= x
-        for chunk in _row_chunks(g, state.m[name], state.v[name], theta):
-            _full_update(*chunk, state.scratch, correction1, correction2, lr, config)
-        if live is not None:
-            whole[live] = theta
+            theta[rows] = block
     return params, state
 
 

@@ -57,6 +57,8 @@ _ANSWER_BATCH_WAIT_S = 0.0005
 _READ_CHUNK_BYTES = 64 * 1024
 # Bytes of the provider's stderr kept for error messages: the last ones.
 _STDERR_TAIL_BYTES = 2 * 1024
+# Bytes of a malformed answer quoted in its error message: the first ones.
+_REPLY_QUOTE_BYTES = 200
 
 
 @dataclass(frozen=True)
@@ -171,10 +173,14 @@ class SubprocessProvider:
                 deadline = self._pump(deadline)
         line = self._answers.popleft()
         try:
-            return typed_value(json.loads(line.decode("utf-8")), "paraphrase", str)
-        # ValueError: bad UTF-8 or JSON, or an integer too long to convert; RecursionError: deep nesting.
+            paraphrase = typed_value(json.loads(line.decode("utf-8")), "paraphrase", str)
+            paraphrase.encode("utf-8")  # a lone surrogate, which no output could hold
+            return paraphrase
+        # ValueError: bad UTF-8 or JSON, a lone surrogate or an integer too long to convert;
+        # RecursionError: deep nesting.
         except (ValueError, RecursionError, KeyError, TypeError) as exc:
-            raise self._error("E_PROVIDER_UNAVAILABLE", f"malformed provider response: {line!r}") from exc
+            message = f"malformed provider response ({len(line)} bytes): {line[:_REPLY_QUOTE_BYTES]!r}"
+            raise self._error("E_PROVIDER_UNAVAILABLE", message) from exc
 
     def _pump(self, deadline: float) -> float:
         """One round of the selector loop: write and read what the pipes take,

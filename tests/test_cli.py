@@ -103,6 +103,22 @@ def test_prepare_directory_input(tmp_path):
     assert all(r["source_name"] == "book-one" for r in rows)
 
 
+def test_prepare_file_name_utf8_cannot_encode_exits_two_and_writes_nothing(tmp_path, capsys):
+    # A file name that is not UTF-8 becomes a doc_id with a surrogate escape, which no output can hold.
+    docs_dir = tmp_path / "docs"
+    docs_dir.mkdir()
+    try:
+        with open(os.path.join(os.fsencode(docs_dir), b"bad\xff.txt"), "wb") as fh:
+            fh.write(b"The left ventricle appears dilated today. Ejection fraction is reduced overall.")
+    except OSError:
+        pytest.skip("the file system takes only UTF-8 file names")
+    out = tmp_path / "corpus.jsonl"
+    assert run(["prepare", "--in", str(docs_dir), "--out", str(out), "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"E_IO: cannot write {out}: ") and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["docs"]
+
+
 @pytest.mark.parametrize("kind", ["file", "directory"])
 def test_prepare_records_its_inputs(tmp_path, kind):
     if kind == "file":
@@ -911,6 +927,8 @@ FAILING_PROVIDER_SCRIPTS = {
     "answers-empty-object": "for line in sys.stdin: print('{}', flush=True)",
     "answers-null": "for line in sys.stdin: print(json.dumps({'paraphrase': None}), flush=True)",
     "answers-non-utf8": "for line in sys.stdin: sys.stdout.buffer.write(b'\\xff\\n'); sys.stdout.flush()",
+    # JSON whose string decodes to a lone surrogate, which the triplet file could not hold.
+    "answers-lone-surrogate": "for line in sys.stdin: print(json.dumps({'paraphrase': 'x \\ud800 y'}), flush=True)",
     # Answers once, having closed its stdin first, and lingers: the next
     # request cannot be sent, and closing the pipe must not fail either.
     "closes-stdin-and-lingers": "sys.stdin.readline(); os.close(0); print('{\"paraphrase\": \"p\"}', flush=True); "

@@ -84,3 +84,10 @@ def test_readme_library_snippet_runs():
     exec(snippet, namespace)
     assert namespace["result"].triplets and len(namespace["reports"]) == 2
     assert namespace["vectors"].shape == (1, namespace["params"].tensors["W2"].shape[1])
+
+
+def test_readme_names_every_error_code_the_package_raises():
+    codes = {code for path in (REPO_ROOT / "src" / "minembed").glob("*.py")
+             for code in re.findall(r'"(E_[A-Z0-9_]+)"', path.read_text(encoding="utf-8"))}
+    named = set(re.findall(r"E_[A-Z0-9_]+", (REPO_ROOT / "README.md").read_text(encoding="utf-8")))
+    assert len(codes) >= 40 and sorted(codes - named) == []

@@ -25,6 +25,7 @@ from minembed.storage import (
     typed_value,
     write_atomic,
     write_embeddings,
+    write_json,
     write_jsonl,
     write_run_metadata,
     write_tensors,
@@ -167,6 +168,23 @@ def test_jsonl_rejects_a_lone_surrogate(tmp_path):
     # A surrogate pair is one character, and an escaped backslash is no escape.
     path.write_text('{"text": "\\ud83d\\ude00"}\n{"text": "\\\\ud800"}\n', encoding="utf-8")
     assert read_jsonl(path) == [{"text": "\U0001f600"}, {"text": "\\ud800"}]
+
+
+@pytest.mark.parametrize("kind", ["jsonl", "json", "embeddings", "tensors"])
+def test_text_utf8_cannot_encode_is_e_io_and_writes_nothing(tmp_path, kind):
+    bad = "doc\udcff"  # how a file name that is not UTF-8 decodes
+    path = tmp_path / "out"
+    write = {
+        "jsonl": lambda: write_jsonl(path, [{"ok": "a"}, {"doc_id": bad}]),
+        "json": lambda: write_json(path, {"inputs": [bad]}),
+        "embeddings": lambda: write_embeddings(path, ["a", bad], np.zeros((2, 3))),
+        "tensors": lambda: write_tensors(path, {"W": np.zeros(2), bad: np.zeros(2)}),
+    }[kind]
+    with pytest.raises(DataError) as err:
+        write()
+    target = ids_sidecar(path) if kind == "embeddings" else path
+    assert str(err.value).startswith(f"E_IO: cannot write {target}: 'utf-8' codec can't encode")
+    assert os.listdir(tmp_path) == []
 
 
 # JSON that CPython's decoder rejects with an error other than JSONDecodeError.

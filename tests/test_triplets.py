@@ -125,6 +125,13 @@ def test_subprocess_provider_reply_json_cannot_decode_is_malformed(reply):
     assert err.value.code == "E_PROVIDER_UNAVAILABLE" and "malformed provider response" in str(err.value)
 
 
+def test_subprocess_provider_malformed_message_quotes_a_bounded_prefix():
+    with SubprocessProvider(_python_provider("for line in sys.stdin: print('[' * 100_000, flush=True)")) as provider:
+        with pytest.raises(DataError) as err:
+            provider("text")
+    assert str(err.value) == f"E_PROVIDER_UNAVAILABLE: malformed provider response (100000 bytes): {b'[' * 200!r}"
+
+
 def test_subprocess_provider_error_ends_with_its_stderr():
     with SubprocessProvider(_python_provider("sys.stderr.write('boom' + chr(10))")) as provider:
         with pytest.raises(DataError) as err:
