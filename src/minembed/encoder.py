@@ -12,6 +12,7 @@ freshly initialized encoder computes exactly the base-weight forward pass.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass, field, replace
 from itertools import chain
@@ -113,6 +114,15 @@ def tensor_shapes(vocab: int, d_emb: int, d_hid: int, d_out: int, rank: int) -> 
     }
 
 
+def _as_float32(value: float) -> float:
+    """``value`` rounded to float32, as a checkpoint stores it: +-inf where it overflows."""
+    try:
+        with np.errstate(over="ignore"):
+            return float(np.float32(value))
+    except OverflowError:  # an int beyond even float64's range
+        return math.inf if value > 0 else -math.inf
+
+
 @dataclass
 class EncoderParams:
     """All trainable tensors, keyed in ``TENSOR_NAMES`` order, plus the
@@ -127,10 +137,14 @@ class EncoderParams:
 
     def __post_init__(self) -> None:
         self.tokenizer = Tokenizer(vocab_size=self.tensors["E"].shape[0])
-        if not 0.0 <= self.lora_dropout < 1.0:
-            raise DataError("E_BAD_DROPOUT", f"lora_dropout must be in [0, 1), got {self.lora_dropout}")
-        if not np.isfinite(self.lora_alpha):
-            raise DataError("E_BAD_ALPHA", f"lora_alpha must be finite, got {self.lora_alpha}")
+        # Each value is checked also as the float32 that save_checkpoint stores, so a saved checkpoint loads.
+        alpha, dropout = _as_float32(self.lora_alpha), _as_float32(self.lora_dropout)
+        if not (0.0 <= self.lora_dropout < 1.0 and 0.0 <= dropout < 1.0):
+            raise DataError(
+                "E_BAD_DROPOUT", f"lora_dropout must be in [0, 1), got {self.lora_dropout}, {dropout} as a float32"
+            )
+        if not math.isfinite(alpha):
+            raise DataError("E_BAD_ALPHA", f"lora_alpha must be finite, got {self.lora_alpha}, {alpha} as a float32")
         if self.pooling not in POOLINGS:
             raise DataError("E_BAD_POOLING", f"pooling must be one of {POOLINGS}, got {self.pooling!r}")
 
@@ -171,9 +185,14 @@ def init_params(
 
     # Drawn in TENSOR_NAMES order from one generator; biases and B start at zero.
     draws = {"E": uniform, "W1": uniform, "W2": uniform, "lora_A1": gaussian, "lora_A2": gaussian}
-    shapes = tensor_shapes(vocab_size, d_emb, d_hid, d_out, lora_rank)
+    tensors = {}
+    for name, shape in tensor_shapes(vocab_size, d_emb, d_hid, d_out, lora_rank).items():
+        try:
+            tensors[name] = draws.get(name, np.zeros)(shape)
+        except (ValueError, MemoryError) as exc:  # a shape numpy cannot address, or memory it cannot get
+            raise DataError("E_SHAPE_TOO_LARGE", f"cannot allocate {name} of shape {shape}: {exc}") from None
     return EncoderParams(
-        tensors={name: draws.get(name, np.zeros)(shape) for name, shape in shapes.items()},
+        tensors=tensors,
         lora_rank=lora_rank,
         lora_alpha=lora_alpha,
         lora_dropout=lora_dropout,
@@ -185,8 +204,8 @@ def init_params(
 class EncodeCache:
     """Intermediate activations kept for the backward pass."""
 
-    token_table: np.ndarray  # row i: the ids text i's pooling averages, padded with id 0
-    token_counts: np.ndarray  # row i's ids before the padding
+    pooled_ids: np.ndarray  # the ids each text's pooling averages, one text after another
+    counts: np.ndarray  # how many of those ids are each text's
     pooled: np.ndarray
     mask1: np.ndarray
     mask2: np.ndarray
@@ -195,29 +214,21 @@ class EncodeCache:
     outputs: np.ndarray
 
 
-# The token ids each pooling averages: all of a text's, or only its last.
-_POOLED_TOKENS = {POOLING_MEAN: slice(None), POOLING_LAST: slice(-1, None)}
-
-
-def _token_table(
-    texts: Sequence[str], params: EncoderParams, token_ids: Mapping[str, Sequence[int]] | None
+def pooled_ids(
+    texts: Sequence[str], params: EncoderParams, token_ids: Mapping[str, Sequence[int]] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Tokenize each text once, or look its ids up in ``token_ids``; return the
-    padded table of its pooled ids, and their counts."""
+    """The ids each text's pooling averages, one text after another in token order, and a
+    count per text: all of a text's ids for mean pooling, only its last for last_token.
+    Each text is tokenized once, or its ids are looked up in ``token_ids``."""
     ids_of = params.tokenizer if token_ids is None else token_ids.__getitem__
-    pooled_ids = [ids_of(text)[_POOLED_TOKENS[params.pooling]] for text in texts]
-    counts = np.fromiter(map(len, pooled_ids), dtype=np.intp, count=len(pooled_ids))
+    per_text = [ids_of(text) for text in texts]
+    counts = np.fromiter(map(len, per_text), dtype=np.intp, count=len(per_text))
     if not counts.all():
         i = int(np.argmin(counts))
         raise DataError("E_EMPTY_TOKENS", f"text {i} produced no tokens: {texts[i]!r}")
-    table = np.zeros((len(counts), counts.max(initial=0)), dtype=np.intp)
-    table[_filled(table, counts)] = np.fromiter(chain.from_iterable(pooled_ids), dtype=np.intp, count=counts.sum())
-    return table, counts
-
-
-def _filled(table: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    # True at the table slots that hold a token, False at the padding.
-    return np.arange(table.shape[1]) < counts[:, None]
+    if params.pooling == POOLING_MEAN:
+        return np.fromiter(chain.from_iterable(per_text), dtype=np.intp, count=counts.sum()), counts
+    return np.fromiter((ids[-1] for ids in per_text), dtype=np.intp, count=len(per_text)), np.ones_like(counts)
 
 
 def _dropout_masks(shape: tuple[int, int], p: float, rng: np.random.Generator) -> np.ndarray:
@@ -261,10 +272,13 @@ def forward_batch(
     ``token_ids``, when given, maps each text to its ids under ``params.tokenizer``,
     so a caller that encodes the same texts many times tokenizes each once.
     """
-    table, counts = _token_table(texts, params, token_ids)
+    ids, counts = pooled_ids(texts, params, token_ids)
+    filled = np.arange(counts.max(initial=0)) < counts[:, None]
+    table = np.zeros(filled.shape, dtype=np.intp)  # row i: text i's ids, then pads of id 0
+    table[filled] = ids
     rows = params.tensors["E"][table]
     # A pad adds +0.0: it changes no sum, except that a sum of only -0.0 becomes +0.0.
-    rows[~_filled(table, counts)] = 0.0
+    rows[~filled] = 0.0
     pooled = rows.sum(axis=1) / counts[:, None]
 
     shapes = (pooled.shape, (len(pooled), params.tensors["W1"].shape[1]))
@@ -281,7 +295,7 @@ def forward_batch(
     if np.any(norms == 0.0):
         raise NumericError("E_ZERO_VECTOR", "encoder produced a zero vector before normalization")
     outputs = raw_out / norms
-    return outputs, EncodeCache(table, counts, pooled, mask1, mask2, hidden, norms, outputs)
+    return outputs, EncodeCache(ids, counts, pooled, mask1, mask2, hidden, norms, outputs)
 
 
 def backward_batch(
@@ -298,8 +312,8 @@ def backward_batch(
     if "E" in grads:
         # Each pooled id gets its text's gradient over the count. One 1-D np.add.at on the
         # flat (contiguous) buffer adds the shares in text order, which a repeated id needs.
-        table, counts, d_emb = cache.token_table, cache.token_counts, grad_pooled.shape[1]
-        flat = (table[_filled(table, counts)][:, None] * d_emb + np.arange(d_emb)).ravel()
+        counts, d_emb = cache.counts, grad_pooled.shape[1]
+        flat = (cache.pooled_ids[:, None] * d_emb + np.arange(d_emb)).ravel()
         np.add.at(grads["E"].reshape(-1), flat, np.repeat(grad_pooled / counts[:, None], counts, axis=0).ravel())
 
 

@@ -8,6 +8,7 @@ broken by ascending candidate id so rankings are deterministic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -37,10 +38,15 @@ class RetrievalTask:
             if qid in seen:
                 raise DataError("E_DUPLICATE_QUERY", f"query id {qid!r} appears more than once")
             seen.add(qid)
+        if not self.candidates:  # before the gold checks: with no pool, no query could have gold
+            raise DataError("E_EMPTY_CANDIDATES", "no candidates to rank")
         cand_ids = {cid for cid, _ in self.candidates}
         missing = [g for g in self.gold.values() if g not in cand_ids]
         if missing:
             raise DataError("E_EMPTY_CANDIDATES", f"gold targets missing from candidates: {missing[:5]}")
+        no_gold = [qid for qid, _ in self.queries if qid not in self.gold]
+        if no_gold:
+            raise DataError("E_MISSING_GOLD", f"queries without a gold candidate: {no_gold[:5]}")
 
 
 @dataclass
@@ -150,23 +156,26 @@ def mean_positive_similarity(task: RetrievalTask) -> tuple[float, float]:
 
 
 def _gain(grade: int, gain: str) -> float:
+    """A grade's gain as a float, or inf where it is past the largest float."""
     if gain == GAIN_LINEAR:
-        return float(grade)
+        return float(grade) if grade <= sys.float_info.max else math.inf
     if gain == GAIN_EXP:
-        return float(2**grade - 1)
+        # 2**grade - 1 is past the largest float from grade max_exp (1024) on; a huge grade
+        # would make that integer itself costly, so the grade is checked first.
+        return float(2**grade - 1) if grade < sys.float_info.max_exp else math.inf
     raise DataError("E_BAD_GAIN", f"gain must be 'linear' or 'exp', got {gain!r}")
 
 
-def _group_relevant(qrels: Mapping[tuple[str, str], int]) -> dict[str, dict[str, int]]:
-    by_query: dict[str, dict[str, int]] = {}
+def _group_relevant(qrels: Mapping[tuple[str, str], float]) -> dict[str, dict[str, float]]:
+    by_query: dict[str, dict[str, float]] = {}
     for (qid, cid), grade in qrels.items():
         if grade > 0:
             by_query.setdefault(qid, {})[cid] = grade
     return by_query
 
 
-def _mean_over_relevant(ranks: Ranks, qrels: Mapping[tuple[str, str], int], score: Callable) -> float:
-    """Mean of score(query's ranks, its relevant grades) over queries with relevant candidates."""
+def _mean_over_relevant(ranks: Ranks, qrels: Mapping[tuple[str, str], float], score: Callable) -> float:
+    """Mean of score(query's ranks, its relevant grades or gains) over queries with relevant candidates."""
     by_query = _group_relevant(qrels)
     scores = [score(by_cand, by_query[qid]) for qid, by_cand in ranks.items() if by_query.get(qid)]
     if not scores:
@@ -175,16 +184,28 @@ def _mean_over_relevant(ranks: Ranks, qrels: Mapping[tuple[str, str], int], scor
 
 
 def ndcg_at_10(ranks: Ranks, qrels: Mapping[tuple[str, str], int], gain: str = GAIN_LINEAR) -> float:
-    """Mean NDCG at cutoff 10 over queries that have relevant candidates."""
+    """Mean NDCG at cutoff 10 over queries that have relevant candidates.
 
-    def ndcg(by_cand: Mapping[str, int], relevant: dict[str, int]) -> float:
+    Every relevant pair's gain is taken before any query is scored: one that a
+    float cannot hold, or a query's ideal DCG that is not finite, is E_BAD_GRADE.
+    """
+    gains = {pair: _gain(grade, gain) for pair, grade in qrels.items() if grade > 0}
+    huge = [pair for pair, g in gains.items() if g == math.inf]
+    if huge:
+        raise DataError("E_BAD_GRADE", f"grades whose {gain} gain is past the largest float, at pairs {huge[:5]}")
+
+    def ndcg(by_cand: Mapping[str, int], relevant: dict[str, float]) -> float:
         dcg = 0.0
         for rank, cid in sorted((r, cid) for cid, r in by_cand.items() if r <= NDCG_CUTOFF and cid in relevant):
-            dcg += _gain(relevant[cid], gain) / math.log2(rank + 1)
+            dcg += relevant[cid] / math.log2(rank + 1)
         ideal = sorted(relevant.values(), reverse=True)[:NDCG_CUTOFF]
-        return dcg / sum(_gain(g, gain) / math.log2(i + 1) for i, g in enumerate(ideal, start=1))
+        ideal_dcg = sum(g / math.log2(i + 1) for i, g in enumerate(ideal, start=1))
+        if not math.isfinite(ideal_dcg):
+            judged = sorted(relevant)[:5]
+            raise DataError("E_BAD_GRADE", f"ideal DCG past the largest float for a query judging {judged}")
+        return dcg / ideal_dcg
 
-    return _mean_over_relevant(ranks, qrels, ndcg)
+    return _mean_over_relevant(ranks, gains, ndcg)
 
 
 def recall_at_k(ranks: Ranks, qrels: Mapping[tuple[str, str], int], k: int) -> float:

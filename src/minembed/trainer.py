@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import storage
-from .encoder import _POOLED_TOKENS, EncodeCache, EncoderParams, backward_batch, forward_batch, save_checkpoint
+from .encoder import EncodeCache, EncoderParams, backward_batch, forward_batch, pooled_ids, save_checkpoint
 from .errors import DataError, NumericError
 from .triplets import Triplet
 
@@ -442,9 +442,11 @@ def train(
     """
     if not triplets:
         raise DataError("E_NO_TRAIN_DATA", "no training triplets")
-    texts = ((t.anchor_text, t.positive_text, t.negative_text) for t in chain(triplets, val_triplets or ()))
+    # Each triplet's anchor, positive and negative text, the train triplets' first.
+    texts = [text for t in chain(triplets, val_triplets or ())
+             for text in (t.anchor_text, t.positive_text, t.negative_text)]
     # Stored as int64 arrays: a third of the memory of lists of Python ints.
-    token_ids = {text: array("q", params.tokenizer(text)) for text in dict.fromkeys(chain.from_iterable(texts))}
+    token_ids = {text: array("q", params.tokenizer(text)) for text in dict.fromkeys(texts)}
     # Fail before step 0, not when a batch holding the text is encoded.
     for i, (text, ids) in enumerate(token_ids.items()):
         if not ids:
@@ -458,11 +460,11 @@ def train(
             raise DataError("E_IO", f"cannot create directory {out_path}: {exc}") from exc
     live_rows = {}
     if not config.train_lora_only:
-        # R: the E rows that train texts pool. Validation takes no gradient, so its texts stay out.
-        pooled = _POOLED_TOKENS[params.pooling]
-        pooled_ids = (token_ids[text][pooled] for t in triplets
-                      for text in (t.anchor_text, t.positive_text, t.negative_text))
-        live_rows["E"] = np.array(sorted(set(chain.from_iterable(pooled_ids))), dtype=np.intp)
+        # R: the E rows that train texts pool, marked in a mask, which sorts no copy of every
+        # pooled id. Validation takes no gradient, so its texts stay out.
+        pooled = np.zeros(len(params.tensors["E"]), dtype=bool)
+        pooled[pooled_ids(texts[: 3 * len(triplets)], params, token_ids)[0]] = True
+        live_rows["E"] = np.flatnonzero(pooled)
     state = init_optimizer_state(params, config.train_lora_only, live_rows)
     steps_per_epoch = math.ceil(len(triplets) / config.batch_size)
     total_steps = steps_per_epoch * config.epochs

@@ -414,6 +414,27 @@ def test_train_config_that_cannot_train_exits_cleanly(tmp_path, capsys, override
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("override, code, named", [
+    ({"lora_alpha": 1e39}, "E_BAD_ALPHA", "inf as a float32"),
+    ({"lora_dropout": 0.99999999}, "E_BAD_DROPOUT", "1.0 as a float32"),
+    ({"lora_rank": 10**30}, "E_SHAPE_TOO_LARGE", "Maximum allowed dimension exceeded"),
+    ({"vocab_size": 2**62}, "E_SHAPE_TOO_LARGE", "array is too big"),
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_train_config_a_checkpoint_or_numpy_cannot_hold_exits_two_before_writing(tmp_path, capsys, override, code,
+                                                                                 named):
+    # The first two trained, and embed then refused the checkpoint; the shapes were tracebacks.
+    trips = tmp_path / "trips.jsonl"
+    trips.write_text(json.dumps(TRIPLET_ROW) + "\n" + json.dumps({**TRIPLET_ROW, "anchor_id": "b"}) + "\n",
+                     encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["train", "--triplets", str(trips), "--config", str(small_train_config(tmp_path, **override)),
+                "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{code}: ") and named in err and "Traceback" not in err
+    assert not out.exists()
+
+
 NO_TOKEN = {"train": "!!! ...", "val": "?? -- ??"}
 
 
@@ -547,6 +568,23 @@ def test_eval_qrels_and_sts(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["spearman"] is not None
     assert -1.0 <= report["spearman"] <= 1.0
+
+
+@pytest.mark.parametrize("qrels, gain", [
+    ("q\tc1\t2000\n", "exp"),
+    (f"q\tc1\t{'9' * 401}\n", "linear"),
+    ("q\tc1\t1023\nq\tc2\t1023\nq\tc3\t1023\n", "exp"),  # an ideal DCG past the largest float
+    (f"q\tc1\t17{'0' * 307}\nq\tc2\t17{'0' * 307}\n", "linear"),
+])
+def test_eval_grade_whose_gain_a_float_cannot_hold_exits_two(tmp_path, capsys, qrels, gain):
+    # The first two were OverflowError tracebacks; the last two printed an ndcg_at_10 of NaN.
+    emb = tmp_path / "e.cevx"
+    write_embeddings(emb, ["q", "c1", "c2", "c3"], np.array([[1, 0], [1, 0.1], [0.2, 1], [0.5, 0.5]], np.float32))
+    path = tmp_path / "qrels.tsv"
+    path.write_text(qrels, encoding="utf-8")
+    assert run(["eval", "--embeddings", str(emb), "--qrels", str(path), "--gain", gain]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("E_BAD_GRADE: ") and "Traceback" not in err
 
 
 def test_eval_missing_embedding_exits_two(tmp_path, capsys):

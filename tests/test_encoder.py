@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import replace
 
@@ -353,6 +354,41 @@ def test_init_params_deterministic():
         assert np.array_equal(a.tensors[name], b.tensors[name])
     assert np.all(a.tensors["lora_B1"] == 0.0) and np.all(a.tensors["lora_B2"] == 0.0)
     assert np.max(np.abs(a.tensors["E"])) <= 0.05
+
+
+SMALL_SHAPE = {"vocab_size": 16, "d_emb": 2, "d_hid": 2, "d_out": 2, "lora_rank": 1}
+
+
+@pytest.mark.parametrize("encoder, code, named", [
+    # Finite as a float64, but float32 checkpoint scalars would hold inf and 1.0.
+    ({"lora_alpha": 1e39}, "E_BAD_ALPHA", "got 1e+39, inf as a float32"),
+    ({"lora_alpha": -1e39}, "E_BAD_ALPHA", "-inf as a float32"),
+    ({"lora_alpha": 10**400}, "E_BAD_ALPHA", "inf as a float32"),
+    ({"lora_dropout": 0.99999999}, "E_BAD_DROPOUT", "got 0.99999999, 1.0 as a float32"),
+    # Shapes numpy refuses before it allocates anything.
+    ({"lora_rank": 10**30}, "E_SHAPE_TOO_LARGE", "lora_A1 of shape (1000000000000000000000000000000, 2)"),
+    ({"vocab_size": 2**62}, "E_SHAPE_TOO_LARGE", "E of shape (4611686018427387904, 2)"),
+    ({"d_hid": 10**30}, "E_SHAPE_TOO_LARGE", "W1 of shape (2, 1000000000000000000000000000000)"),
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_init_params_rejects_what_a_checkpoint_or_numpy_cannot_hold(encoder, code, named):
+    with pytest.raises(DataError) as err:
+        init_params(0, **{**SMALL_SHAPE, **encoder})
+    assert err.value.code == code and named in str(err.value)
+
+
+def test_alpha_and_dropout_at_the_float32_rounding_boundary(tmp_path):
+    # From each halfway point on, float32 rounds to inf or to 1.0; just below it, to the last value it holds.
+    alpha_edge, dropout_edge = 2.0**128 - 2.0**103, 1.0 - 2.0**-25
+    for encoder, code in [({"lora_alpha": alpha_edge}, "E_BAD_ALPHA"),
+                          ({"lora_dropout": dropout_edge}, "E_BAD_DROPOUT")]:
+        with pytest.raises(DataError) as err:
+            init_params(0, **SMALL_SHAPE, **encoder)
+        assert err.value.code == code
+    alpha, dropout = math.nextafter(alpha_edge, 0.0), math.nextafter(dropout_edge, 0.0)
+    save_checkpoint(init_params(0, **SMALL_SHAPE, lora_alpha=alpha, lora_dropout=dropout), tmp_path / "m.cemb")
+    loaded = load_checkpoint(tmp_path / "m.cemb")
+    assert (loaded.lora_alpha, loaded.lora_dropout) == (float(np.finfo(np.float32).max), 1.0 - 2.0**-24)
 
 
 def test_tensor_file_roundtrip(tmp_path):

@@ -484,3 +484,26 @@ def test_duplicate_query_ids_rejected():
 def test_gold_target_must_exist():
     with pytest.raises(DataError):
         RetrievalTask(queries=[("q", np.ones(2))], candidates=[("c", np.ones(2))], gold={"q": "missing"})
+
+
+def test_query_without_gold_rejected():
+    v = np.ones(2)
+    with pytest.raises(DataError) as err:
+        RetrievalTask(queries=[("q1", v), ("q2", v)], candidates=[("c1", v)], gold={"q1": "c1"})
+    assert err.value.code == "E_MISSING_GOLD" and "['q2']" in str(err.value)
+
+
+@pytest.mark.parametrize("grades, gain, named", [
+    ([2000], "exp", "exp gain is past the largest float, at pairs [('q', 'c0')]"),
+    ([10**400], "linear", "linear gain is past the largest float"),
+    # Each gain fits a float, but the ideal DCG's sum does not.
+    ([1023] * 3, "exp", "ideal DCG past the largest float for a query judging ['c0', 'c1', 'c2']"),
+    ([17 * 10**307] * 2, "linear", "ideal DCG past the largest float"),
+])
+def test_ndcg_rejects_a_gain_past_the_largest_float(grades, gain, named):
+    qrels = {("q", f"c{i}"): grade for i, grade in enumerate(grades)}
+    ranks = {"q": {f"c{i}": i + 1 for i in range(len(grades))}}
+    with pytest.raises(DataError) as err:
+        ndcg_at_10(ranks, qrels, gain)
+    assert err.value.code == "E_BAD_GRADE" and named in str(err.value)
+    assert ndcg_at_10(ranks, {pair: 1 for pair in qrels}, gain) == pytest.approx(1.0)

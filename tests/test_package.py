@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import re
@@ -91,3 +92,14 @@ def test_readme_names_every_error_code_the_package_raises():
              for code in re.findall(r'"(E_[A-Z0-9_]+)"', path.read_text(encoding="utf-8"))}
     named = set(re.findall(r"E_[A-Z0-9_]+", (REPO_ROOT / "README.md").read_text(encoding="utf-8")))
     assert len(codes) >= 40 and sorted(codes - named) == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    # A name with a leading underscore is its module's own; another module that needs it needs a public one.
+    imports = []
+    for path in sorted((REPO_ROOT / "src" / "minembed").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("minembed")):
+                imports += [f"{path.stem}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+                            for alias in node.names if alias.name.startswith("_")]
+    assert imports == []
