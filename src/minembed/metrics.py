@@ -32,15 +32,7 @@ class RetrievalTask:
     gold: dict[str, str]
 
     def __post_init__(self) -> None:
-        # A repeated query would have only one gold answer, so reject it.
-        seen: set[str] = set()
-        for qid, _ in self.queries:
-            if qid in seen:
-                raise DataError("E_DUPLICATE_QUERY", f"query id {qid!r} appears more than once")
-            seen.add(qid)
-        if not self.candidates:  # before the gold checks: with no pool, no query could have gold
-            raise DataError("E_EMPTY_CANDIDATES", "no candidates to rank")
-        cand_ids = {cid for cid, _ in self.candidates}
+        cand_ids = _check_ids(self)
         missing = [g for g in self.gold.values() if g not in cand_ids]
         if missing:
             raise DataError("E_EMPTY_CANDIDATES", f"gold targets missing from candidates: {missing[:5]}")
@@ -56,6 +48,9 @@ class GradedTask:
     queries: list[tuple[str, np.ndarray]]
     candidates: list[tuple[str, np.ndarray]]
     qrels: dict[tuple[str, str], int]
+
+    def __post_init__(self) -> None:
+        _check_ids(self)
 
 
 @dataclass
@@ -97,19 +92,22 @@ def _unit_rows(pairs: Sequence[tuple[str, np.ndarray]]) -> np.ndarray:
     return matrix / norms
 
 
-def _unit_task(task: RetrievalTask | GradedTask) -> tuple[np.ndarray, np.ndarray, list[str], dict[str, int]]:
-    """Unit query and candidate rows, candidate ids and their index; rejects an empty side or a repeated candidate."""
+def _check_ids(task: RetrievalTask | GradedTask) -> dict[str, int]:
+    """Each candidate id's place in the pool; rejects a repeated query, an empty side or a repeated candidate."""
+    seen: set[str] = set()
+    for qid, _ in task.queries:
+        if qid in seen:
+            raise DataError("E_DUPLICATE_QUERY", f"query id {qid!r} appears more than once")
+        seen.add(qid)
     if not task.candidates:
         raise DataError("E_EMPTY_CANDIDATES", "no candidates to rank")
     if not task.queries:
         raise DataError("E_EMPTY_CANDIDATES", "no queries to rank")
-    query_mat, cand_mat = _unit_rows(task.queries), _unit_rows(task.candidates)
-    cand_ids = [cid for cid, _ in task.candidates]
-    index = {cid: ci for ci, cid in enumerate(cand_ids)}
-    if len(index) != len(cand_ids):
-        repeated = next(cid for ci, cid in enumerate(cand_ids) if index[cid] != ci)
+    index = {cid: ci for ci, (cid, _) in enumerate(task.candidates)}
+    if len(index) != len(task.candidates):
+        repeated = next(cid for ci, (cid, _) in enumerate(task.candidates) if index[cid] != ci)
         raise DataError("E_DUPLICATE_CANDIDATE", f"candidate id {repeated!r} appears more than once")
-    return query_mat, cand_mat, cand_ids, index
+    return index
 
 
 def rank_candidates(task: RetrievalTask | GradedTask) -> dict[str, dict[str, int]]:
@@ -120,9 +118,10 @@ def rank_candidates(task: RetrievalTask | GradedTask) -> dict[str, dict[str, int
     cosine s ranks 1 + #(cos > s) + #(cos == s and id < its id), its place
     in descending cosine order with ties broken by ascending id.
     """
-    query_mat, cand_mat, cand_ids, index = _unit_task(task)
+    cand_ids = [cid for cid, _ in task.candidates]
+    index = {cid: ci for ci, cid in enumerate(cand_ids)}
     judged = _group_relevant(task.qrels) if isinstance(task, GradedTask) else {q: [task.gold[q]] for q, _ in task.queries}
-    sims = query_mat @ cand_mat.T
+    sims = _unit_rows(task.queries) @ _unit_rows(task.candidates).T
     ranks: dict[str, dict[str, int]] = {}
     for (qid, _), row in zip(task.queries, sims):
         ranks[qid] = {}
@@ -134,24 +133,37 @@ def rank_candidates(task: RetrievalTask | GradedTask) -> dict[str, dict[str, int
     return ranks
 
 
+def _gold_ranks(ranks: Ranks, gold: Mapping[str, str]) -> list[int]:
+    """Each ranked query's gold rank; rejects no ranked query, or one whose gold is missing or unranked."""
+    if not ranks:
+        raise DataError("E_NO_RELEVANT", "no ranked query to score")
+    try:
+        return [by_cand[gold[qid]] for qid, by_cand in ranks.items()]
+    except KeyError:
+        qid = next(q for q, by_cand in ranks.items() if gold.get(q) not in by_cand)
+        raise DataError("E_MISSING_GOLD", f"query {qid!r} has no ranked gold candidate") from None
+
+
 def accuracy_at_k(ranks: Ranks, gold: Mapping[str, str], k: int) -> float:
     """Fraction of queries whose gold candidate ranks within the top k."""
     if k < 1:
         raise DataError("E_BAD_K", f"k must be >= 1, got {k}")
-    hits = sum(1 for qid, by_cand in ranks.items() if by_cand[gold[qid]] <= k)
-    return hits / len(ranks)
+    gold_ranks = _gold_ranks(ranks, gold)
+    return sum(1 for r in gold_ranks if r <= k) / len(gold_ranks)
 
 
 def mean_reciprocal_rank(ranks: Ranks, gold: Mapping[str, str]) -> float:
     """Mean of 1 / rank(gold) over all queries."""
-    return math.fsum(1.0 / by_cand[gold[qid]] for qid, by_cand in ranks.items()) / len(ranks)
+    gold_ranks = _gold_ranks(ranks, gold)
+    return math.fsum(1.0 / r for r in gold_ranks) / len(gold_ranks)
 
 
 def mean_positive_similarity(task: RetrievalTask) -> tuple[float, float]:
     """Mean and population SD of cosine(query, gold candidate)."""
-    query_mat, cand_mat, _, index = _unit_task(task)
+    cand = dict(task.candidates)
+    query_mat, gold_mat = _unit_rows(task.queries), _unit_rows([(q, cand[task.gold[q]]) for q, _ in task.queries])
     # One dot per query: reading these off the GEMM's similarity matrix changes the last bit.
-    sims = np.array([q @ cand_mat[index[task.gold[qid]]] for (qid, _), q in zip(task.queries, query_mat)])
+    sims = np.array([q @ g for q, g in zip(query_mat, gold_mat)])
     return float(sims.mean()), float(np.sqrt(np.mean((sims - sims.mean()) ** 2)))
 
 

@@ -545,6 +545,11 @@ def gradient_check(
         loss_minus = batch_loss(batch, params, config, train_mode=True, seed=seed).loss
         theta.flat[local] = original
         fd = (loss_plus - loss_minus) / (2.0 * h)
-        rel = abs(grads[name].flat[local] - fd) / max(abs(fd), 1e-8)
+        analytic = grads[name].flat[local]
+        rel = abs(analytic - fd) / max(abs(fd), 1e-8)
+        # max() would keep the old value past a NaN, so a coordinate that cannot be measured is an error.
+        if not math.isfinite(rel):
+            raise NumericError("E_NONFINITE_GRAD", f"{name}[{local}] cannot be measured: losses {loss_plus} at +h "
+                               f"and {loss_minus} at -h (h={h}), analytic gradient {analytic}")
         max_rel = max(max_rel, rel)
     return max_rel

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import SentenceRecord, source_positions
+from .corpus import SPLITS, SentenceRecord, source_positions
 from .errors import DataError
 from .storage import Record, typed_value
 
@@ -37,8 +37,6 @@ FALLBACK_STOPWORDS = frozenset(
     "the of for and with from this that is to in on as by when then up at or an".split()
 )
 _MIN_WORDS_AFTER_DROP = 8
-
-SPLIT_SEED_TAGS = {"train": 0, "val": 1, "test": 2}
 
 # Seconds a provider may take to exit once its stdin is closed; then it is
 # killed. A provider that closes its own stdin gets as long to answer the
@@ -379,7 +377,8 @@ def build_triplets(
     split, so identical inputs reproduce identical output.
     """
     result = TripletBuildResult(triplets=[])
-    for split, tag in SPLIT_SEED_TAGS.items():
+    # A split's seed tag is its position in SPLITS.
+    for tag, split in enumerate(SPLITS):
         in_split = [r for r in records if r.split == split]
         if not in_split:
             continue

@@ -587,6 +587,21 @@ def test_eval_grade_whose_gain_a_float_cannot_hold_exits_two(tmp_path, capsys, q
     assert out == "" and err.startswith("E_BAD_GRADE: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag, tsv, message", [
+    ("--pairs", "", "no candidates to rank"),
+    ("--qrels", "", "no queries to rank"),
+    ("--qrels", "q\tc\t1\n", "no candidates to rank"),  # the one embedded id is the query
+])
+def test_eval_empty_task_exits_two(tmp_path, capsys, flag, tsv, message):
+    # An empty pool is named before an empty query list, so an empty pairs file names the pool.
+    emb, path = tmp_path / "e.cevx", tmp_path / "task.tsv"
+    write_embeddings(emb, ["q"], np.ones((1, 2), np.float32))
+    path.write_text(tsv, encoding="utf-8")
+    assert run(["eval", "--embeddings", str(emb), flag, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"E_EMPTY_CANDIDATES: {message}\n"
+
+
 def test_eval_missing_embedding_exits_two(tmp_path, capsys):
     emb = tmp_path / "e.cevx"
     write_embeddings(emb, ["a", "b"], np.eye(2, dtype=np.float32))
@@ -727,6 +742,26 @@ def test_gradcheck_command(tmp_path, capsys):
                 "--samples", "30", "--batch-size", "4", "--lora-only"]) == 0
     result = json.loads(capsys.readouterr().out)
     assert result["max_rel_error"] <= 1e-4
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gradcheck_a_coordinate_it_cannot_measure_exits_three(tmp_path, capsys):
+    # With h = 1e300 every probe loss is NaN; max() dropped each NaN error and printed about 1e-42 with exit 0.
+    params = init_params(11, vocab_size=512, d_emb=16, d_hid=24, d_out=12, lora_rank=4, lora_alpha=3e38,
+                         pooling="mean")
+    params.tensors["lora_B1"][...] = 0.01
+    params.tensors["lora_B2"][...] = 0.01
+    checkpoint, trips = tmp_path / "big.cemb", tmp_path / "trips.jsonl"
+    save_checkpoint(params, checkpoint)
+    trips.write_text("".join(json.dumps({**TRIPLET_ROW, "anchor_id": f"a{i}", "anchor_text": f"left atrium {i}"})
+                             + "\n" for i in range(4)), encoding="utf-8")
+    argv = ["gradcheck", "--checkpoint", str(checkpoint), "--batch", str(trips), "--samples", "50", "--batch-size", "4"]
+    assert run(argv + ["--h", "1e300"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("E_NONFINITE_GRAD: ") and "cannot be measured" in err
+    assert "(h=1e+300)" in err and "Traceback" not in err
+    assert run(argv + ["--h", "1e-4"]) == 0
+    assert json.loads(capsys.readouterr().out)["max_rel_error"] <= 1e-4
 
 
 @pytest.mark.parametrize("flag, value", [("--samples", "-3"), ("--samples", "0"), ("--batch-size", "-1"),
@@ -1029,8 +1064,9 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 def test_readme_lists_every_error_code():
     # Every code raised in the package, and E_USAGE, appears in the README as a whole word.
     sources = (REPO_ROOT / "src" / "minembed").glob("*.py")
-    codes = {code for path in sources for code in re.findall(r'"(E_[A-Z_]+)"', path.read_text(encoding="utf-8"))}
+    codes = {code for path in sources for code in re.findall(r'"(E_[A-Z0-9_]+)"', path.read_text(encoding="utf-8"))}
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    assert len(codes) >= 40
     assert sorted(c for c in codes | {"E_USAGE"} if not re.search(rf"\b{c}\b", readme)) == []
 
 

@@ -161,11 +161,13 @@ def test_rankings_match_naive_sort():
 
 
 def test_duplicate_candidate_rejected():
+    # Both task kinds are checked when they are built.
     v = unit([1.0, 2.0])
-    task = RetrievalTask(queries=[("q", v)], candidates=[("a", v), ("b", -v), ("a", v)], gold={"q": "a"})
-    for score in (rank_candidates, mean_positive_similarity):
+    queries, candidates = [("q", v)], [("a", v), ("b", -v), ("a", v)]
+    for build in (lambda: RetrievalTask(queries=queries, candidates=candidates, gold={"q": "a"}),
+                  lambda: GradedTask(queries=queries, candidates=candidates, qrels={("q", "a"): 1})):
         with pytest.raises(DataError) as err:
-            score(task)
+            build()
         assert err.value.code == "E_DUPLICATE_CANDIDATE" and "'a'" in str(err.value)
 
 
@@ -239,6 +241,19 @@ def test_metrics_match_naive_on_random_tasks():
         for k in (1, 3, 10):
             assert abs(accuracy_at_k(ranks, task.gold, k) - naive_acc_at_k(naive, task.gold, k)) <= 1e-9
         assert abs(mean_reciprocal_rank(ranks, task.gold) - naive_mrr(naive, task.gold)) <= 1e-9
+
+
+@pytest.mark.parametrize("ranks, gold, code, named", [
+    ({}, {}, "E_NO_RELEVANT", "no ranked query to score"),
+    ({"q": {"c": 1}}, {}, "E_MISSING_GOLD", "query 'q' has no ranked gold candidate"),
+    ({"q1": {"c1": 1}, "q2": {}}, {"q1": "c1", "q2": "c2"}, "E_MISSING_GOLD", "query 'q2'"),
+])
+def test_accuracy_and_mrr_reject_ranks_without_a_gold_rank(ranks, gold, code, named):
+    # These were ZeroDivisionError and KeyError.
+    for score in (lambda: accuracy_at_k(ranks, gold, 1), lambda: mean_reciprocal_rank(ranks, gold)):
+        with pytest.raises(DataError) as err:
+            score()
+        assert err.value.code == code and named in str(err.value)
 
 
 def test_acc1_le_mrr_le_accmax():
@@ -452,10 +467,9 @@ def test_evaluate_perfect_embeddings():
 
 
 def test_evaluate_empty_queries_rejected():
-    task = RetrievalTask(queries=[], candidates=[("c", np.ones(3))], gold={})
     with pytest.raises(DataError) as err:
-        evaluate(retrieval=task)
-    assert err.value.code == "E_EMPTY_CANDIDATES"
+        evaluate(retrieval=RetrievalTask(queries=[], candidates=[("c", np.ones(3))], gold={}))
+    assert err.value.code == "E_EMPTY_CANDIDATES" and "no queries to rank" in str(err.value)
 
 
 def test_evaluate_full_report_fields():
@@ -474,11 +488,14 @@ def test_evaluate_full_report_fields():
 
 
 def test_duplicate_query_ids_rejected():
+    # A GradedTask with a repeated query ranked only its last vector and counted the query once.
     v = np.ones(2)
-    with pytest.raises(DataError) as err:
-        RetrievalTask(queries=[("q1", v), ("q2", v), ("q1", v)], candidates=[("c1", v), ("c2", v), ("c3", v)],
-                      gold={"q1": "c3", "q2": "c2"})
-    assert err.value.code == "E_DUPLICATE_QUERY" and "'q1'" in str(err.value)
+    queries, candidates = [("q1", v), ("q2", v), ("q1", v)], [("c1", v), ("c2", v), ("c3", v)]
+    for build in (lambda: RetrievalTask(queries=queries, candidates=candidates, gold={"q1": "c3", "q2": "c2"}),
+                  lambda: GradedTask(queries=queries, candidates=candidates, qrels={("q1", "c3"): 1})):
+        with pytest.raises(DataError) as err:
+            build()
+        assert err.value.code == "E_DUPLICATE_QUERY" and "'q1'" in str(err.value)
 
 
 def test_gold_target_must_exist():

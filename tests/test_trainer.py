@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from minembed.encoder import TENSOR_NAMES, init_params
 from minembed.errors import DataError, NumericError
 from minembed.trainer import (
+    BatchLossReport,
     OptimizerState,
     TrainConfig,
     adamw_step,
@@ -274,6 +275,27 @@ def test_gradient_check_rejects_samples_below_one(small_params, monkeypatch):
         with pytest.raises(DataError) as err:
             gradient_check(small_params, make_batch(2, seed=3), samples=samples, config=small_config())
         assert err.value.code == "E_BAD_SAMPLES" and f"got {samples}" in str(err.value)
+
+
+@pytest.mark.parametrize("stub", ["probe-loss", "analytic-gradient"])
+def test_gradient_check_rejects_a_coordinate_it_cannot_measure(small_params, monkeypatch, stub):
+    # A NaN relative error was dropped by max(), so a NaN probe loss reported 0.0.
+    import minembed.trainer as trainer_mod
+
+    if stub == "probe-loss":
+        monkeypatch.setattr(trainer_mod, "batch_loss", lambda *args, **kwargs: BatchLossReport(math.nan, 0.0, 0.0))
+    else:
+        original = trainer_mod.infonce_gradient
+
+        def nan_gradient(*args, **kwargs):
+            grads, report = original(*args, **kwargs)
+            return {name: np.full_like(g, math.nan) for name, g in grads.items()}, report
+
+        monkeypatch.setattr(trainer_mod, "infonce_gradient", nan_gradient)
+    with pytest.raises(NumericError) as err:
+        gradient_check(small_params, make_batch(2, seed=3), samples=3, config=small_config())
+    assert err.value.code == "E_NONFINITE_GRAD"
+    assert str(err.value).split(": ")[1].split("[")[0] in small_params.tensors
 
 
 def test_finite_difference_error_curve_u_shaped(small_params):
