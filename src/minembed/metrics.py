@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass, field
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -23,15 +24,20 @@ NDCG_CUTOFF = 10
 Ranks = Mapping[str, Mapping[str, int]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RetrievalTask:
-    """Queries ranked against a shared candidate pool, one gold match each."""
+    """Queries ranked against a shared candidate pool, one gold match each.
 
-    queries: list[tuple[str, np.ndarray]]
-    candidates: list[tuple[str, np.ndarray]]
-    gold: dict[str, str]
+    Frozen, and it keeps copies: ``queries`` and ``candidates`` as tuples and
+    ``gold`` read-only, so the rules checked when it is built hold for its life.
+    """
+
+    queries: Sequence[tuple[str, np.ndarray]]
+    candidates: Sequence[tuple[str, np.ndarray]]
+    gold: Mapping[str, str]
 
     def __post_init__(self) -> None:
+        _keep_copies(self, "gold")
         cand_ids = _check_ids(self)
         missing = [g for g in self.gold.values() if g not in cand_ids]
         if missing:
@@ -41,15 +47,17 @@ class RetrievalTask:
             raise DataError("E_MISSING_GOLD", f"queries without a gold candidate: {no_gold[:5]}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GradedTask:
-    """Queries with graded relevance judgments instead of a single gold id."""
+    """Queries with graded relevance judgments instead of a single gold id;
+    frozen, with tuples and a read-only ``qrels``, as a ``RetrievalTask``."""
 
-    queries: list[tuple[str, np.ndarray]]
-    candidates: list[tuple[str, np.ndarray]]
-    qrels: dict[tuple[str, str], int]
+    queries: Sequence[tuple[str, np.ndarray]]
+    candidates: Sequence[tuple[str, np.ndarray]]
+    qrels: Mapping[tuple[str, str], int]
 
     def __post_init__(self) -> None:
+        _keep_copies(self, "qrels")
         _check_ids(self)
 
 
@@ -90,6 +98,13 @@ def _unit_rows(pairs: Sequence[tuple[str, np.ndarray]]) -> np.ndarray:
     if np.any(norms == 0.0):
         raise DataError("E_EMPTY_CANDIDATES", "zero vector in task embeddings")
     return matrix / norms
+
+
+def _keep_copies(task: RetrievalTask | GradedTask, judgments: str) -> None:
+    """Stores a frozen task's pairs as tuples and its ``judgments`` field as a read-only copy."""
+    object.__setattr__(task, "queries", tuple(task.queries))
+    object.__setattr__(task, "candidates", tuple(task.candidates))
+    object.__setattr__(task, judgments, MappingProxyType(dict(getattr(task, judgments))))
 
 
 def _check_ids(task: RetrievalTask | GradedTask) -> dict[str, int]:

@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import re
 import struct
 import tempfile
@@ -401,7 +402,7 @@ def write_run_metadata(
     outputs: Iterable[str | Path],
     duration_s: float,
 ) -> None:
-    """Record the provenance of one run: config, seeds, digests, duration, peak memory."""
+    """Record the provenance of one run: config, seeds, digests, duration, peak memory, environment."""
     meta = {
         "command": command,
         "config": dict(config),
@@ -411,8 +412,31 @@ def write_run_metadata(
         "output_digests": {str(p): digest(p) for p in outputs},
         "duration_seconds": duration_s,
         "peak_rss_mb": _peak_rss_mb(),
+        "environment": _environment(),
     }
     write_json(path, meta)
+
+
+# The variables that set how many threads each BLAS build runs.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """The software and machine a run ran on: Python, numpy, the BLAS numpy was
+    built with, the BLAS thread variables as set (None where unset), usable CPUs."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):
+        blas_name = "unknown"
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas_name,
+        "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARS},
+        "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "machine": platform.machine(),
+    }
 
 
 def _peak_rss_mb() -> float:

@@ -86,10 +86,9 @@ class OptimizerState:
 
     ``grads`` is one float64 gradient buffer per trained tensor, row-major
     whatever the tensor's layout: the ``E`` scatter writes through a flat
-    view, and the norm sums in row order. ``squares`` holds one zeroed
-    buffer of each gradient's shape, for the squares the norm sums.
-    ``scratch`` is two flat float64 buffers for AdamW's temporaries, a chunk
-    of rows at a time.
+    view, and the norm, once AdamW has read a step's gradient, squares it in
+    place and sums it in row order. ``scratch`` is two flat float64 buffers
+    for AdamW's temporaries, a chunk of rows at a time.
 
     ``live_rows`` maps a tensor name to R: the sorted, distinct rows of
     that tensor that can get a nonzero gradient. The caller promises that
@@ -112,21 +111,18 @@ class OptimizerState:
     scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     live_rows: dict[str, np.ndarray] = field(repr=False, compare=False, default_factory=dict)
     grads: dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
-    squares: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # A chunk is whole rows: _ADAMW_CHUNK elements' worth, or one row if a row is longer.
         size = max([_ADAMW_CHUNK, *(math.prod(m.shape[1:]) for m in self.m.values())])
         self.scratch = (np.empty(size), np.empty(size))
-        self.squares = {name: np.zeros_like(g) for name, g in self.grads.items()}
 
 
 def init_optimizer_state(
     params: EncoderParams, lora_only: bool = False, live_rows: Mapping[str, np.ndarray] | None = None
 ) -> OptimizerState:
     """Zero moments for every trained tensor, ``len(R)`` rows for a tensor with rows R
-    in ``live_rows`` and full-size for the others, the zeroed ``grads`` and ``squares``
-    and the ``scratch`` to match."""
+    in ``live_rows`` and full-size for the others, the zeroed ``grads`` and the ``scratch`` to match."""
     live_rows = dict(live_rows or {})
     grads = {n: np.zeros_like(params.tensors[n], order="C") for n in params.trainable_names(lora_only)}
     shapes = {n: g[live_rows.get(n, ...)].shape for n, g in grads.items()}
@@ -140,11 +136,10 @@ def init_optimizer_state(
 
 @dataclass
 class BatchLossReport:
-    # Fields are declared in train-log row order, after step and lr.
+    # Fields are declared in train-log row order, after step and lr and before grad_norm.
     loss: float
     mean_pos_sim: float
     mean_neg_sim: float
-    grad_norm: float = 0.0
 
 
 @dataclass
@@ -284,24 +279,17 @@ def infonce_gradient(
     d_pos, d_neg = grad_sims[:, :-1], grad_sims[:, -1:]
     for (_, cache), grad in zip(roles, (d_pos @ p + d_neg * n, d_pos.T @ a, d_neg * a)):
         backward_batch(grad, cache, params, grads)
-
-    report.grad_norm = _grad_norm(state)
     return grads, report
 
 
-def _grad_norm(state: OptimizerState) -> float:
-    """The 2-norm of ``state.grads``, each buffer's squares summed whole into one float.
+def _grad_norm(grads: Mapping[str, np.ndarray]) -> float:
+    """The 2-norm of ``grads``, each buffer squared in place and summed whole into one float.
 
-    A buffer and its squares are both row-major, so ``.sum()`` adds them in the
-    pairwise order of ``np.sum(g * g)``. For a tensor with rows R only R's rows
-    are squared: every other row of the gradient is zero, and its squares, never
-    written, are zero too, so the sum is the same bits."""
-    sums = []
-    for name, g in state.grads.items():
-        rows, squares = state.live_rows.get(name, ...), state.squares[name]
-        squares[rows] = np.square(g[rows])
-        sums.append(float(squares.sum()))
-    return math.sqrt(math.fsum(sums))
+    A row-major buffer's squares, in place, sit where ``g * g`` puts them, so
+    ``.sum()`` adds them in the pairwise order of ``np.sum(g * g)``. Rows with no
+    gradient are zero and stay zero. The gradient is spent: call this only after
+    ``adamw_step`` has read it, since the next ``infonce_gradient`` zeroes it again."""
+    return math.sqrt(math.fsum(float(np.square(g, out=g).sum()) for g in grads.values()))
 
 
 def lr_at_step(step: int, total_steps: int, config: TrainConfig) -> float:
@@ -438,7 +426,8 @@ def train(
     ``init_optimizer_state`` holds the buffers every step reuses. Unless
     only the adapters train, each step zeroes and checks only the ``E``
     rows that train texts pool, and AdamW keeps moments for and gives the
-    full update to only those rows (``OptimizerState.live_rows``).
+    full update to only those rows (``OptimizerState.live_rows``). Once
+    AdamW has read a step's gradient, the logged ``grad_norm`` squares it in place.
     """
     if not triplets:
         raise DataError("E_NO_TRAIN_DATA", "no training triplets")
@@ -485,7 +474,7 @@ def train(
             lr = lr_at_step(step, total_steps, config)
             adamw_step(params, grads, state, lr, config)
             epoch_losses.append(report.loss * len(batch))
-            log_rows.append({"step": step, "lr": lr, **vars(report)})
+            log_rows.append({"step": step, "lr": lr, **vars(report), "grad_norm": _grad_norm(grads)})
             step += 1
         mean_train = math.fsum(epoch_losses) / len(triplets)
         val_loss = evaluation_loss(val_triplets, params, config, token_ids=token_ids) if val_triplets else None

@@ -839,7 +839,7 @@ def test_pipeline_reruns_byte_identical(tmp_path):
 
 
 RUN_METADATA_KEYS = {"command", "config", "seed", "artifact_version", "input_digests", "output_digests",
-                     "duration_seconds", "peak_rss_mb"}
+                     "duration_seconds", "peak_rss_mb", "environment"}
 # command: (command line, its run metadata or None for a command that writes no file)
 RUN_METADATA_CASES = {
     "prepare": (["prepare", "--in", "{docs}", "--out", "{out}/c.jsonl", "--seed", "1"], "{out}/c.jsonl.meta.json"),

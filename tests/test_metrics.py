@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -496,6 +497,44 @@ def test_duplicate_query_ids_rejected():
         with pytest.raises(DataError) as err:
             build()
         assert err.value.code == "E_DUPLICATE_QUERY" and "'q1'" in str(err.value)
+
+
+def test_graded_task_cannot_be_changed_after_it_is_checked():
+    # A GradedTask held the caller's lists: a repeated query appended after the check ranked
+    # only its last vector, {"q1": {"c1": 2}}, and was counted once.
+    v = np.array([1.0, 0.0])
+    queries, candidates, qrels = [("q1", v)], [("c1", v), ("c2", -v)], {("q1", "c1"): 1}
+    task = GradedTask(queries, candidates, qrels)
+    queries.append(("q1", -v))
+    candidates.append(("c3", v))
+    qrels[("q1", "c2")] = 5
+    with pytest.raises(AttributeError):
+        task.queries.append(("q1", -v))
+    with pytest.raises(TypeError):
+        task.qrels[("q1", "c2")] = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        task.queries = queries
+    assert isinstance(task.queries, tuple) and isinstance(task.candidates, tuple)
+    assert rank_candidates(task) == {"q1": {"c1": 1}}
+    report = evaluate(graded=task)
+    assert report.n_queries == 1 and report.ndcg_at_10 == 1.0
+
+
+def test_retrieval_task_cannot_be_changed_after_it_is_checked():
+    # A candidate appended after the check ranked the gold 2nd.
+    v = np.array([1.0, 0.0])
+    candidates, gold = [("c1", v), ("c2", -v)], {"q1": "c1"}
+    task = RetrievalTask([("q1", v)], candidates, gold)
+    candidates.insert(0, ("c0", v))
+    gold["q1"] = "c2"
+    with pytest.raises(AttributeError):
+        task.candidates.append(("c1", -v))
+    with pytest.raises(TypeError):
+        task.gold["q1"] = "c2"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        task.candidates = candidates
+    assert rank_candidates(task) == {"q1": {"c1": 1}}
+    assert evaluate(retrieval=task, ks=[1]).mrr == 1.0
 
 
 def test_gold_target_must_exist():

@@ -595,6 +595,22 @@ def test_run_metadata_digests_recomputable(tmp_path):
     assert 0 < meta["peak_rss_mb"] < 1e6
 
 
+def test_run_metadata_records_its_environment(tmp_path, monkeypatch):
+    import platform
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")
+    meta_path = tmp_path / "meta.json"
+    write_run_metadata(meta_path, command="test", config={}, seed=None, inputs=[], outputs=[], duration_s=0.0)
+    env = json.loads(meta_path.read_text(encoding="utf-8"))["environment"]
+    assert set(env) == {"python", "numpy", "blas", "blas_threads", "nproc", "machine"}
+    assert env["python"] == platform.python_version() and env["numpy"] == np.__version__
+    assert env["machine"] == platform.machine() and isinstance(env["blas"], str) and env["blas"]
+    assert env["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "3"}
+    assert 1 <= env["nproc"] <= os.cpu_count()
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is read from Linux's /proc")
 def test_peak_rss_is_vmhwm_or_else_ru_maxrss(monkeypatch):
     import resource

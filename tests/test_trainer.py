@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from minembed.encoder import TENSOR_NAMES, init_params
 from minembed.errors import DataError, NumericError
+from minembed.storage import read_jsonl
 from minembed.trainer import (
     BatchLossReport,
     OptimizerState,
@@ -570,11 +571,11 @@ def reference_grad_norm(grads) -> float:
 def test_in_place_adamw_matches_reference_bit_for_bit(
     small_params, monkeypatch, lora_only, weight_decay, direct_state, chunk
 ):
+    import minembed.trainer as trainer_mod
+
     config = small_config(weight_decay=weight_decay, train_lora_only=lora_only)
     params, ref_params = small_params, small_params.copy()
     if chunk is not None:
-        import minembed.trainer as trainer_mod
-
         # Many chunks per tensor, partial last chunks, rows (W1's 24) longer than a chunk,
         # and column-major tensors, which a chunk of rows must update in place.
         monkeypatch.setattr(trainer_mod, "_ADAMW_CHUNK", chunk)
@@ -594,13 +595,16 @@ def test_in_place_adamw_matches_reference_bit_for_bit(
     for step in range(6):
         batch = make_batch(6, seed=step)
         ref_grads, ref_report = infonce_gradient(batch, ref_params, config, seed=step)
+        # From step 1 on the buffers hold the last step's squares, which must not leak in either.
         grads, report = infonce_gradient(batch, params, config, seed=step, out=buffers)
         assert grads is buffers.grads and sorted(grads) == sorted(names)
         assert all(_same_bits(grads[n], ref_grads[n]) for n in names)
-        assert _same_bits(report.grad_norm, reference_grad_norm(ref_grads))
-        assert _same_bits(ref_report.grad_norm, report.grad_norm)
+        assert vars(report) == vars(ref_report)
         adamw_step(params, grads, state, lr=5e-2, config=config)
         reference_adamw_step(ref_params, ref_grads, ref_state, lr=5e-2, config=config)
+        # The norm of the spent gradient, as train takes it: squared in place.
+        assert _same_bits(trainer_mod._grad_norm(grads), reference_grad_norm(ref_grads))
+        assert all(_same_bits(grads[n], ref_grads[n] * ref_grads[n]) for n in names)
         assert state.t == ref_state.t == step + 1
         for name in TENSOR_NAMES:
             assert _same_bits(params.tensors[name], ref_params.tensors[name]), (step, name)
@@ -706,34 +710,118 @@ def test_row_split_adamw_matches_full_update_bit_for_bit(monkeypatch, weight_dec
     assert not _same_bits(state.m["E"][: hot.size], np.zeros((hot.size, 16)))
 
 
+def _norm_batch(rng) -> list[Triplet]:
+    """64 triplets of random six-letter words: under the default vocabulary their rows lie all over E."""
+    words = ["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz"), size=6)) for _ in range(600)]
+    text = lambda: " ".join(rng.choice(words, size=5))
+    return [Triplet(f"a{i}", text(), text(), f"n{i}", text(), "train") for i in range(64)]
+
+
+def _pooled_rows(batch, params) -> np.ndarray:
+    return np.array(sorted({i for t in batch for x in (t.anchor_text, t.positive_text, t.negative_text)
+                            for i in params.tokenizer(x)}), dtype=np.intp)
+
+
 @pytest.mark.parametrize("chunk", [None, 40])
-def test_grad_norm_squares_only_r_with_the_dense_bits(monkeypatch, chunk):
+def test_grad_norm_squares_the_spent_gradient_with_the_dense_bits(monkeypatch, chunk):
     import minembed.trainer as trainer_mod
 
     if chunk is not None:
-        monkeypatch.setattr(trainer_mod, "_ADAMW_CHUNK", chunk)  # 40: one 64-value row of R at a time
+        monkeypatch.setattr(trainer_mod, "_ADAMW_CHUNK", chunk)  # 40: AdamW takes one 64-value row of R at a time
     rng = np.random.default_rng(29)
-    words = ["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz"), size=6)) for _ in range(600)]
-    text = lambda: " ".join(rng.choice(words, size=5))
-    batch = [Triplet(f"a{i}", text(), text(), f"n{i}", text(), "train") for i in range(64)]
+    batch = _norm_batch(rng)
     params = init_params(6, pooling="mean")  # the default vocabulary: R's rows lie all over E
-    live = np.array(sorted({i for t in batch for x in (t.anchor_text, t.positive_text, t.negative_text)
-                            for i in params.tokenizer(x)}), dtype=np.intp)
+    live = _pooled_rows(batch, params)
     state = init_optimizer_state(params, live_rows={"E": live})
     config = TrainConfig(batch_size=64)
     for seed in range(3):
-        grads, report = infonce_gradient(batch, params, config, seed=seed, out=state)
-        _, fresh = infonce_gradient(batch, params, config, seed=seed)
-        assert _same_bits(report.grad_norm, reference_grad_norm(grads))
-        assert _same_bits(report.grad_norm, fresh.grad_norm)
+        # From seed 1 on, state.grads holds the last step's squares, outside R too.
+        grads, _ = infonce_gradient(batch, params, config, seed=seed, out=state)
+        fresh, _ = infonce_gradient(batch, params, config, seed=seed)
+        assert all(_same_bits(grads[n], fresh[n]) for n in fresh)
+        adamw_step(params, grads, state, lr=1e-3, config=config)
+        assert _same_bits(trainer_mod._grad_norm(grads), reference_grad_norm(fresh))
     # Values of several magnitudes on R alone: a sum of R's squares without the zero rows
     # between them, as one compact block, moves the bits of some of these.
     for _ in range(20):
+        for name, g in grads.items():
+            g[...] = fresh[name]
         scales = 10.0 ** rng.integers(-8, 2, live.size)[:, None]
         grads["E"][live] = rng.normal(size=(live.size, grads["E"].shape[1])) * scales
-        assert _same_bits(trainer_mod._grad_norm(state), reference_grad_norm(grads))
+        expected = reference_grad_norm(grads)  # before the norm squares grads in place
+        assert _same_bits(trainer_mod._grad_norm(grads), expected)
     outside = np.setdiff1d(np.arange(len(grads["E"])), live)
-    assert not state.squares["E"][outside].any() and state.squares["E"][live].any()
+    assert not grads["E"][outside].any() and (grads["E"][live] > 0.0).any()
+
+
+def _norm_before_adamw(state: OptimizerState, squares: dict[str, np.ndarray]) -> float:
+    """The norm as it was taken inside infonce_gradient, before AdamW: R's rows (every row of a
+    tensor without R) squared into a separate zeroed buffer of the gradient's shape, summed whole."""
+    sums = []
+    for name, g in state.grads.items():
+        rows, buf = state.live_rows.get(name, ...), squares.setdefault(name, np.zeros_like(g))
+        buf[rows] = np.square(g[rows])
+        sums.append(float(buf.sum()))
+    return math.sqrt(math.fsum(sums))
+
+
+@pytest.mark.parametrize("lora_only", [False, True])
+def test_logged_grad_norm_has_the_bits_of_the_norm_before_adamw(tmp_path, monkeypatch, lora_only):
+    import minembed.trainer as trainer_mod
+
+    original, squares, expected = trainer_mod.infonce_gradient, {}, []
+
+    def with_old_norm(*args, out, **kwargs):
+        grads, report = original(*args, out=out, **kwargs)
+        expected.append(_norm_before_adamw(out, squares))
+        return grads, report
+
+    monkeypatch.setattr(trainer_mod, "infonce_gradient", with_old_norm)
+    rng = np.random.default_rng(31)
+    triplets = _norm_batch(rng)[:48]
+    params = init_params(8, pooling="mean")  # the default vocabulary: R's rows lie all over E
+    train(triplets, params, TrainConfig(batch_size=16, epochs=2, seed=4, train_lora_only=lora_only), out_dir=tmp_path)
+    logged = [row["grad_norm"] for row in read_jsonl(tmp_path / "train-log.jsonl")]
+    assert len(logged) == len(expected) == 6 and all(x > 0.0 for x in expected)
+    assert all(_same_bits(x, y) for x, y in zip(logged, expected))
+    assert ("E" in squares) != lora_only
+
+
+def _held_arrays(value) -> list[np.ndarray]:
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return []
+    return [a for item in value for a in _held_arrays(item)]
+
+
+def test_step_memory_is_gradients_compact_e_moments_and_scratch(monkeypatch):
+    """At the default shape, the arrays a training run's state holds add up to the gradients,
+    R and R's rows of E's moments, the other tensors' full moments and AdamW's scratch."""
+    import minembed.trainer as trainer_mod
+
+    original, states = trainer_mod.init_optimizer_state, []
+
+    def recorded(*args, **kwargs):
+        states.append(original(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(trainer_mod, "init_optimizer_state", recorded)
+    params = init_params(6, pooling="mean")
+    batch = _norm_batch(np.random.default_rng(29))
+    train(batch, params, TrainConfig(batch_size=32, epochs=1))
+    (state,) = states
+    live, grads, emb = state.live_rows["E"], state.grads, params.tensors["E"]
+    assert _same_bits(live, _pooled_rows(batch, params)) and 0 < live.size < emb.shape[0] // 4
+    others = [params.tensors[n] for n in grads if n != "E"]
+    expected = (sum(g.nbytes for g in grads.values()) + live.nbytes + 2 * live.size * emb.shape[1] * 8
+                + 2 * sum(t.size * 8 for t in others) + sum(buf.nbytes for buf in state.scratch))
+    held = _held_arrays(list(vars(state).values()))
+    assert sum(a.nbytes for a in held) == expected
+    full = [a for a in held if a.shape == emb.shape]
+    assert len(full) == 1 and full[0] is grads["E"]
 
 
 def test_adamw_rejects_full_moments_when_r_is_set():
