@@ -179,7 +179,7 @@ def _cmd_prepare(args: argparse.Namespace) -> dict:
     docs, inputs = _load_documents(args.input)
     records = corpus.build_manifest(docs, min_chars=args.min_chars)
     records = corpus.stratified_split(records, train_frac=args.train_frac, seed=args.seed, test_frac=args.test_frac)
-    storage.write_jsonl(args.out, [r.to_row() for r in records])
+    storage.write_jsonl(args.out, (r.to_row() for r in records))
     counts = {s: sum(r.split == s for r in records) for s in corpus.SPLITS}
     print(f"prepare: {len(records)} sentences ({counts})", file=sys.stderr)
     config = {"min_chars": args.min_chars, "train_frac": args.train_frac, "test_frac": args.test_frac}
@@ -201,7 +201,7 @@ def _cmd_triplets(args: argparse.Namespace) -> dict:
             result = triplets.build_triplets(records, policy, provider)
     else:
         result = triplets.build_triplets(records, policy)
-    storage.write_jsonl(args.out, [t.to_row() for t in result.triplets])
+    storage.write_jsonl(args.out, (t.to_row() for t in result.triplets))
     print(
         f"triplets: {len(result.triplets)} built, "
         f"{result.skipped_paraphrase} paraphrase skips, {result.skipped_negative} negative skips",
@@ -259,7 +259,7 @@ def _cmd_train(args: argparse.Namespace) -> dict:
     params = init_params(config.seed, **encoder_cfg)
     params, reports = trainer.train(train_rows, params, config, val_triplets=val_rows or None, out_dir=args.out_dir)
     out_dir = Path(args.out_dir)
-    storage.write_jsonl(out_dir / "train-report.jsonl", [vars(r) for r in reports])
+    storage.write_jsonl(out_dir / "train-report.jsonl", (vars(r) for r in reports))
     for r in reports:
         val = f"{r.val_loss:.6f}" if r.val_loss is not None else "n/a"
         print(f"epoch {r.epoch}: train loss {r.mean_train_loss:.6f}, val loss {val}", file=sys.stderr)
@@ -273,20 +273,16 @@ def _cmd_train(args: argparse.Namespace) -> dict:
     )
 
 
-def _string(row: dict, key: str) -> str:
-    # The exact-type fast path of ``storage.Record.from_row``; typed_value rules on every other value.
-    value = row[key]
-    return value if type(value) is str else storage.typed_value(row, key, str)
-
-
 def _row_texts(row: dict) -> list[tuple[str | None, str]]:
     """(id, text) pairs of one row: a triplet row's anchor and positive, the
     positive id prefixed with ``pos::``, or a manifest row's text, with id
     None when the row has no ``sent_id``. Each of these values must be a string."""
     if "anchor_id" in row:
-        anchor_id = _string(row, "anchor_id")
-        return [(anchor_id, _string(row, "anchor_text")), (f"pos::{anchor_id}", _string(row, "positive_text"))]
-    return [(_string(row, "sent_id") if "sent_id" in row else None, _string(row, "text"))]
+        anchor_id = storage.typed_value(row, "anchor_id", str)
+        return [(anchor_id, storage.typed_value(row, "anchor_text", str)),
+                (f"pos::{anchor_id}", storage.typed_value(row, "positive_text", str))]
+    sent_id = storage.typed_value(row, "sent_id", str) if "sent_id" in row else None
+    return [(sent_id, storage.typed_value(row, "text", str))]
 
 
 def _load_texts(path_str: str) -> tuple[list[str], list[str]]:

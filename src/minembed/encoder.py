@@ -132,7 +132,7 @@ class EncoderParams:
     lora_rank: int = DEFAULT_LORA_RANK
     lora_alpha: float = DEFAULT_LORA_ALPHA
     lora_dropout: float = DEFAULT_LORA_DROPOUT
-    pooling: str = POOLING_LAST
+    pooling: str = POOLING_MEAN
     tokenizer: Tokenizer = field(init=False)
 
     def __post_init__(self) -> None:
@@ -168,7 +168,7 @@ def init_params(
     lora_rank: int = DEFAULT_LORA_RANK,
     lora_alpha: float = DEFAULT_LORA_ALPHA,
     lora_dropout: float = DEFAULT_LORA_DROPOUT,
-    pooling: str = POOLING_LAST,
+    pooling: str = POOLING_MEAN,
 ) -> EncoderParams:
     """Seeded initialization: uniform base weights, Gaussian A, zero B.
 

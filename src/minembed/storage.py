@@ -133,14 +133,6 @@ def _decode_json(line: str) -> Any:
     return value if end == len(line) else json.loads(line)
 
 
-def _jsonl_lines(path: str | Path) -> tuple[list[tuple[int, str]], bool]:
-    """``_numbered_lines`` of a file, and whether its text holds a surrogate escape:
-    an escape the whole text lacks is in none of its lines. The text is freed on
-    return, so it is not held beside its lines while they are decoded."""
-    text = read_text(path)
-    return _numbered_lines(text), _SURROGATE_ESCAPE_RE.search(text) is not None
-
-
 def read_jsonl(path: str | Path, decode: Callable[[dict], Any] | None = None) -> list:
     """One JSON object per non-blank line, each passed through ``decode`` if given.
 
@@ -149,16 +141,15 @@ def read_jsonl(path: str | Path, decode: Callable[[dict], Any] | None = None) ->
     rejects because a key is missing or a value has the wrong type, is E_IO
     with its line.
     """
-    lines, escapes = _jsonl_lines(path)
     rows = []
-    for lineno, line in lines:
+    for lineno, line in _numbered_lines(read_text(path)):
         try:
             row = _decode_json(line)
         except (ValueError, RecursionError) as exc:  # also a too-long integer, or nesting too deep
             raise DataError("E_IO", f"{path}:{lineno}: invalid JSON: {exc}") from exc
         if not isinstance(row, dict):
             raise DataError("E_IO", f"{path}:{lineno}: expected a JSON object")
-        if escapes and _SURROGATE_ESCAPE_RE.search(line):
+        if _SURROGATE_ESCAPE_RE.search(line):
             try:
                 dumps_json_line(row).encode("utf-8")
             except UnicodeEncodeError as exc:
@@ -178,6 +169,8 @@ def typed_value(row: Mapping, key: str, expected: type) -> Any:
     """``row[key]`` of a decoded JSON object, uncoerced: KeyError if it is missing, TypeError
     unless it is an ``expected``. An int also fits float; a bool, though an int, only bool."""
     value = row[key]
+    if type(value) is expected:  # nearly every value; the rules below settle the rest
+        return value
     accepted = (int, float) if expected is float else expected
     if isinstance(value, bool) != (expected is bool) or not isinstance(value, accepted):
         raise TypeError(f"{key!r} must be {expected.__name__}, got {value!r}")
@@ -196,16 +189,14 @@ class Record:
     each value must have its field's type (``typed_value``); only a defaulted field may be missing."""
 
     def to_row(self) -> dict:
-        # Fields are declared in row order. vars() rather than asdict(),
-        # which deep-copies every field: about 15 us a row instead of 0.6
-        # (CPython 3.11, x86-64).
-        return dict(vars(self))
+        # Fields are declared in row order. Each is read by name: vars() would give
+        # every instance a __dict__ it then keeps (CPython 3.11 stores attributes
+        # without one until asked), and asdict() deep-copies every field.
+        return {name: getattr(self, name) for name, _, _ in _row_fields(type(self))}
 
     @classmethod
     def from_row(cls, row: Mapping) -> Any:
-        # An exact type match is a fast path; typed_value rules on every other value.
-        return cls(**{k: row[k] if type(row[k]) is t else typed_value(row, k, t)
-                      for k, t, optional in _row_fields(cls) if not optional or k in row})
+        return cls(**{k: typed_value(row, k, t) for k, t, optional in _row_fields(cls) if not optional or k in row})
 
 
 def write_json(path: str | Path, obj: Mapping) -> None:
@@ -314,7 +305,9 @@ def ids_sidecar(path: str | Path) -> Path:
 
 
 def write_embeddings(path: str | Path, ids: list[str], matrix: np.ndarray) -> None:
-    """Write an id-aligned embedding matrix plus its ids sidecar file."""
+    """Write an id-aligned embedding matrix plus its ids sidecar file. If the sidecar
+    cannot be written, the matrix just written is removed, so an older sidecar of the
+    same length is never read back beside it."""
     m = np.atleast_1d(np.asarray(matrix))
     if m.ndim != 2 or m.shape[0] != len(ids):
         raise DataError("E_SHAPE_MISMATCH", f"matrix {m.shape} does not match {len(ids)} ids")
@@ -323,7 +316,11 @@ def write_embeddings(path: str | Path, ids: list[str], matrix: np.ndarray) -> No
         raise DataError("E_IO", f"id {broken!r} holds a line break, so it cannot be one line of {ids_sidecar(path)}")
     sidecar = _encode_text(ids_sidecar(path), "".join(i + "\n" for i in ids))  # before either file is written
     _write_f32(path, [EMBEDDING_MAGIC + struct.pack("<IIQ", EMBEDDING_VERSION, m.shape[1], m.shape[0]), m])
-    write_atomic(ids_sidecar(path), sidecar)
+    try:
+        write_atomic(ids_sidecar(path), sidecar)
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def read_embeddings(path: str | Path) -> tuple[list[str], np.ndarray]:

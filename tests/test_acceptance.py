@@ -292,7 +292,7 @@ def test_scheduler_exactness():
 
 def test_lora_identity_and_scale():
     """B = 0 reproduces the base forward bitwise; adapters scale by alpha/r = 2."""
-    params = init_params(300)
+    params = init_params(300, pooling="last_token")
     t = params.tensors
     assert params.lora_rank == 16 and params.lora_alpha == 32.0
     texts = ["aortic valve gradient severe", "normal sinus rhythm today", "left atrium dilated"]

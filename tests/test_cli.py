@@ -103,6 +103,29 @@ def test_prepare_directory_input(tmp_path):
     assert all(r["source_name"] == "book-one" for r in rows)
 
 
+def test_prepare_single_text_file_input(tmp_path, capsys):
+    # A .txt file is one document; its doc id and its source are the file's stem.
+    doc = tmp_path / "book-one.txt"
+    doc.write_text("The left ventricle appears dilated today. Ejection fraction is reduced overall.",
+                   encoding="utf-8")
+    out = tmp_path / "corpus.jsonl"
+    assert run(["prepare", "--in", str(doc), "--out", str(out), "--seed", "1"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = read_jsonl(out)
+    assert [r["sent_id"] for r in rows] == ["book-one:00000", "book-one:00001"]
+    assert all(r["source_name"] == "book-one" for r in rows)
+
+
+def test_prepare_directory_without_text_files_exits_one(tmp_path, capsys):
+    docs_dir = tmp_path / "docs"
+    docs_dir.mkdir()
+    (docs_dir / "notes.md").write_text("Not a document of the corpus.", encoding="utf-8")
+    out = tmp_path / "corpus.jsonl"
+    assert run(["prepare", "--in", str(docs_dir), "--out", str(out), "--seed", "1"]) == 1
+    assert capsys.readouterr().err == f"E_USAGE: no .txt files in {docs_dir}\n"
+    assert not out.exists()
+
+
 def test_prepare_file_name_utf8_cannot_encode_exits_two_and_writes_nothing(tmp_path, capsys):
     # A file name that is not UTF-8 becomes a doc_id with a surrogate escape, which no output can hold.
     docs_dir = tmp_path / "docs"
@@ -395,6 +418,7 @@ def test_eval_on_malformed_inputs_exits_two(tmp_path, capsys, case):
         ({"lora_alpha": math.nan}, "E_BAD_ALPHA", 2, "got nan"),
         # A config file's seed bypasses the --seed flag check, so TrainConfig rejects it.
         ({"seed": -1}, "E_BAD_SEED", 2, "seed must be nonnegative, got -1"),
+        ({"epochs": -1}, "E_BAD_BATCH", 2, "epochs must be >= 0, got -1"),
     ],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -412,6 +436,8 @@ def test_train_config_that_cannot_train_exits_cleanly(tmp_path, capsys, override
     err = capsys.readouterr().err
     assert err.startswith(f"{code}: ") and named in err and "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
+    # A config rejected before training creates no output directory at all.
+    assert code == "E_NONFINITE_GRAD" or not out.exists()
 
 
 @pytest.mark.parametrize("override, code, named", [
@@ -477,6 +503,36 @@ def test_train_rejects_a_val_text_with_no_token_before_step_zero(tmp_path, capsy
     assert calls == []
 
 
+def test_train_val_file_rows_are_all_validation(tmp_path, capsys, monkeypatch):
+    # With --val, the triplets file gives only its train rows, and every row of the
+    # val file validates, whatever its split says.
+    from minembed import trainer
+
+    seen = {}
+    real_train = trainer.train
+
+    def train(train_rows, params, config, val_triplets=None, out_dir=None):
+        seen["train"], seen["val"] = [t.anchor_id for t in train_rows], [t.anchor_id for t in val_triplets]
+        return real_train(train_rows, params, config, val_triplets=val_triplets, out_dir=out_dir)
+
+    monkeypatch.setattr(trainer, "train", train)
+    rows = [{**TRIPLET_ROW, "anchor_id": f"a{i}", "anchor_text": f"left atrium {i}",
+             "split": "train" if i < 8 else "val"} for i in range(10)]
+    trips, val = tmp_path / "trips.jsonl", tmp_path / "val.jsonl"
+    trips.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    val.write_text("".join(json.dumps({**TRIPLET_ROW, "anchor_id": f"v{i}", "anchor_text": f"mitral valve {i}",
+                                       "split": split}) + "\n" for i, split in enumerate(["train", "test", "val"])),
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["train", "--triplets", str(trips), "--val", str(val), "--config", str(small_train_config(tmp_path)),
+                "--out-dir", str(out), "--seed", "1"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert seen == {"train": [f"a{i}" for i in range(8)], "val": ["v0", "v1", "v2"]}
+    assert read_jsonl(out / "train-report.jsonl")[0]["val_loss"] is not None
+    meta = json.loads((out / "run-metadata.json").read_text(encoding="utf-8"))
+    assert meta["input_digests"] == {str(trips): digest(trips), str(val): digest(val)}
+
+
 def test_train_on_empty_triplets_exits_two(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", encoding="utf-8")
@@ -510,7 +566,7 @@ def test_help_exits_zero_and_documents_defaults(capsys):
         build_parser().parse_args(["train", "--help"])
     text = capsys.readouterr().out
     for needle in ("epochs=2", "batch_size=128", "peak_lr=0.0002", "warmup_frac=0.1", "temperature=0.05",
-                   "lora_rank=16", "lora_alpha=32.0", "lora_dropout=0.05", "pooling=last_token"):
+                   "lora_rank=16", "lora_alpha=32.0", "lora_dropout=0.05", "pooling=mean"):
         assert needle in text, needle
 
 
@@ -602,6 +658,30 @@ def test_eval_empty_task_exits_two(tmp_path, capsys, flag, tsv, message):
     assert out == "" and err == f"E_EMPTY_CANDIDATES: {message}\n"
 
 
+@pytest.mark.parametrize("flag, tsv, message", [
+    ("--pairs", "q1\tc1\nq2\tc2\n", "zero vector in task embeddings"),
+    ("--qrels", "q1\tc1\t1\nq2\tc2\t1\n", "zero vector in task embeddings"),
+    ("--pairs", "q1\tc1\t0.5\nq2\tc2\t0.1\n", "zero vector in STS pair"),
+])
+def test_eval_zero_vector_exits_two(tmp_path, capsys, flag, tsv, message):
+    # A CEVX row of zeros has no direction to rank or score by.
+    emb, path = tmp_path / "e.cevx", tmp_path / "task.tsv"
+    write_embeddings(emb, ["q1", "q2", "c1", "c2"], np.array([[1, 0], [0, 0], [1, 1], [0, 1]], np.float32))
+    path.write_text(tsv, encoding="utf-8")
+    assert run(["eval", "--embeddings", str(emb), flag, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"E_EMPTY_CANDIDATES: {message}\n"
+
+
+def test_eval_cutoff_that_is_not_an_integer_is_usage_error(tmp_path, capsys):
+    emb, pairs = tmp_path / "e.cevx", tmp_path / "pairs.tsv"
+    write_embeddings(emb, ["a", "b"], np.eye(2, dtype=np.float32))
+    pairs.write_text("a\tb\n", encoding="utf-8")
+    assert run(["eval", "--embeddings", str(emb), "--pairs", str(pairs), "--k", "1,x"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "E_USAGE: --k must be comma-separated integers, got '1,x'\n"
+
+
 def test_eval_missing_embedding_exits_two(tmp_path, capsys):
     emb = tmp_path / "e.cevx"
     write_embeddings(emb, ["a", "b"], np.eye(2, dtype=np.float32))
@@ -624,6 +704,35 @@ def test_embed_zero_vector_exits_three(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("E_ZERO_VECTOR: ") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_eval_after_an_embed_whose_ids_were_not_written_exits_two(tmp_path, capsys, monkeypatch):
+    # An earlier run of the same size left ids a, b: they must not be read beside the new vectors.
+    import minembed.storage as storage_mod
+    from minembed.errors import DataError
+
+    checkpoint, texts, emb = tiny_checkpoint(tmp_path), tmp_path / "t.jsonl", tmp_path / "e.cevx"
+    texts.write_text('{"sent_id": "a", "text": "left atrium"}\n{"sent_id": "b", "text": "mitral valve"}\n',
+                     encoding="utf-8")
+    assert run(["embed", "--checkpoint", str(checkpoint), "--texts", str(texts), "--out", str(emb)]) == 0
+    real = storage_mod.write_atomic
+
+    def disk_full_at_sidecar(target, data):
+        if str(target).endswith(".ids"):
+            raise DataError("E_IO", f"cannot write {target}: [Errno 28] No space left on device")
+        real(target, data)
+
+    monkeypatch.setattr(storage_mod, "write_atomic", disk_full_at_sidecar)
+    texts.write_text('{"sent_id": "c", "text": "aortic root"}\n{"sent_id": "d", "text": "sinus rhythm"}\n',
+                     encoding="utf-8")
+    capsys.readouterr()
+    assert run(["embed", "--checkpoint", str(checkpoint), "--texts", str(texts), "--out", str(emb)]) == 2
+    assert capsys.readouterr().err.startswith(f"E_IO: cannot write {emb}.ids: ")
+    pairs = tmp_path / "p.tsv"
+    pairs.write_text("a\tb\n", encoding="utf-8")
+    assert run(["eval", "--embeddings", str(emb), "--pairs", str(pairs)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"E_IO: cannot read {emb}: ") and "Traceback" not in err
 
 
 def test_stats_command(tmp_path, capsys):
@@ -742,6 +851,14 @@ def test_gradcheck_command(tmp_path, capsys):
                 "--samples", "30", "--batch-size", "4", "--lora-only"]) == 0
     result = json.loads(capsys.readouterr().out)
     assert result["max_rel_error"] <= 1e-4
+
+
+def test_gradcheck_on_an_empty_batch_file_exits_two(tmp_path, capsys):
+    batch = tmp_path / "empty.jsonl"
+    batch.write_text("", encoding="utf-8")
+    assert run(["gradcheck", "--checkpoint", str(tiny_checkpoint(tmp_path)), "--batch", str(batch)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"E_EMPTY_BATCH: no triplets in {batch}\n"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -210,7 +210,8 @@ def effective_weight(w: np.ndarray, a: np.ndarray, b: np.ndarray, alpha: float, 
 
 
 def test_adapter_scale_is_alpha_over_rank():
-    params = init_params(3, vocab_size=128, d_emb=8, d_hid=12, d_out=6, lora_rank=16, lora_alpha=32.0)
+    params = init_params(3, vocab_size=128, d_emb=8, d_hid=12, d_out=6, lora_rank=16, lora_alpha=32.0,
+                         pooling="last_token")
     t = params.tensors
     rng = np.random.default_rng(0)
     t["lora_B1"] = rng.normal(0, 0.1, t["lora_B1"].shape)
@@ -337,14 +338,15 @@ def test_checkpoint_pooling_roundtrip(tmp_path, small_params, pooling):
 
 def test_checkpoint_without_pooling_loads_last_token(tmp_path, small_params):
     # Checkpoints written before pooling was stored were embedded with last_token.
+    old = replace(small_params, pooling="last_token")
     path = tmp_path / "old.cemb"
-    save_checkpoint(small_params, path)
+    save_checkpoint(old, path)
     tensors = read_tensors(path)
     del tensors["pooling"]
     write_tensors(path, tensors)
     loaded = load_checkpoint(path)
     assert loaded.pooling == "last_token"
-    assert np.array_equal(encode_batch(["mitral valve"], loaded), encode_batch(["mitral valve"], small_params))
+    assert np.array_equal(encode_batch(["mitral valve"], loaded), encode_batch(["mitral valve"], old))
 
 
 def test_init_params_deterministic():

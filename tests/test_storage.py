@@ -384,6 +384,29 @@ def test_embeddings_nonfinite_rejected(tmp_path, bad):
     assert err.value.code == "E_IO" and str(path) in str(err.value) and "'b'" in str(err.value)
 
 
+def test_embeddings_whose_sidecar_cannot_be_written_leave_no_matrix(tmp_path, monkeypatch):
+    import minembed.storage as storage_mod
+
+    path = tmp_path / "emb.cevx"
+    write_embeddings(path, ["a", "b"], np.zeros((2, 3), dtype=np.float32))
+    real = storage_mod.write_atomic
+
+    def disk_full_at_sidecar(target, data):
+        if target == ids_sidecar(path):
+            raise DataError("E_IO", f"cannot write {target}: [Errno 28] No space left on device")
+        real(target, data)
+
+    monkeypatch.setattr(storage_mod, "write_atomic", disk_full_at_sidecar)
+    with pytest.raises(DataError) as err:
+        write_embeddings(path, ["c", "d"], np.ones((2, 3), dtype=np.float32))
+    assert str(err.value) == f"E_IO: cannot write {ids_sidecar(path)}: [Errno 28] No space left on device"
+    # The old ids stay, but no matrix is left to be read beside them as theirs.
+    assert not path.exists() and ids_sidecar(path).read_text(encoding="utf-8") == "a\nb\n"
+    with pytest.raises(DataError) as err:
+        read_embeddings(path)
+    assert err.value.code == "E_IO" and f"cannot read {path}" in str(err.value)
+
+
 def test_embeddings_id_count_must_match(tmp_path):
     with pytest.raises(DataError):
         write_embeddings(tmp_path / "e.cevx", ["only-one"], np.ones((2, 2), dtype=np.float32))

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minembed.encoder import TENSOR_NAMES, init_params
+from minembed.encoder import POOLINGS, TENSOR_NAMES, init_params
 from minembed.errors import DataError, NumericError
 from minembed.storage import read_jsonl
 from minembed.trainer import (
@@ -254,10 +256,11 @@ def test_gradient_matches_finite_differences(small_params):
 
 def test_gradient_check_healthy(small_params):
     batch = make_batch(4, seed=3)
-    for lora_only in (False, True):
+    for pooling, lora_only in product(POOLINGS, (False, True)):
+        params = replace(small_params, pooling=pooling)
         config = small_config(train_lora_only=lora_only)
-        err = gradient_check(small_params, batch, h=1e-4, samples=50, config=config, seed=4)
-        assert err <= 1e-4, f"lora_only={lora_only}: {err}"
+        err = gradient_check(params, batch, h=1e-4, samples=50, config=config, seed=4)
+        assert err <= 1e-4, f"pooling={pooling}, lora_only={lora_only}: {err}"
 
 
 def test_gradient_check_rejects_a_step_that_is_not_finite_and_positive(small_params):
