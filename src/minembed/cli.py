@@ -19,10 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-# corpus, trainer and triplets are imported by the commands that run them, so
-# eval and embed load neither the trainer nor the miner.
-from . import metrics, storage
-from .encoder import POOLINGS, Tokenizer, encode_batch, init_params, load_checkpoint
+# Every other module is imported by the commands that run it: prepare and
+# triplets load neither the encoder nor the metrics, eval loads no encoder,
+# and embed and train load no metrics.
+from . import storage
+from .choices import GAIN_EXP, GAIN_LINEAR, POOLINGS
 from .errors import DataError, PipelineError, UsageError
 
 
@@ -32,6 +33,7 @@ def _train_config_keys() -> tuple[dict, dict]:
     import inspect
     from dataclasses import fields
     from . import trainer
+    from .encoder import init_params
     encoder_keys = {name: p.default for name, p in inspect.signature(init_params).parameters.items() if name != "seed"}
     return {f.name: f.default for f in fields(trainer.TrainConfig)}, encoder_keys
 
@@ -122,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--pairs", help="TSV: query_id<TAB>cand_id for retrieval, plus a numeric third column for similarity scoring")
     group.add_argument("--qrels", help="TSV: query_id<TAB>cand_id<TAB>grade for graded retrieval")
     p.add_argument("--k", default="1,5,10", help="comma-separated cutoffs for Acc@K / Recall@K")
-    p.add_argument("--gain", choices=[metrics.GAIN_LINEAR, metrics.GAIN_EXP], default=metrics.GAIN_LINEAR, help="NDCG gain function")
+    p.add_argument("--gain", choices=[GAIN_LINEAR, GAIN_EXP], default=GAIN_LINEAR, help="NDCG gain function")
     p.add_argument("--table", action="store_true", help="print a plain-text table instead of JSON")
     p.set_defaults(func=_cmd_eval)
 
@@ -249,6 +251,7 @@ def _train_config_from(args: argparse.Namespace) -> tuple:
 
 def _cmd_train(args: argparse.Namespace) -> dict:
     from . import trainer, triplets
+    from .encoder import init_params
     config, encoder_cfg = _train_config_from(args)
     all_triplets = storage.read_jsonl(args.triplets, triplets.Triplet.from_row)
     train_rows = [t for t in all_triplets if t.split == "train"]
@@ -302,6 +305,20 @@ def _load_texts(path_str: str) -> tuple[list[str], list[str]]:
     return [f"line-{i + 1:06d}" for i in range(len(lines))], lines
 
 
+# The encoder's entry points for embed and gradcheck, which call them by
+# these names, so that they load the encoder only when they run them.
+def load_checkpoint(path: str):
+    """``encoder.load_checkpoint``."""
+    from . import encoder
+    return encoder.load_checkpoint(path)
+
+
+def encode_batch(texts: list[str], params) -> np.ndarray:
+    """``encoder.encode_batch``."""
+    from . import encoder
+    return encoder.encode_batch(texts, params)
+
+
 def _cmd_embed(args: argparse.Namespace) -> dict:
     params = load_checkpoint(args.checkpoint)
     if args.pooling not in (None, params.pooling):
@@ -329,6 +346,7 @@ def _parse_ks(text: str) -> list[int]:
 
 
 def _cmd_eval(args: argparse.Namespace) -> None:
+    from . import metrics
     ids, matrix = storage.read_embeddings(args.embeddings)
     # One float64 copy, each id a view of its row; rebinding frees the float32 original.
     matrix = matrix.astype(np.float64)
@@ -367,6 +385,7 @@ def _cmd_eval(args: argparse.Namespace) -> None:
 
 def _cmd_stats(args: argparse.Namespace) -> None:
     from . import corpus
+    from .encoder import Tokenizer
     records = storage.read_jsonl(args.corpus, corpus.SentenceRecord.from_row)
     stats = corpus.corpus_stats(records, Tokenizer())
     print(json.dumps(vars(stats), indent=2, sort_keys=True))

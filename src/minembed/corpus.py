@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,9 +37,9 @@ _ABBREVIATION_WINDOW = max(map(len, ABBREVIATIONS))
 # Every branch of the markup patterns but the heading rule's starts with a
 # literal, so `re` skips straight to the next candidate character instead
 # of trying every branch at every position; a leading lookaround would
-# defeat that. The heading rule runs only on text that holds a `#`. The
-# emphasis rule removes, at each position, `**` or `*`, a backtick, `__`,
-# or a `_` not between two word characters.
+# defeat that. Each rule runs only on text that holds its marker (see
+# `_strip_markup`). The emphasis rule removes, at each position, `**` or
+# `*`, a backtick, `__`, or a `_` not between two word characters.
 _HTML_TAG_RE = re.compile(r"<[^<>]*>")
 _MD_HEADING_RE = re.compile(r"(?m)^[^\S\n]*#{1,6}(?=\s|$)[^\S\n]*")
 _MD_IMAGE_RE = re.compile(r"!\[([^\]]*)\]\([^)]*\)")
@@ -68,7 +68,8 @@ class SentenceRecord(Record):
     source_name: str
     text: str
     char_len: int
-    split: str = SPLIT_UNASSIGNED
+    # A row read back names a split, or none yet.
+    split: str = field(default=SPLIT_UNASSIGNED, metadata={"choices": (*SPLITS, SPLIT_UNASSIGNED)})
 
 
 @dataclass
@@ -86,15 +87,22 @@ class CorpusStats:
 def _strip_markup(text: str) -> str:
     # Nested constructs ("<<a>>", "[[x](u)](v)", "[*a]*(b)") require repeated
     # passes; every substitution strictly shortens the text, so this
-    # terminates.
+    # terminates. A rule runs only on text that holds its marker: every match
+    # holds one, and a substitution only deletes characters, writes a space
+    # or keeps a group of its own match, so it adds no marker. The last pass,
+    # which finds nothing, then mostly costs a few `in` scans.
     while True:
-        updated = _HTML_TAG_RE.sub(" ", text)
-        if "#" in updated:  # every heading match holds one
+        updated = text
+        if "<" in updated:
+            updated = _HTML_TAG_RE.sub(" ", updated)
+        if "#" in updated:
             updated = _MD_HEADING_RE.sub("", updated)
-        updated = _MD_EMPHASIS_RE.sub("", updated)
-        updated = _CITATION_RE.sub(" ", updated)
-        updated = _MD_IMAGE_RE.sub(r"\1", updated)
-        updated = _MD_LINK_RE.sub(r"\1", updated)
+        if "*" in updated or "`" in updated or "_" in updated:
+            updated = _MD_EMPHASIS_RE.sub("", updated)
+        if "[" in updated:  # citations, images and links
+            updated = _CITATION_RE.sub(" ", updated)
+            updated = _MD_IMAGE_RE.sub(r"\1", updated)
+            updated = _MD_LINK_RE.sub(r"\1", updated)
         if updated == text:
             return text
         text = updated
@@ -171,19 +179,6 @@ def deduplicate(records: Sequence[SentenceRecord]) -> list[SentenceRecord]:
     return kept
 
 
-def _document_records(doc: RawDocument, min_chars: int) -> list[SentenceRecord]:
-    sentences = filter_short(segment_sentences(clean_text(doc.text)), min_chars)
-    return [
-        SentenceRecord(
-            sent_id=f"{doc.doc_id}:{i:05d}",
-            source_name=doc.source_name,
-            text=s,
-            char_len=len(s),
-        )
-        for i, s in enumerate(sentences)
-    ]
-
-
 def build_manifest(
     docs: Sequence[RawDocument],
     min_chars: int = MIN_SENTENCE_CHARS,
@@ -192,12 +187,31 @@ def build_manifest(
 
     Documents are taken in (source_name, original document position) order,
     so output is deterministic.
+
+    A cleaned text's paragraphs hold no newline and are joined by a blank
+    line, so segmenting them one at a time gives the text's sentences in
+    order. Each distinct paragraph of a source is segmented once: running
+    headers, footers and notices repeat from document to document. The
+    memo is dropped at each new source, so it holds one source's paragraphs.
     """
     ids = [d.doc_id for d in docs]
     if len(set(ids)) != len(ids):
         raise DataError("E_IO", "duplicate doc_id in input documents")
     ordered = sorted(range(len(docs)), key=lambda i: (docs[i].source_name, i))
-    records = [rec for i in ordered for rec in _document_records(docs[i], min_chars)]
+    records: list[SentenceRecord] = []
+    source, kept = None, {}  # kept: cleaned paragraph -> its sentences of min_chars or more
+    for doc in (docs[i] for i in ordered):
+        if doc.source_name != source:
+            source, kept = doc.source_name, {}
+        sentences: list[str] = []
+        for paragraph in clean_text(doc.text).split("\n\n"):
+            if paragraph not in kept:
+                kept[paragraph] = filter_short(segment_sentences(paragraph), min_chars)
+            sentences += kept[paragraph]
+        records += (
+            SentenceRecord(sent_id=f"{doc.doc_id}:{i:05d}", source_name=doc.source_name, text=s, char_len=len(s))
+            for i, s in enumerate(sentences)
+        )
     return deduplicate(records)
 
 

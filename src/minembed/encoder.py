@@ -22,6 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import storage
+from .choices import POOLING_LAST, POOLING_MEAN, POOLINGS
 from .errors import DataError, NumericError
 
 DEFAULT_VOCAB_SIZE = 16384
@@ -33,10 +34,6 @@ DEFAULT_LORA_ALPHA = 32.0
 DEFAULT_LORA_DROPOUT = 0.05
 INIT_WEIGHT_SCALE = 0.05
 INIT_ADAPTER_SD = 0.02
-
-POOLING_MEAN = "mean"
-POOLING_LAST = "last_token"
-POOLINGS = (POOLING_MEAN, POOLING_LAST)
 
 # Canonical tensor order shared by checkpoints, gradients, optimizer state.
 TENSOR_NAMES = ("E", "W1", "b1", "W2", "b2", "lora_A1", "lora_B1", "lora_A2", "lora_B2")

@@ -15,10 +15,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .choices import GAIN_EXP, GAIN_LINEAR
 from .errors import DataError
 
-GAIN_LINEAR = "linear"
-GAIN_EXP = "exp"
 NDCG_CUTOFF = 10
 # Per query id: the 1-based rank of each judged candidate id (see rank_candidates).
 Ranks = Mapping[str, Mapping[str, int]]

@@ -178,25 +178,34 @@ def typed_value(row: Mapping, key: str, expected: type) -> Any:
 
 
 @functools.cache
-def _row_fields(cls: type) -> list[tuple[str, type, bool]]:
-    """(name, declared type, has a default) of each field of a dataclass, in order."""
+def _row_fields(cls: type) -> list[tuple[str, type, bool, tuple | None]]:
+    """(name, declared type, has a default, the values it may read as or None) of each
+    field of a dataclass, in order."""
     types = get_type_hints(cls)
-    return [(f.name, types[f.name], f.default is not MISSING) for f in fields(cls)]
+    return [(f.name, types[f.name], f.default is not MISSING, f.metadata.get("choices")) for f in fields(cls)]
 
 
 class Record:
     """Base of the dataclasses stored as JSONL rows, one key per field. Read back,
-    each value must have its field's type (``typed_value``); only a defaulted field may be missing."""
+    each value must have its field's type (``typed_value``), and a field declared with
+    ``metadata={"choices": ...}`` must hold one of them; only a defaulted field may be missing."""
 
     def to_row(self) -> dict:
         # Fields are declared in row order. Each is read by name: vars() would give
         # every instance a __dict__ it then keeps (CPython 3.11 stores attributes
         # without one until asked), and asdict() deep-copies every field.
-        return {name: getattr(self, name) for name, _, _ in _row_fields(type(self))}
+        return {name: getattr(self, name) for name, _, _, _ in _row_fields(type(self))}
 
     @classmethod
     def from_row(cls, row: Mapping) -> Any:
-        return cls(**{k: typed_value(row, k, t) for k, t, optional in _row_fields(cls) if not optional or k in row})
+        values = {}
+        for name, kind, optional, choices in _row_fields(cls):
+            if optional and name not in row:
+                continue
+            values[name] = value = typed_value(row, name, kind)
+            if choices is not None and value not in choices:
+                raise ValueError(f"{name!r} must be one of {choices}, got {value!r}")
+        return cls(**values)
 
 
 def write_json(path: str | Path, obj: Mapping) -> None:

@@ -12,6 +12,7 @@ Hard negatives are sampled from corpus locations at least
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import selectors
@@ -20,7 +21,7 @@ import subprocess
 import time
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -68,7 +69,7 @@ class Triplet(Record):
     positive_text: str
     negative_id: str
     negative_text: str
-    split: str
+    split: str = field(metadata={"choices": SPLITS})
 
 
 @dataclass
@@ -114,7 +115,10 @@ class SubprocessProvider:
     ``PROVIDER_RESPONSE_TIMEOUT_S``. The same loop drains the provider's
     stderr, so a chatty provider never blocks on it; the last
     ``_STDERR_TAIL_BYTES`` end the message of any error the provider
-    causes, when it wrote any.
+    causes, when it wrote any. An answer line that no request asked for,
+    one more than the requests announced or a line still unread when the
+    provider exits, is E_PROVIDER_UNAVAILABLE: it would pair every later
+    answer with the request before its own.
     """
 
     def __init__(self, command: str) -> None:
@@ -230,8 +234,14 @@ class SubprocessProvider:
             self._eof = True
             chunk = b"\n" if self._partial else b""
         *lines, self._partial = (self._partial + chunk).split(b"\n")
+        if len(lines) > self._unanswered:
+            raise self._error(
+                "E_PROVIDER_UNAVAILABLE",
+                f"provider {self.command!r} wrote {len(lines) - self._unanswered} answer lines "
+                "that no request asked for",
+            )
         self._answers.extend(lines)
-        self._unanswered = max(0, self._unanswered - len(lines))
+        self._unanswered -= len(lines)
 
     def _read_stderr(self) -> None:
         # Keep the tail of what the provider wrote; at end of stream, stop
@@ -265,27 +275,43 @@ class SubprocessProvider:
     def close(self) -> None:
         """Close the provider's stdin and reap it. A provider with requests
         still due is killed at once; any other gets PROVIDER_EXIT_GRACE_S
-        to exit before it is killed."""
+        to exit before it is killed, and what it wrote that no call read
+        is then read: any line is one no request asked for."""
         proc = self._proc
         self._selector.close()
         proc.stdin.close()
         # Nothing reads the provider's stderr from here on; a provider that
         # writes it now gets a broken pipe rather than blocking its exit.
         proc.stderr.close()
-        if self._calls or self._unanswered:
+        self._stderr_open = False
+        due = bool(self._calls or self._unanswered)
+        if due:
             proc.kill()
         try:
             proc.wait(timeout=PROVIDER_EXIT_GRACE_S)
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
-        proc.stdout.close()
+        try:
+            if not due:
+                # Without blocking: a child of the provider may still hold the pipe open.
+                os.set_blocking(self._stdout, False)
+                with contextlib.suppress(BlockingIOError):
+                    while not self._eof:
+                        self._take(os.read(self._stdout, _READ_CHUNK_BYTES))
+        finally:
+            proc.stdout.close()
 
     def __enter__(self) -> "SubprocessProvider":
         return self
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    def __exit__(self, exc_type, *exc_info) -> None:
+        if exc_type is None:
+            self.close()
+            return
+        # The error on its way out is the one to report.
+        with contextlib.suppress(DataError):
+            self.close()
 
 
 def generate_positive(anchor: SentenceRecord, provider: ParaphraseProvider) -> str:
