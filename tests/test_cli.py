@@ -239,6 +239,16 @@ MALFORMED_INPUTS = {
     "embed-lone-surrogate": ("texts.jsonl", {"sent_id": "s1", "text": "left \ud800 atrium"},
                              ["embed", "--checkpoint", "{ckpt}", "--texts", "{file}", "--out", "{tmp}/e.cevx"],
                              ["texts.jsonl:1", "lone surrogate"]),
+    # A split other than train, val or test (or, in a manifest, unassigned) would be dropped by every stage.
+    "triplets-unknown-split": ("c.jsonl", {**SENTENCE_ROW, "split": "Train"},
+                               ["triplets", "--corpus", "{file}", "--out", "{tmp}/t.jsonl", "--seed", "1"],
+                               ["c.jsonl:1", "'split' must be one of", "got 'Train'"]),
+    "train-unknown-split": ("trips.jsonl", {**TRIPLET_ROW, "split": "dev"},
+                            ["train", "--triplets", "{file}", "--out-dir", "{tmp}/out", "--seed", "1"],
+                            ["trips.jsonl:1", "'split' must be one of", "got 'dev'"]),
+    "train-unassigned-split": ("trips.jsonl", {**TRIPLET_ROW, "split": "unassigned"},
+                               ["train", "--triplets", "{file}", "--out-dir", "{tmp}/out", "--seed", "1"],
+                               ["trips.jsonl:1", "got 'unassigned'"]),
 }
 
 
@@ -1013,11 +1023,16 @@ def test_run_metadata_contract(tmp_path, pipeline, command):
 
 # command line: the minembed modules it must not load
 _MINER_AND_TRAINER = {"minembed.trainer", "minembed.triplets", "minembed.corpus"}
+_ENCODER, _METRICS = {"minembed.encoder"}, {"minembed.metrics"}
 STAGE_MODULES_NOT_LOADED = {
-    ("eval", "--embeddings", "{emb}", "--pairs", "{pairs}"): _MINER_AND_TRAINER,
-    ("eval", "--embeddings", "{emb}", "--qrels", "{qrels}"): _MINER_AND_TRAINER,
-    ("embed", "--checkpoint", "{ckpt}", "--texts", "{trips}", "--out", "{out}/e.cevx"): _MINER_AND_TRAINER,
-    ("prepare", "--in", "{docs}", "--out", "{out}/c.jsonl", "--seed", "1"): {"minembed.trainer", "minembed.triplets"},
+    ("eval", "--embeddings", "{emb}", "--pairs", "{pairs}"): _MINER_AND_TRAINER | _ENCODER,
+    ("eval", "--embeddings", "{emb}", "--qrels", "{qrels}"): _MINER_AND_TRAINER | _ENCODER,
+    ("embed", "--checkpoint", "{ckpt}", "--texts", "{trips}", "--out", "{out}/e.cevx"): _MINER_AND_TRAINER | _METRICS,
+    ("prepare", "--in", "{docs}", "--out", "{out}/c.jsonl", "--seed", "1"):
+        {"minembed.trainer", "minembed.triplets"} | _ENCODER | _METRICS,
+    ("triplets", "--corpus", "{corpus}", "--out", "{out}/t.jsonl", "--min-distance", "1", "--seed", "1"):
+        {"minembed.trainer"} | _ENCODER | _METRICS,
+    ("train", "--triplets", "{trips}", "--config", "{config}", "--out-dir", "{out}/run", "--seed", "1"): _METRICS,
 }
 
 
@@ -1123,6 +1138,14 @@ FAILING_PROVIDER_SCRIPTS = {
     # request cannot be sent, and closing the pipe must not fail either.
     "closes-stdin-and-lingers": "sys.stdin.readline(); os.close(0); print('{\"paraphrase\": \"p\"}', flush=True); "
                                 "time.sleep(15)",
+    # Answers every request, but writes one more line first or last: which
+    # answer belongs to which request is lost.
+    "answers-one-unasked-first": "print(json.dumps({'paraphrase': 'p'}), flush=True)\n"
+                                 "for line in sys.stdin: print(json.dumps({'paraphrase': 'p ' + json.loads(line)['text']}), "
+                                 "flush=True)",
+    "answers-one-unasked-last": "for line in sys.stdin: print(json.dumps({'paraphrase': 'p ' + json.loads(line)['text']}), "
+                                "flush=True)\n"
+                                "print(json.dumps({'paraphrase': 'p'}), end='', flush=True)",
 }
 
 
@@ -1151,6 +1174,52 @@ def test_triplets_provider_failure_exits_two_and_writes_nothing(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("E_PROVIDER_UNAVAILABLE: ") and "Traceback" not in err
     assert not out.exists() and not Path(f"{out}.meta.json").exists()
+
+
+def test_a_row_with_an_unknown_split_is_rejected_where_it_is_read(tmp_path, capsys):
+    # Each stage used to drop the row without a word: triplets built one
+    # triplet per other row and reported no skip, train trained without it.
+    rows = [{**SENTENCE_ROW, "sent_id": f"s{i}", "text": f"sentence number {i} of a small corpus", "split": split}
+            for i, split in enumerate(["train", "Train", "train"])]
+    for row in rows:
+        row["char_len"] = len(row["text"])
+    manifest, out = tmp_path / "c.jsonl", tmp_path / "t.jsonl"
+    manifest.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    assert run(["triplets", "--corpus", str(manifest), "--out", str(out), "--min-distance", "1", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"E_IO: {manifest}:2: ") and "got 'Train'" in err
+    # A --val file is validated whatever its split, but a split it names must still be one of the three.
+    trips, val = tmp_path / "trips.jsonl", tmp_path / "val.jsonl"
+    trips.write_text(json.dumps(TRIPLET_ROW) + "\n", encoding="utf-8")
+    val.write_text(json.dumps({**TRIPLET_ROW, "split": "test"}) + "\n" + json.dumps({**TRIPLET_ROW, "split": "VAL"}) + "\n",
+                   encoding="utf-8")
+    config = small_train_config(tmp_path)
+    assert run(["train", "--triplets", str(trips), "--val", str(val), "--config", str(config),
+                "--out-dir", str(tmp_path / "run"), "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"E_IO: {val}:2: ") and "got 'VAL'" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "config.json", "trips.jsonl", "val.jsonl"]
+
+
+def test_a_provider_answer_no_request_asked_for_exits_two(tmp_path, capsys):
+    # One unrequested line first used to shift every positive onto the
+    # anchor after the one it was meant for, and the run exited 0.
+    rows = [{**SENTENCE_ROW, "sent_id": f"s{i}", "source_name": f"src{i % 2}",
+             "text": f"sentence number {i} of a small corpus"} for i in range(6)]
+    for row in rows:
+        row["char_len"] = len(row["text"])
+    manifest, out = tmp_path / "c.jsonl", tmp_path / "t.jsonl"
+    manifest.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    script = tmp_path / "provider.py"
+    script.write_text("import json, sys\n"
+                      "print(json.dumps({'paraphrase': 'an answer to no request'}), flush=True)\n"
+                      "for line in sys.stdin: print(json.dumps({'paraphrase': json.loads(line)['text'][::-1]}), flush=True)\n",
+                      encoding="utf-8")
+    assert run(["triplets", "--corpus", str(manifest), "--out", str(out), "--min-distance", "1", "--seed", "1",
+                "--provider", f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("E_PROVIDER_UNAVAILABLE: ") and "1 answer lines that no request asked for" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "provider.py"]
 
 
 def test_report_tables_shapes():

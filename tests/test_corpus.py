@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import re
 import string
 import time
@@ -363,6 +364,15 @@ def test_manifest_rows_roundtrip(tmp_path):
         SentenceRecord.from_row({**row, "text": None})
 
 
+def test_a_manifest_row_names_a_split_or_unassigned():
+    row = record("a", "a sentence long enough").to_row()
+    assert [SentenceRecord.from_row({**row, "split": s}).split for s in ("train", "val", "test", "unassigned")] == [
+        "train", "val", "test", "unassigned"]
+    for split in ("Train", "", "dev"):
+        with pytest.raises(ValueError, match=f"'split' must be one of .*, got '{split}'"):
+            SentenceRecord.from_row({**row, "split": split})
+
+
 def test_empty_document_yields_no_records():
     manifest = build_manifest([RawDocument("d", "s", "")])
     assert manifest == []
@@ -498,3 +508,109 @@ def test_segmentation_is_linear_in_a_paragraph_of_abbreviations():
         return min(times)
 
     assert best_time(16_000) < 24 * best_time(2_000)
+
+
+# -- marker guards and per-paragraph segmentation, against the code they replaced
+
+# Test-local copies of what cleaning and build_manifest did before: every
+# markup rule ran on every pass of the fixpoint loop (only the heading rule
+# looked for its `#` first), and each document was segmented whole.
+
+
+def every_rule_every_pass(text: str) -> str:
+    while True:
+        updated = corpus._HTML_TAG_RE.sub(" ", text)
+        if "#" in updated:
+            updated = corpus._MD_HEADING_RE.sub("", updated)
+        updated = corpus._MD_EMPHASIS_RE.sub("", updated)
+        updated = corpus._CITATION_RE.sub(" ", updated)
+        updated = corpus._MD_IMAGE_RE.sub(r"\1", updated)
+        updated = corpus._MD_LINK_RE.sub(r"\1", updated)
+        if updated == text:
+            return text
+        text = updated
+
+
+def unguarded_clean_text(raw: str) -> str:
+    text = every_rule_every_pass(raw)
+    text = "\n".join(ln for ln in text.split("\n") if not ln.strip().isdigit())
+    paragraphs = [" ".join(p.split()) for p in re.split(r"\n\s*\n", text)]
+    return "\n\n".join(p for p in paragraphs if p)
+
+
+def per_document_manifest(docs: list[RawDocument], min_chars: int) -> list[SentenceRecord]:
+    ordered = sorted(range(len(docs)), key=lambda i: (docs[i].source_name, i))
+    records = []
+    for doc in (docs[i] for i in ordered):
+        sentences = filter_short(segment_sentences(unguarded_clean_text(doc.text)), min_chars)
+        records += [SentenceRecord(f"{doc.doc_id}:{i:05d}", doc.source_name, s, len(s)) for i, s in enumerate(sentences)]
+    return deduplicate(records)
+
+
+MARKERS = "<#*`_["
+# Words, sentence ends, abbreviations and initials, markup of every rule,
+# nested links and images, and stray markers that match no rule.
+_DOC_PIECES = [
+    "The", "heart", "pumps", "blood", "through", "vessels", "snake_case", "x_1", "Fig.", "e.g.", "J.", "Dr.",
+    "et al.", "vs.", "No.", "42.", "3.5", "Why?", "Yes!", "done.", "Done.", "A.", "(b.", "<b>", "</b>", "<<i>>",
+    "<br/>", "a<b", "**bold**", "*it*", "`code`", "__under__", "_x_", "*", "_", "`", "[3]", "[1, 2-4]", "[7–9]",
+    "![fig](img.png)", "[link](http://x.org)", "[[x](u)](v)", "[![img](a)](b)", "[*a]*(b)", "[see [2]](u)",
+    "[", "]", "(", ")", "#", "#tag", "<", ">",
+]
+
+
+def markup_paragraph(rng: random.Random) -> str:
+    words = rng.choices(_DOC_PIECES, k=rng.randint(1, 18))
+    lines = [" ".join(words)]
+    if rng.random() < 0.3:
+        lines.insert(0, rng.choice(["#", "##", "######", "  ###"]) + " " + " ".join(rng.choices(_DOC_PIECES, k=3)))
+    if rng.random() < 0.3:
+        lines.append(str(rng.randint(1, 400)))  # a page-number line
+    if rng.random() < 0.3:
+        lines.append(" ".join(rng.choices(_DOC_PIECES, k=rng.randint(1, 6))))  # a line break inside the paragraph
+    return "\n".join(lines)
+
+
+def markup_documents(seed: int, lacking: str = "") -> list[RawDocument]:
+    """Documents from three sources with paragraphs repeated within a
+    document, across documents and across sources, without the character
+    ``lacking``."""
+    rng = random.Random(seed)
+    shared = [markup_paragraph(rng) for _ in range(6)]  # seen in every source
+    docs = []
+    for source in ("beta", "alpha", "gamma"):
+        own = [markup_paragraph(rng) for _ in range(6)]
+        for d in range(4):
+            paragraphs = [rng.choice(shared + own) if rng.random() < 0.6 else markup_paragraph(rng)
+                          for _ in range(rng.randint(0, 7))]
+            text = "".join(p + rng.choice(["\n\n", "\n \n", "\n\n\n", "\n\t\n"]) for p in paragraphs)
+            docs.append(RawDocument(f"{source}-{d}", source, text.replace(lacking, "") if lacking else text))
+    return docs
+
+
+@pytest.mark.parametrize("lacking", ["", *MARKERS], ids=["all-markers", *(f"no-{m}" for m in MARKERS)])
+def test_clean_text_matches_every_rule_on_every_pass(lacking):
+    docs = [doc for seed in range(12) for doc in markup_documents(seed, lacking)]
+    texts = "".join(doc.text for doc in docs)
+    assert lacking not in texts if lacking else all(marker in texts for marker in MARKERS)
+    for doc in docs:
+        assert clean_text(doc.text) == unguarded_clean_text(doc.text), doc.text
+    for nested in ["[[x](u)](v)", "[![i](a)](b)", "[*a]*(b)", "<<a>>", "[a [1]](u)", "![[x](u)](v)", "**[a](b)**"]:
+        assert clean_text(nested) == unguarded_clean_text(nested)
+
+
+@pytest.mark.parametrize("lacking", ["", *MARKERS], ids=["all-markers", *(f"no-{m}" for m in MARKERS)])
+@pytest.mark.parametrize("min_chars", [1, 20])
+def test_build_manifest_matches_per_document_segmentation(monkeypatch, lacking, min_chars):
+    # Each distinct cleaned paragraph of a source is segmented once, through
+    # the module's name for segment_sentences.
+    segmented = []
+    monkeypatch.setattr(corpus, "segment_sentences", lambda text: segmented.append(text) or segment_sentences(text))
+    for seed in range(6):
+        docs = markup_documents(seed, lacking)
+        segmented.clear()
+        manifest = build_manifest(docs, min_chars=min_chars)
+        assert manifest == per_document_manifest(docs, min_chars) and len(manifest) > 10
+        by_source = {(doc.source_name, p) for doc in docs for p in unguarded_clean_text(doc.text).split("\n\n")}
+        assert sorted(segmented) == sorted(p for _, p in by_source)
+        assert len(segmented) < sum(len(unguarded_clean_text(doc.text).split("\n\n")) for doc in docs)

@@ -205,6 +205,22 @@ def test_subprocess_provider_drains_a_chatty_stderr():
     assert str(err.value).endswith("; provider stderr ends: " + repr("x" * (2048 - 4) + "done"))
 
 
+def test_subprocess_provider_close_rejects_an_answer_no_request_asked_for():
+    # The extra line comes once stdin closes, after the last call: close reads it.
+    extra = _python_provider("for line in sys.stdin: print(json.dumps({'paraphrase': 'echo ' + json.loads(line)['text']}), "
+                             "flush=True)\nprint('{}', flush=True)")
+    provider = SubprocessProvider(extra)
+    assert provider("text") == "echo text"
+    with pytest.raises(DataError) as err:
+        provider.close()
+    assert str(err.value) == f"E_PROVIDER_UNAVAILABLE: provider {extra!r} wrote 1 answer lines that no request asked for"
+    # An error already on its way out of the block is the one reported.
+    with pytest.raises(RuntimeError, match="stop"):
+        with SubprocessProvider(extra) as provider:
+            assert provider("text") == "echo text"
+            raise RuntimeError("stop")
+
+
 class OneRequestAtATimeProvider:
     """The subprocess client before requests were pipelined: each call
     writes one request, then blocks on reading its answer line."""
