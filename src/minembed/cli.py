@@ -305,8 +305,9 @@ def _load_texts(path_str: str) -> tuple[list[str], list[str]]:
     return [f"line-{i + 1:06d}" for i in range(len(lines))], lines
 
 
-# The encoder's entry points for embed and gradcheck, which call them by
-# these names, so that they load the encoder only when they run them.
+# embed and gradcheck reach the encoder through these two names, which load
+# it on first call, so no other stage compiles it. perfbench/tracing.py
+# wraps them here.
 def load_checkpoint(path: str):
     """``encoder.load_checkpoint``."""
     from . import encoder
