@@ -347,12 +347,12 @@ def _parse_ks(text: str) -> list[int]:
 
 
 def _cmd_eval(args: argparse.Namespace) -> None:
+    ks = _parse_ks(args.k)
     from . import metrics
     ids, matrix = storage.read_embeddings(args.embeddings)
     # One float64 copy, each id a view of its row; rebinding frees the float32 original.
     matrix = matrix.astype(np.float64)
     lookup = dict(zip(ids, matrix))
-    ks = _parse_ks(args.k)
 
     def vec(identifier: str) -> np.ndarray:
         if identifier not in lookup:

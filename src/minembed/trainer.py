@@ -85,10 +85,9 @@ class OptimizerState:
     working memory that every step of a run reuses but no step reads from another.
 
     ``grads`` is one float64 gradient buffer per trained tensor, row-major
-    whatever the tensor's layout: the ``E`` scatter writes through a flat
-    view, and the norm, once AdamW has read a step's gradient, squares it in
-    place and sums it in row order. ``scratch`` is two flat float64 buffers
-    for AdamW's temporaries, a chunk of rows at a time.
+    whatever the tensor's layout, because the ``E`` scatter writes through a
+    flat view. ``scratch`` is two flat float64 buffers for AdamW's
+    temporaries, a chunk of rows at a time.
 
     ``live_rows`` maps a tensor name to R: the sorted, distinct rows of
     that tensor that can get a nonzero gradient. The caller promises that
@@ -282,14 +281,12 @@ def infonce_gradient(
     return grads, report
 
 
-def _grad_norm(grads: Mapping[str, np.ndarray]) -> float:
-    """The 2-norm of ``grads``, each buffer squared in place and summed whole into one float.
+def _grad_norm(grads: Mapping[str, np.ndarray], live_rows: Mapping[str, np.ndarray]) -> float:
+    """The 2-norm of ``grads``: each buffer's rows R in ``live_rows`` (every row of a
+    tensor without R) squared and summed, the buffers' sums added into one float.
 
-    A row-major buffer's squares, in place, sit where ``g * g`` puts them, so
-    ``.sum()`` adds them in the pairwise order of ``np.sum(g * g)``. Rows with no
-    gradient are zero and stay zero. The gradient is spent: call this only after
-    ``adamw_step`` has read it, since the next ``infonce_gradient`` zeroes it again."""
-    return math.sqrt(math.fsum(float(np.square(g, out=g).sum()) for g in grads.values()))
+    Rows outside R hold no gradient, so leaving them out changes no value. ``grads`` is only read."""
+    return math.sqrt(math.fsum(float(np.square(g[live_rows.get(n, ...)]).sum()) for n, g in grads.items()))
 
 
 def lr_at_step(step: int, total_steps: int, config: TrainConfig) -> float:
@@ -426,8 +423,8 @@ def train(
     ``init_optimizer_state`` holds the buffers every step reuses. Unless
     only the adapters train, each step zeroes and checks only the ``E``
     rows that train texts pool, and AdamW keeps moments for and gives the
-    full update to only those rows (``OptimizerState.live_rows``). Once
-    AdamW has read a step's gradient, the logged ``grad_norm`` squares it in place.
+    full update to only those rows (``OptimizerState.live_rows``), and the
+    logged ``grad_norm`` reads only those rows.
     """
     if not triplets:
         raise DataError("E_NO_TRAIN_DATA", "no training triplets")
@@ -474,7 +471,7 @@ def train(
             lr = lr_at_step(step, total_steps, config)
             adamw_step(params, grads, state, lr, config)
             epoch_losses.append(report.loss * len(batch))
-            log_rows.append({"step": step, "lr": lr, **vars(report), "grad_norm": _grad_norm(grads)})
+            log_rows.append({"step": step, "lr": lr, **vars(report), "grad_norm": _grad_norm(grads, state.live_rows)})
             step += 1
         mean_train = math.fsum(epoch_losses) / len(triplets)
         val_loss = evaluation_loss(val_triplets, params, config, token_ids=token_ids) if val_triplets else None

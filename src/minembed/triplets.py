@@ -400,8 +400,13 @@ def build_triplets(
     Anchors whose paraphrase is degenerate (empty or unchanged) or that
     have no eligible negative are skipped and counted; any other provider
     error propagates. Negative sampling consumes one seeded stream per
-    split, so identical inputs reproduce identical output.
+    split, so identical inputs reproduce identical output. A record in no
+    split is ``E_NOT_SPLIT``, raised before any paraphrase is requested.
     """
+    unsplit = next((r for r in records if r.split not in SPLITS), None)
+    if unsplit is not None:
+        raise DataError("E_NOT_SPLIT", f"record {unsplit.sent_id!r} has split {unsplit.split!r}, "
+                                       f"not one of {', '.join(SPLITS)}")
     result = TripletBuildResult(triplets=[])
     # A split's seed tag is its position in SPLITS.
     for tag, split in enumerate(SPLITS):

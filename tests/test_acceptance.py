@@ -513,7 +513,7 @@ def test_overflow_safety(monkeypatch):
     grads, report = infonce_gradient(batch, params, TrainConfig(), train_mode=False)
     ok = ok and math.isfinite(report.loss) and all(bool(np.all(np.isfinite(g))) for g in grads.values())
     # The real encoder backward ran: the base tensors got a nonzero gradient.
-    ok = ok and bool(np.any(grads["W1"])) and _grad_norm(grads) > 0.0
+    ok = ok and bool(np.any(grads["W1"])) and _grad_norm(grads, {}) > 0.0
     _verdict(
         "overflow safety: logits of +-20 yield finite loss and gradients in single and double precision",
         ok,

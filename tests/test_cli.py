@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from minembed.cli import build_parser, report_tables, run
-from minembed.encoder import init_params, save_checkpoint
+from minembed.encoder import init_params, load_checkpoint, save_checkpoint
 from minembed.storage import digest, ids_sidecar, read_embeddings, read_jsonl, write_embeddings, write_tensors
 
 from conftest import two_cluster_records
@@ -907,6 +907,7 @@ def test_gradcheck_count_below_one_is_usage_error(tmp_path, capsys, flag, value)
 
 PREPARE_MISSING_INPUT = ["prepare", "--in", "{tmp}/missing", "--out", "{tmp}/c.jsonl", "--seed", "1"]
 TRIPLETS_MISSING_INPUT = ["triplets", "--corpus", "{tmp}/missing.jsonl", "--out", "{tmp}/t.jsonl", "--seed", "1"]
+EVAL_MISSING_INPUT = ["eval", "--embeddings", "{tmp}/missing.cevx", "--pairs", "{tmp}/p.tsv"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -918,6 +919,8 @@ TRIPLETS_MISSING_INPUT = ["triplets", "--corpus", "{tmp}/missing.jsonl", "--out"
      "--train-frac + --test-frac must be <= 1, got 1.25"),
     (TRIPLETS_MISSING_INPUT + ["--min-distance", "0"], "--min-distance must be >= 1, got 0"),
     (TRIPLETS_MISSING_INPUT + ["--min-distance", "-3"], "--min-distance must be >= 1, got -3"),
+    (EVAL_MISSING_INPUT + ["--k", "0"], "--k values must be >= 1, got '0'"),
+    (EVAL_MISSING_INPUT + ["--k", "1,x"], "--k must be comma-separated integers, got '1,x'"),
 ])
 def test_bad_flag_is_usage_error_before_input_is_read(tmp_path, capsys, argv, message):
     # The input does not exist, so only a check made before it is read exits 1 with this message.
@@ -1201,6 +1204,19 @@ def test_a_row_with_an_unknown_split_is_rejected_where_it_is_read(tmp_path, caps
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "config.json", "trips.jsonl", "val.jsonl"]
 
 
+def test_triplets_on_a_manifest_with_no_split_exits_two(tmp_path, capsys):
+    # Rows in no split give no triplet, so building from them would write an empty file without a word.
+    rows = [{key: value for key, value in SENTENCE_ROW.items() if key != "split"} | {"sent_id": f"s{i}"}
+            for i in range(3)]
+    manifest, out = tmp_path / "c.jsonl", tmp_path / "t.jsonl"
+    manifest.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    assert run(["triplets", "--corpus", str(manifest), "--out", str(out), "--min-distance", "1", "--seed", "1"]) == 2
+    out_text, err = capsys.readouterr()
+    assert out_text == ""
+    assert err == "E_NOT_SPLIT: record 's0' has split 'unassigned', not one of train, val, test\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl"]
+
+
 def test_a_provider_answer_no_request_asked_for_exits_two(tmp_path, capsys):
     # One unrequested line first used to shift every positive onto the
     # anchor after the one it was meant for, and the run exited 0.
@@ -1349,6 +1365,13 @@ def test_benchmark_tracing_hooks_find_their_functions(tmp_path):
             assert data["counts"]["triplets.negative_calls"] == with_text
         elif stage == "train":
             assert data["counts"]["trainer.steps"] == 2  # 8 train rows, batch size 4
+            # The benchmark self-test's exact counts: AdamW touches the parameter, its gradient
+            # and both moments of every trained value once a step, and the one epoch encodes
+            # the three texts of every train and validation triplet once.
+            params = load_checkpoint(tmp_path / "out" / "epoch-1.cemb")
+            trainable = sum(params.tensors[name].size for name in params.trainable_names(False))
+            assert data["counts"]["trainer.adamw_bytes"] == 2 * 4 * 8 * trainable
+            assert data["counts"]["encoder.forward_rows"] == 3 * 1 * len(rows)
         elif stage == "embed":
             assert data["counts"]["encoder.forward_rows"] == 2 * len(rows)
         else:

@@ -563,8 +563,10 @@ def reference_adamw_step(params, grads, state, lr, config):
         theta -= lr * ((m / correction1) / (np.sqrt(v / correction2) + config.eps) + config.weight_decay * theta)
 
 
-def reference_grad_norm(grads) -> float:
-    return math.sqrt(math.fsum(float(np.sum(g * g)) for g in grads.values()))
+def reference_grad_norm(grads, live_rows) -> float:
+    """Each buffer's rows R (every row of a tensor without R) as one compact block, squared and summed."""
+    blocks = (g[live_rows[name]] if name in live_rows else g for name, g in grads.items())
+    return math.sqrt(math.fsum(float(np.sum(block * block)) for block in blocks))
 
 
 @pytest.mark.parametrize("lora_only", [False, True])
@@ -598,16 +600,16 @@ def test_in_place_adamw_matches_reference_bit_for_bit(
     for step in range(6):
         batch = make_batch(6, seed=step)
         ref_grads, ref_report = infonce_gradient(batch, ref_params, config, seed=step)
-        # From step 1 on the buffers hold the last step's squares, which must not leak in either.
+        # From step 1 on the buffers hold the last step's gradient, which must not leak in either.
         grads, report = infonce_gradient(batch, params, config, seed=step, out=buffers)
         assert grads is buffers.grads and sorted(grads) == sorted(names)
         assert all(_same_bits(grads[n], ref_grads[n]) for n in names)
         assert vars(report) == vars(ref_report)
         adamw_step(params, grads, state, lr=5e-2, config=config)
         reference_adamw_step(ref_params, ref_grads, ref_state, lr=5e-2, config=config)
-        # The norm of the spent gradient, as train takes it: squared in place.
-        assert _same_bits(trainer_mod._grad_norm(grads), reference_grad_norm(ref_grads))
-        assert all(_same_bits(grads[n], ref_grads[n] * ref_grads[n]) for n in names)
+        # The norm, as train takes it after AdamW, reads the buffers and leaves them as they were.
+        assert _same_bits(trainer_mod._grad_norm(grads, buffers.live_rows), reference_grad_norm(ref_grads, {}))
+        assert all(_same_bits(grads[n], ref_grads[n]) for n in names)
         assert state.t == ref_state.t == step + 1
         for name in TENSOR_NAMES:
             assert _same_bits(params.tensors[name], ref_params.tensors[name]), (step, name)
@@ -726,7 +728,7 @@ def _pooled_rows(batch, params) -> np.ndarray:
 
 
 @pytest.mark.parametrize("chunk", [None, 40])
-def test_grad_norm_squares_the_spent_gradient_with_the_dense_bits(monkeypatch, chunk):
+def test_grad_norm_reads_r_and_writes_no_gradient(monkeypatch, chunk):
     import minembed.trainer as trainer_mod
 
     if chunk is not None:
@@ -738,48 +740,45 @@ def test_grad_norm_squares_the_spent_gradient_with_the_dense_bits(monkeypatch, c
     state = init_optimizer_state(params, live_rows={"E": live})
     config = TrainConfig(batch_size=64)
     for seed in range(3):
-        # From seed 1 on, state.grads holds the last step's squares, outside R too.
         grads, _ = infonce_gradient(batch, params, config, seed=seed, out=state)
         fresh, _ = infonce_gradient(batch, params, config, seed=seed)
         assert all(_same_bits(grads[n], fresh[n]) for n in fresh)
+        norm = trainer_mod._grad_norm(grads, state.live_rows)
+        assert all(_same_bits(grads[n], fresh[n]) for n in fresh)
+        assert _same_bits(norm, reference_grad_norm(fresh, state.live_rows))
+        # No ordering rule: AdamW only reads the gradient, so the norm after it is the same.
         adamw_step(params, grads, state, lr=1e-3, config=config)
-        assert _same_bits(trainer_mod._grad_norm(grads), reference_grad_norm(fresh))
-    # Values of several magnitudes on R alone: a sum of R's squares without the zero rows
-    # between them, as one compact block, moves the bits of some of these.
+        assert _same_bits(trainer_mod._grad_norm(grads, state.live_rows), norm)
+    # Values of several magnitudes on R alone: a sum of R's squares as one compact
+    # block, without the zero rows between them, differs in the last bits from the
+    # sum over the whole buffer for some of these, and the norm is the compact sum.
+    differs = 0
     for _ in range(20):
-        for name, g in grads.items():
-            g[...] = fresh[name]
         scales = 10.0 ** rng.integers(-8, 2, live.size)[:, None]
         grads["E"][live] = rng.normal(size=(live.size, grads["E"].shape[1])) * scales
-        expected = reference_grad_norm(grads)  # before the norm squares grads in place
-        assert _same_bits(trainer_mod._grad_norm(grads), expected)
+        kept = {n: g.copy() for n, g in grads.items()}
+        norm = trainer_mod._grad_norm(grads, state.live_rows)
+        assert all(_same_bits(grads[n], kept[n]) for n in kept)
+        assert _same_bits(norm, reference_grad_norm(kept, state.live_rows))
+        differs += not _same_bits(norm, reference_grad_norm(kept, {}))
+    assert differs > 0
     outside = np.setdiff1d(np.arange(len(grads["E"])), live)
-    assert not grads["E"][outside].any() and (grads["E"][live] > 0.0).any()
-
-
-def _norm_before_adamw(state: OptimizerState, squares: dict[str, np.ndarray]) -> float:
-    """The norm as it was taken inside infonce_gradient, before AdamW: R's rows (every row of a
-    tensor without R) squared into a separate zeroed buffer of the gradient's shape, summed whole."""
-    sums = []
-    for name, g in state.grads.items():
-        rows, buf = state.live_rows.get(name, ...), squares.setdefault(name, np.zeros_like(g))
-        buf[rows] = np.square(g[rows])
-        sums.append(float(buf.sum()))
-    return math.sqrt(math.fsum(sums))
+    assert not grads["E"][outside].any() and grads["E"][live].any()
 
 
 @pytest.mark.parametrize("lora_only", [False, True])
 def test_logged_grad_norm_has_the_bits_of_the_norm_before_adamw(tmp_path, monkeypatch, lora_only):
     import minembed.trainer as trainer_mod
 
-    original, squares, expected = trainer_mod.infonce_gradient, {}, []
+    original, expected, live_rows = trainer_mod.infonce_gradient, [], []
 
-    def with_old_norm(*args, out, **kwargs):
+    def with_norm_before_adamw(*args, out, **kwargs):
         grads, report = original(*args, out=out, **kwargs)
-        expected.append(_norm_before_adamw(out, squares))
+        expected.append(reference_grad_norm(grads, out.live_rows))
+        live_rows.append(out.live_rows)
         return grads, report
 
-    monkeypatch.setattr(trainer_mod, "infonce_gradient", with_old_norm)
+    monkeypatch.setattr(trainer_mod, "infonce_gradient", with_norm_before_adamw)
     rng = np.random.default_rng(31)
     triplets = _norm_batch(rng)[:48]
     params = init_params(8, pooling="mean")  # the default vocabulary: R's rows lie all over E
@@ -787,7 +786,7 @@ def test_logged_grad_norm_has_the_bits_of_the_norm_before_adamw(tmp_path, monkey
     logged = [row["grad_norm"] for row in read_jsonl(tmp_path / "train-log.jsonl")]
     assert len(logged) == len(expected) == 6 and all(x > 0.0 for x in expected)
     assert all(_same_bits(x, y) for x, y in zip(logged, expected))
-    assert ("E" in squares) != lora_only
+    assert all(("E" in rows) != lora_only for rows in live_rows)
 
 
 def _held_arrays(value) -> list[np.ndarray]:
