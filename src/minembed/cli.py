@@ -444,6 +444,16 @@ def _render_table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
+def _run_command(args: argparse.Namespace) -> dict | None:
+    """``args.func(args)``; a ``MemoryError`` is E_OUT_OF_MEMORY. That error is raised after the
+    handler, once the failed command's frames, and the memory they hold, have been let go."""
+    try:
+        return args.func(args)
+    except MemoryError:
+        pass
+    raise DataError("E_OUT_OF_MEMORY", f"{args.command} ran out of memory")
+
+
 def run(argv: list[str] | None = None) -> int:
     """Dispatch a command line; returns the process exit code.
 
@@ -458,7 +468,7 @@ def run(argv: list[str] | None = None) -> int:
             return 1
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise UsageError(f"--seed must be nonnegative, got {args.seed}")
-        written = args.func(args)
+        written = _run_command(args)
         if written is not None:
             storage.write_run_metadata(**written, command=args.command, duration_s=time.monotonic() - started)
         return 0

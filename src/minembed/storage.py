@@ -23,9 +23,10 @@ import platform
 import re
 import struct
 import tempfile
+from contextlib import closing
 from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, get_type_hints
+from typing import Any, Callable, Iterable, Iterator, Mapping, get_type_hints
 
 import numpy as np
 
@@ -105,22 +106,23 @@ def read_text(path: str | Path) -> str:
         raise DataError("E_IO", f"cannot read {path}: {exc}") from exc
 
 
-def _split_lines(text: str) -> list[str]:
-    """A text's lines, ended only by "\n". ``read_text`` has already turned "\r\n" and "\r"
-    into "\n"; U+2028, U+2029, U+0085 and the other breaks ``str.splitlines`` knows stay
-    inside their line, as JSON lets a string hold them raw. A final "\n" ends the last line."""
-    lines = text.split("\n")
-    return lines[:-1] if lines[-1] == "" else lines
-
-
-def _numbered_lines(text: str) -> list[tuple[int, str]]:
-    """(physical line number, line) for each non-blank line of a text file's contents."""
-    return [(lineno, ln) for lineno, ln in enumerate(_split_lines(text), start=1) if ln.strip()]
+def _numbered_lines(path: str | Path, blank: bool = False) -> Iterator[tuple[int, str]]:
+    """(physical line number, line without its "\n") for each non-blank line of a UTF-8 text file, or each line if
+    ``blank``, read one at a time. "\r\n" and "\r" read as "\n", and only "\n" ends a line (not U+2028, U+2029, U+0085).
+    Callers close it with ``closing``: closed by a finalizer that runs out of memory, it would print a traceback."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if blank or line.strip():
+                    yield lineno, line.removesuffix("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError("E_IO", f"cannot read {path}: {exc}") from exc
 
 
 def read_lines(path: str | Path) -> list[str]:
-    """The non-blank lines of a UTF-8 text file, split as ``_split_lines`` says."""
-    return [ln for _, ln in _numbered_lines(read_text(path))]
+    """The non-blank lines of a UTF-8 text file, split as ``_numbered_lines`` says."""
+    with closing(_numbered_lines(path)) as lines:
+        return [ln for _, ln in lines]
 
 
 def _decode_json(line: str) -> Any:
@@ -142,26 +144,27 @@ def read_jsonl(path: str | Path, decode: Callable[[dict], Any] | None = None) ->
     with its line.
     """
     rows = []
-    for lineno, line in _numbered_lines(read_text(path)):
-        try:
-            row = _decode_json(line)
-        except (ValueError, RecursionError) as exc:  # also a too-long integer, or nesting too deep
-            raise DataError("E_IO", f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(row, dict):
-            raise DataError("E_IO", f"{path}:{lineno}: expected a JSON object")
-        if _SURROGATE_ESCAPE_RE.search(line):
+    with closing(_numbered_lines(path)) as lines:
+        for lineno, line in lines:
             try:
-                dumps_json_line(row).encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise DataError("E_IO", f"{path}:{lineno}: lone surrogate in a string: {exc}") from exc
-        if decode is not None:
-            try:
-                row = decode(row)
-            except KeyError as exc:
-                raise DataError("E_IO", f"{path}:{lineno}: missing key {exc.args[0]!r}") from exc
-            except (TypeError, ValueError) as exc:
-                raise DataError("E_IO", f"{path}:{lineno}: bad value: {exc}") from exc
-        rows.append(row)
+                row = _decode_json(line)
+            except (ValueError, RecursionError) as exc:  # also a too-long integer, or nesting too deep
+                raise DataError("E_IO", f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(row, dict):
+                raise DataError("E_IO", f"{path}:{lineno}: expected a JSON object")
+            if _SURROGATE_ESCAPE_RE.search(line):
+                try:
+                    dumps_json_line(row).encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise DataError("E_IO", f"{path}:{lineno}: lone surrogate in a string: {exc}") from exc
+            if decode is not None:
+                try:
+                    row = decode(row)
+                except KeyError as exc:
+                    raise DataError("E_IO", f"{path}:{lineno}: missing key {exc.args[0]!r}") from exc
+                except (TypeError, ValueError) as exc:
+                    raise DataError("E_IO", f"{path}:{lineno}: bad value: {exc}") from exc
+            rows.append(row)
     return rows
 
 
@@ -338,7 +341,8 @@ def read_embeddings(path: str | Path) -> tuple[list[str], np.ndarray]:
     matrix, pos = _f32_block(data, pos, (count, dim), path)
     _check_end(data, pos, path)
     sidecar = ids_sidecar(path)
-    ids = _split_lines(read_text(sidecar))
+    with closing(_numbered_lines(sidecar, blank=True)) as lines:
+        ids = [sid for _, sid in lines]
     if len(ids) != count:
         raise DataError("E_SHAPE_MISMATCH", f"{sidecar}: {len(ids)} ids for {count} vectors")
     first_line: dict[str, int] = {}
@@ -358,19 +362,20 @@ def read_embeddings(path: str | Path) -> tuple[list[str], np.ndarray]:
 def read_qrels(path: str | Path) -> dict[tuple[str, str], int]:
     """Read tab-separated (query_id, cand_id, grade) relevance judgments, each pair once."""
     qrels: dict[tuple[str, str], int] = {}
-    for lineno, line in _numbered_lines(read_text(path)):
-        cols = line.split("\t")
-        if len(cols) != 3:
-            raise DataError("E_IO", f"{path}:{lineno}: expected 3 tab-separated columns")
-        try:
-            grade = int(cols[2])
-        except ValueError as exc:
-            raise DataError("E_IO", f"{path}:{lineno}: grade must be an integer") from exc
-        if grade < 0:
-            raise DataError("E_IO", f"{path}:{lineno}: grade must be nonnegative")
-        if (cols[0], cols[1]) in qrels:
-            raise DataError("E_IO", f"{path}:{lineno}: pair ({cols[0]!r}, {cols[1]!r}) is judged twice")
-        qrels[(cols[0], cols[1])] = grade
+    with closing(_numbered_lines(path)) as lines:
+        for lineno, line in lines:
+            cols = line.split("\t")
+            if len(cols) != 3:
+                raise DataError("E_IO", f"{path}:{lineno}: expected 3 tab-separated columns")
+            try:
+                grade = int(cols[2])
+            except ValueError as exc:
+                raise DataError("E_IO", f"{path}:{lineno}: grade must be an integer") from exc
+            if grade < 0:
+                raise DataError("E_IO", f"{path}:{lineno}: grade must be nonnegative")
+            if (cols[0], cols[1]) in qrels:
+                raise DataError("E_IO", f"{path}:{lineno}: pair ({cols[0]!r}, {cols[1]!r}) is judged twice")
+            qrels[(cols[0], cols[1])] = grade
     return qrels
 
 
@@ -379,20 +384,21 @@ def read_pairs(path: str | Path) -> list[tuple[str, str, float | None]]:
     each score a finite number."""
     pairs: list[tuple[str, str, float | None]] = []
     width = None
-    for lineno, line in _numbered_lines(read_text(path)):
-        cols = line.split("\t")
-        if len(cols) not in (2, 3):
-            raise DataError("E_IO", f"{path}:{lineno}: expected 2 or 3 tab-separated columns")
-        width = width or len(cols)
-        if len(cols) != width:
-            raise DataError("E_IO", f"{path}:{lineno}: {len(cols)} columns, but the first row has {width}")
-        try:
-            score = float(cols[2]) if width == 3 else None
-        except ValueError:
-            score = math.nan
-        if score is not None and not math.isfinite(score):
-            raise DataError("E_IO", f"{path}:{lineno}: third column must be a finite number, got {cols[2]!r}")
-        pairs.append((cols[0], cols[1], score))
+    with closing(_numbered_lines(path)) as lines:
+        for lineno, line in lines:
+            cols = line.split("\t")
+            if len(cols) not in (2, 3):
+                raise DataError("E_IO", f"{path}:{lineno}: expected 2 or 3 tab-separated columns")
+            width = width or len(cols)
+            if len(cols) != width:
+                raise DataError("E_IO", f"{path}:{lineno}: {len(cols)} columns, but the first row has {width}")
+            try:
+                score = float(cols[2]) if width == 3 else None
+            except ValueError:
+                score = math.nan
+            if score is not None and not math.isfinite(score):
+                raise DataError("E_IO", f"{path}:{lineno}: third column must be a finite number, got {cols[2]!r}")
+            pairs.append((cols[0], cols[1], score))
     return pairs
 
 

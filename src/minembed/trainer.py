@@ -123,8 +123,9 @@ def init_optimizer_state(
     """Zero moments for every trained tensor, ``len(R)`` rows for a tensor with rows R
     in ``live_rows`` and full-size for the others, the zeroed ``grads`` and the ``scratch`` to match."""
     live_rows = dict(live_rows or {})
-    grads = {n: np.zeros_like(params.tensors[n], order="C") for n in params.trainable_names(lora_only)}
-    shapes = {n: g[live_rows.get(n, ...)].shape for n, g in grads.items()}
+    # np.zeros, unlike zeros_like, writes no page of a large buffer: E's stays untouched outside R's rows.
+    grads = {n: np.zeros(params.tensors[n].shape) for n in params.trainable_names(lora_only)}
+    shapes = {n: (len(live_rows[n]), *g.shape[1:]) if n in live_rows else g.shape for n, g in grads.items()}
     return OptimizerState(
         m={n: np.zeros(shape) for n, shape in shapes.items()},
         v={n: np.zeros(shape) for n, shape in shapes.items()},
@@ -286,7 +287,14 @@ def _grad_norm(grads: Mapping[str, np.ndarray], live_rows: Mapping[str, np.ndarr
     tensor without R) squared and summed, the buffers' sums added into one float.
 
     Rows outside R hold no gradient, so leaving them out changes no value. ``grads`` is only read."""
-    return math.sqrt(math.fsum(float(np.square(g[live_rows.get(n, ...)]).sum()) for n, g in grads.items()))
+    sums = []
+    for name, g in grads.items():
+        if name in live_rows:
+            block = g[live_rows[name]]  # a copy, so it takes its own squares
+            sums.append(float(np.square(block, out=block).sum()))
+        else:
+            sums.append(float(np.square(g).sum()))
+    return math.sqrt(math.fsum(sums))
 
 
 def lr_at_step(step: int, total_steps: int, config: TrainConfig) -> float:

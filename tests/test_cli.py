@@ -1024,6 +1024,55 @@ def test_run_metadata_contract(tmp_path, pipeline, command):
     assert {Path(path) for path in meta["output_digests"]} | {meta_path} == added
 
 
+# command: the storage reader made to run out of memory, and its command line
+OUT_OF_MEMORY_CASES = {
+    "prepare": ("read_jsonl", ["prepare", "--in", "{docs}", "--out", "{out}/c.jsonl", "--seed", "1"]),
+    "triplets": ("read_jsonl", ["triplets", "--corpus", "{corpus}", "--out", "{out}/t.jsonl", "--seed", "1"]),
+    "eval": ("read_pairs", ["eval", "--embeddings", "{emb}", "--pairs", "{pairs}"]),
+}
+
+
+@pytest.mark.parametrize("command", list(OUT_OF_MEMORY_CASES))
+def test_a_command_that_runs_out_of_memory_exits_two(tmp_path, capsys, monkeypatch, pipeline, command):
+    reader, argv = OUT_OF_MEMORY_CASES[command]
+    fill = {**{name: str(path) for name, path in pipeline.items()}, "out": str(tmp_path)}
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(f"minembed.storage.{reader}", out_of_memory)
+    before = sorted(pipeline["root"].rglob("*"))
+    assert run([arg.format(**fill) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"E_OUT_OF_MEMORY: {command} ran out of memory\n"
+    assert list(tmp_path.iterdir()) == [] and sorted(pipeline["root"].rglob("*")) == before
+
+
+def test_stats_over_an_address_space_cap_exits_two(tmp_path):
+    """A real MemoryError, in a child whose address space is capped below what
+    the generated manifest's records take, once a tiny manifest fits the cap."""
+    resource = pytest.importorskip("resource")
+    cap = 160 << 20
+    pythonpath = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": "1"}
+    row = '{"sent_id":"s%07d","source_name":"a","text":"left atrium %07d","char_len":20,"split":"train"}\n'
+
+    def stats(rows: int) -> subprocess.CompletedProcess:
+        corpus = tmp_path / f"c{rows}.jsonl"
+        with open(corpus, "w", encoding="utf-8") as fh:
+            fh.writelines(row % (i, i) for i in range(rows))
+        return subprocess.run([sys.executable, "-m", "minembed", "stats", "--corpus", str(corpus)], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+
+    tiny = stats(3)
+    if tiny.returncode != 0:
+        pytest.skip(f"a 3-row stats does not run under a {cap >> 20} MiB address space here: {tiny.stderr[-300:]}")
+    # 300,000 rows are a 29 MiB file whose records keep about 100 MiB.
+    big = stats(300_000)
+    assert (big.returncode, big.stdout, big.stderr) == (2, "", "E_OUT_OF_MEMORY: stats ran out of memory\n")
+
+
 # command line: the minembed modules it must not load
 _MINER_AND_TRAINER = {"minembed.trainer", "minembed.triplets", "minembed.corpus"}
 _ENCODER, _METRICS = {"minembed.encoder"}, {"minembed.metrics"}
@@ -1177,6 +1226,17 @@ def test_triplets_provider_failure_exits_two_and_writes_nothing(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("E_PROVIDER_UNAVAILABLE: ") and "Traceback" not in err
     assert not out.exists() and not Path(f"{out}.meta.json").exists()
+
+
+def test_triplets_on_a_manifest_whose_last_line_is_not_utf8_exits_two(tmp_path, capsys):
+    # The lines before it are read and parsed first; the stage still writes nothing.
+    corpus, out = tmp_path / "c.jsonl", tmp_path / "t.jsonl"
+    rows = [{**SENTENCE_ROW, "sent_id": f"s{i}"} for i in range(3)]
+    corpus.write_bytes("".join(json.dumps(r) + "\n" for r in rows).encode("utf-8") + b'{"text": "\xff"}\n')
+    assert run(["triplets", "--corpus", str(corpus), "--out", str(out), "--min-distance", "1", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"E_IO: cannot read {corpus}: 'utf-8' codec can't decode byte 0xff") and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]
 
 
 def test_a_row_with_an_unknown_split_is_rejected_where_it_is_read(tmp_path, capsys):

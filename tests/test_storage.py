@@ -5,11 +5,17 @@ from __future__ import annotations
 import json
 import os
 import struct
+import tempfile
+import tracemalloc
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from minembed import storage
 from minembed.errors import DataError
 from minembed.storage import (
     Record,
@@ -30,6 +36,8 @@ from minembed.storage import (
     write_run_metadata,
     write_tensors,
 )
+
+from test_fuzz import LINE_SEPARATORS
 
 
 def test_write_atomic_exact_content(tmp_path):
@@ -132,6 +140,99 @@ def test_read_lines_splits_at_newline_only(tmp_path):
     path = tmp_path / "texts.txt"
     path.write_text("one\u2028still one\r\ntwo\x85too\n\nthree\rfour", encoding="utf-8", newline="")
     assert read_lines(path) == ["one\u2028still one", "two\x85too", "three", "four"]
+
+
+def _whole_file_numbered_lines(path, blank=False):
+    """The reader as it was: the whole text, then its lines, then the numbered ones."""
+    lines = storage.read_text(path).split("\n")
+    lines = lines[:-1] if lines[-1] == "" else lines
+    yield from [(lineno, ln) for lineno, ln in enumerate(lines, start=1) if blank or ln.strip()]
+
+
+def _read_sidecar(path):
+    """``read_embeddings``' ids, beside a CEVX of as many vectors as the old reader found lines."""
+    count = len(list(_whole_file_numbered_lines(path, blank=True)))
+    cevx = Path(str(path).removesuffix(".ids"))
+    cevx.write_bytes(b"CEVX" + struct.pack("<IIQ", 1, 1, count) + struct.pack(f"<{count}f", *range(count)))
+    return read_embeddings(cevx)[0]
+
+
+def _value_or_error(read, path):
+    try:
+        return read(path)
+    except DataError as exc:
+        return str(exc)
+
+
+_CHUNK = 8192  # TextIOWrapper's read size, in bytes
+# A field of a line: short, often holding a line separator, or longer than a read.
+_FIELD = st.one_of(
+    st.text(st.characters(codec="utf-8", exclude_characters="\r\n\t") | st.sampled_from(LINE_SEPARATORS), max_size=12),
+    st.integers(_CHUNK - 8, _CHUNK + 8).map(lambda n: "x" * n),
+)
+# reader: (what it reads, a line it can parse)
+LINE_READERS = {
+    "read_lines": (read_lines, _FIELD),
+    "read_jsonl": (read_jsonl, _FIELD.map(lambda t: json.dumps({"t": t}, ensure_ascii=False))),
+    "read_pairs": (read_pairs, st.tuples(_FIELD, _FIELD).map("\t".join)),
+    "read_qrels": (read_qrels, st.tuples(_FIELD, _FIELD, st.sampled_from(["0", "1", "2"])).map("\t".join)),
+    "ids-sidecar": (_read_sidecar, _FIELD),
+}
+_BLANK = st.sampled_from(["", " ", "\t", " \t ", "\u2028", "\x85", "\u3000"])
+_ENDING = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def _line_file(draw, parsable):
+    lines = draw(st.lists(st.tuples(st.one_of(parsable, _BLANK), _ENDING), max_size=12))
+    text = "".join(line + end for line, end in lines)
+    if lines and draw(st.booleans()):
+        text = text.removesuffix(lines[-1][1])  # no final newline
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+@pytest.mark.parametrize("reader", list(LINE_READERS))
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_every_line_reader_reads_what_whole_file_reading_read(reader, data):
+    read, parsable = LINE_READERS[reader]
+    text = data.draw(_line_file(parsable))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.ids"
+        path.write_bytes(text.encode("utf-8"))
+        for blank in (False, True):
+            assert list(storage._numbered_lines(path, blank)) == list(_whole_file_numbered_lines(path, blank))
+        streamed = _value_or_error(read, path)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(storage, "_numbered_lines", _whole_file_numbered_lines)
+            assert _value_or_error(read, path) == streamed
+
+
+@pytest.mark.parametrize("first", range(_CHUNK - 4, _CHUNK + 3))
+@pytest.mark.parametrize("tail", ["\xe9", "x\u2028y"])
+def test_a_crlf_split_across_a_read_chunk_is_one_line_break(tmp_path, first, tail):
+    # The "\r" of the first line's "\r\n" falls in the last bytes of one read, or the first of the next.
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(("a" * first + "\r\n" + tail + "\r\n\r\nb").encode("utf-8"))
+    assert list(storage._numbered_lines(path)) == [(1, "a" * first), (2, tail), (4, "b")]
+    assert list(storage._numbered_lines(path)) == list(_whole_file_numbered_lines(path))
+
+
+def test_read_jsonl_holds_no_copy_of_the_file(tmp_path):
+    # Records that keep nothing: what reading holds at its peak is the reader's own.
+    path = tmp_path / "big.jsonl"
+    row = '{"sent_id":"s%07d","source_name":"a","text":"left atrium %07d","char_len":20,"split":"train"}\n'
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(row % (i, i) for i in range(100_000))
+    size = path.stat().st_size
+    assert size >= 8 << 20
+    tracemalloc.start()
+    try:
+        rows = read_jsonl(path, lambda row: None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 100_000 and peak < size / 4
 
 
 def test_jsonl_invalid_line(tmp_path):

@@ -766,6 +766,32 @@ def test_grad_norm_reads_r_and_writes_no_gradient(monkeypatch, chunk):
     assert not grads["E"][outside].any() and grads["E"][live].any()
 
 
+@pytest.mark.parametrize("with_r", [False, True])
+def test_grad_norm_squares_only_its_own_copy_of_r(with_r):
+    import tracemalloc
+
+    import minembed.trainer as trainer_mod
+
+    rng = np.random.default_rng(31)
+    params = init_params(2, vocab_size=4096, d_emb=64, d_hid=4, d_out=4, lora_rank=1)
+    live_rows = {"E": np.sort(rng.choice(4096, 2000, replace=False))} if with_r else {}
+    grads = {n: rng.normal(size=t.shape) * 10.0 ** rng.integers(-8, 3, t.shape) for n, t in params.tensors.items()}
+    kept = {n: g.copy() for n, g in grads.items()}
+    # The norm as it was written before it squared its gathered copy in place.
+    expected = math.sqrt(math.fsum(float(np.square(g[live_rows.get(n, ...)]).sum()) for n, g in kept.items()))
+    tracemalloc.start()
+    try:
+        norm = trainer_mod._grad_norm(grads, live_rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _same_bits(norm, expected)
+    assert all(_same_bits(grads[n], kept[n]) for n in kept)
+    # One array of E's squared rows, R's or all of them: not a gathered copy and its squares too.
+    squared = grads["E"][live_rows.get("E", ...)].nbytes
+    assert squared <= peak < 1.5 * squared
+
+
 @pytest.mark.parametrize("lora_only", [False, True])
 def test_logged_grad_norm_has_the_bits_of_the_norm_before_adamw(tmp_path, monkeypatch, lora_only):
     import minembed.trainer as trainer_mod
