@@ -124,26 +124,39 @@ def _check_ids(task: RetrievalTask | GradedTask) -> dict[str, int]:
     return index
 
 
-def rank_candidates(task: RetrievalTask | GradedTask) -> dict[str, dict[str, int]]:
+def rank_candidates(task: RetrievalTask | GradedTask, depth: int | None = None) -> dict[str, dict[str, int]]:
     """Per query: the 1-based rank of each judged candidate in the pool.
 
     Judged: the gold of a RetrievalTask, or each candidate graded above 0 in
     a GradedTask; one missing from the pool gets no rank. A candidate with
     cosine s ranks 1 + #(cos > s) + #(cos == s and id < its id), its place
     in descending cosine order with ties broken by ascending id.
+
+    With ``depth``, only judged candidates ranked at most ``depth`` are kept,
+    each with the same rank; every query keeps its key, even with no rank left.
     """
     cand_ids = [cid for cid, _ in task.candidates]
     index = {cid: ci for ci, cid in enumerate(cand_ids)}
     judged = _group_relevant(task.qrels) if isinstance(task, GradedTask) else {q: [task.gold[q]] for q, _ in task.queries}
     sims = _unit_rows(task.queries) @ _unit_rows(task.candidates).T
+    limit = math.inf if depth is None else depth
     ranks: dict[str, dict[str, int]] = {}
     for (qid, _), row in zip(task.queries, sims):
-        ranks[qid] = {}
-        for cid in judged.get(qid, ()):
-            if cid in index:
-                s = row[index[cid]]
-                ties = sum(cand_ids[ci] < cid for ci in np.flatnonzero(row == s))
-                ranks[qid][cid] = 1 + int(np.count_nonzero(row > s)) + ties
+        ranked = ranks[qid] = {}
+        cols = [index[cid] for cid in judged.get(qid, ()) if cid in index]
+        # Descending cosine, a NaN first since nothing compares above it: once one judged
+        # candidate has limit cosines above it, every later one does too.
+        cols.sort(key=lambda ci: (row[ci] != row[ci], row[ci]), reverse=True)
+        for ci in cols:
+            s = row[ci]
+            above = int(np.count_nonzero(row > s))
+            if above >= limit:
+                break
+            rank = 1 + above
+            if np.count_nonzero(row >= s) > above + 1:  # another candidate at exactly s
+                rank += int(sum(cand_ids[cj] < cand_ids[ci] for cj in np.flatnonzero(row == s)))
+            if rank <= limit:  # a tie can rank past limit with fewer than limit cosines above it
+                ranked[cand_ids[ci]] = rank
     return ranks
 
 
@@ -291,7 +304,8 @@ def evaluate(
         report.mrr = mean_reciprocal_rank(ranks, retrieval.gold)
         report.mean_pos_sim, report.sd_pos_sim = mean_positive_similarity(retrieval)
     if graded is not None:
-        ranks = rank_candidates(graded)
+        # NDCG@10 and Recall@K read no rank past the largest cutoff; a list, as ks may be empty.
+        ranks = rank_candidates(graded, depth=max([NDCG_CUTOFF, *ks]))
         by_query = _group_relevant(graded.qrels)
         report.n_queries += len(ranks)
         report.n_skipped_no_relevant = sum(1 for qid, _ in graded.queries if not by_query.get(qid))

@@ -1073,6 +1073,22 @@ def test_stats_over_an_address_space_cap_exits_two(tmp_path):
     assert (big.returncode, big.stdout, big.stderr) == (2, "", "E_OUT_OF_MEMORY: stats ran out of memory\n")
 
 
+@pytest.mark.parametrize("argv, named", [(["stats", "--corpus", "c.jsonl"], "stats"), ([], "minembed")])
+def test_running_out_of_memory_at_start_up_exits_two(tmp_path, argv, named):
+    """`import numpy` raising MemoryError, before any command runs, is E_OUT_OF_MEMORY too."""
+    code = ("import runpy, sys\n"
+            "class NoMemory:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'numpy':\n"
+            "            raise MemoryError\n"
+            "sys.meta_path.insert(0, NoMemory())\n"
+            "runpy.run_module('minembed', run_name='__main__')\n")
+    pythonpath = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env={**os.environ, "PYTHONPATH": pythonpath},
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"E_OUT_OF_MEMORY: {named} ran out of memory\n")
+
+
 # command line: the minembed modules it must not load
 _MINER_AND_TRAINER = {"minembed.trainer", "minembed.triplets", "minembed.corpus"}
 _ENCODER, _METRICS = {"minembed.encoder"}, {"minembed.metrics"}

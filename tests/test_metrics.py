@@ -189,6 +189,78 @@ def test_ranking_invariant_under_rescaling():
     assert rank_candidates(task) == rank_candidates(scaled)
 
 
+# -- rank_candidates(task, depth) ------------------------------------------------
+
+
+def cut_at(ranks, depth):
+    return {qid: {cid: r for cid, r in by_cand.items() if r <= depth} for qid, by_cand in ranks.items()}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_depth_keeps_exactly_the_ranks_within_it(seed):
+    rng = np.random.default_rng(seed)
+    for task in (random_graded_task(rng), tied_graded_task(rng)):
+        full = rank_candidates(task)
+        assert full == naive_ranks(task)
+        for depth in (1, 2, 5, 10, len(task.candidates), len(task.candidates) + 5):
+            ranks = rank_candidates(task, depth=depth)
+            assert ranks == cut_at(full, depth)
+            assert all(full[qid][cid] == r for qid, by_cand in ranks.items() for cid, r in by_cand.items())
+            assert list(ranks) == [qid for qid, _ in task.queries]
+
+
+def test_depth_cuts_candidates_tied_at_the_cutoff_by_id():
+    # Exact cosines against the x axis: nine above, then three tied at the 10th place.
+    q = np.array([1.0, 0.0])
+    above = [(f"a{i}", np.array([1.0 - i / 100, 0.5])) for i in range(9)]
+    tied = [(cid, np.array([0.5, 0.5])) for cid in ("t2", "t0", "t1")]
+    below = [("b0", np.array([-1.0, 0.5]))]
+    candidates = above + tied + below
+    task = GradedTask(queries=[("q", q)], candidates=candidates, qrels={("q", cid): 1 for cid, _ in candidates})
+    assert rank_candidates(task)["q"] == {**{f"a{i}": i + 1 for i in range(9)}, "t0": 10, "t1": 11, "t2": 12, "b0": 13}
+    judged = {"t0", "t1", "t2", "b0"}
+    only_tied = GradedTask(queries=[("q", q)], candidates=candidates, qrels={("q", cid): 1 for cid in judged})
+    assert rank_candidates(only_tied, depth=10) == {"q": {"t0": 10}}
+    assert rank_candidates(only_tied, depth=11) == {"q": {"t0": 10, "t1": 11}}
+    assert rank_candidates(only_tied, depth=12) == {"q": {"t0": 10, "t1": 11, "t2": 12}}
+    assert rank_candidates(only_tied, depth=9) == {"q": {}}
+
+
+def test_depth_ranks_a_nan_cosine_as_the_full_map_does():
+    rng = np.random.default_rng(3)
+    task = random_graded_task(rng)
+    candidates = [(cid, np.full_like(v, np.nan)) if i == 7 else (cid, v) for i, (cid, v) in enumerate(task.candidates)]
+    qrels = {**task.qrels, **{(qid, candidates[7][0]): 1 for qid, _ in task.queries}}
+    task = GradedTask(queries=task.queries, candidates=candidates, qrels=qrels)
+    full = rank_candidates(task)
+    for depth in (1, 3, 10):
+        assert rank_candidates(task, depth=depth) == cut_at(full, depth)
+
+
+def test_evaluate_reports_ndcg_with_no_recall_cutoff():
+    task = random_graded_task(np.random.default_rng(11))
+    report = evaluate(graded=task, ks=())
+    assert report.recall_at == {}
+    assert report.ndcg_at_10 == pytest.approx(naive_ndcg10(naive_rankings(task), task.qrels))
+
+
+@pytest.mark.parametrize("gain", ["linear", "exp"])
+def test_evaluate_graded_report_equals_one_from_full_ranks(gain):
+    rng = np.random.default_rng(13)
+    ks = (1, 5, 10, 50)
+    for task in (random_graded_task(rng, n_queries=30, n_candidates=80), tied_graded_task(rng)):
+        full = rank_candidates(task)
+        relevant = {qid for (qid, _), grade in task.qrels.items() if grade > 0}
+        expected = MetricReport(
+            ndcg_at_10=ndcg_at_10(full, task.qrels, gain),
+            recall_at={k: recall_at_k(full, task.qrels, k) for k in ks},
+            n_queries=len(task.queries),
+            n_skipped_no_relevant=sum(1 for qid, _ in task.queries if qid not in relevant),
+            gain=gain,
+        )
+        assert evaluate(graded=task, ks=ks, gain=gain) == expected
+
+
 # -- accuracy / MRR ---------------------------------------------------------------
 
 
