@@ -17,8 +17,8 @@ _EXPORTS = {
         "spearman_rho",
     ),
     "trainer": (
-        "BatchLossReport", "OptimizerState", "TrainConfig", "adamw_step", "gradient_check", "infonce_gradient",
-        "infonce_loss", "lr_at_step", "train",
+        "BatchLossReport", "OptimizerState", "TrainConfig", "adamw_step", "gradient_check", "index_triplets",
+        "infonce_gradient", "infonce_loss", "lr_at_step", "train",
     ),
     "triplets": (
         "NegativePolicy", "SubprocessProvider", "Triplet", "build_triplets", "fallback_paraphrase",

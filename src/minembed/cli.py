@@ -249,18 +249,28 @@ def _train_config_from(args: argparse.Namespace) -> tuple:
     return trainer.TrainConfig(**values), encoder_cfg
 
 
-def _cmd_train(args: argparse.Namespace) -> dict:
+def _train_inputs(args: argparse.Namespace, config, encoder_cfg: dict) -> tuple:
+    """The initial params, and the token store and (n, 3) train and val rows of
+    ``--triplets`` (and ``--val``). No Triplet, nor any text, outlives this call
+    except as the store's ids."""
     from . import trainer, triplets
     from .encoder import init_params
-    config, encoder_cfg = _train_config_from(args)
     all_triplets = storage.read_jsonl(args.triplets, triplets.Triplet.from_row)
-    train_rows = [t for t in all_triplets if t.split == "train"]
+    train_set = [t for t in all_triplets if t.split == "train"]
     if args.val:
-        val_rows = storage.read_jsonl(args.val, triplets.Triplet.from_row)
+        val_set = storage.read_jsonl(args.val, triplets.Triplet.from_row)
     else:
-        val_rows = [t for t in all_triplets if t.split == "val"]
+        val_set = [t for t in all_triplets if t.split == "val"]
     params = init_params(config.seed, **encoder_cfg)
-    params, reports = trainer.train(train_rows, params, config, val_triplets=val_rows or None, out_dir=args.out_dir)
+    store, (train_rows, val_rows) = trainer.index_triplets([train_set, val_set], params.tokenizer)
+    return params, store, train_rows, val_rows
+
+
+def _cmd_train(args: argparse.Namespace) -> dict:
+    from . import trainer
+    config, encoder_cfg = _train_config_from(args)
+    params, store, train_rows, val_rows = _train_inputs(args, config, encoder_cfg)
+    params, reports = trainer.train(train_rows, store, params, config, val_rows=val_rows, out_dir=args.out_dir)
     out_dir = Path(args.out_dir)
     storage.write_jsonl(out_dir / "train-report.jsonl", (vars(r) for r in reports))
     for r in reports:

@@ -15,9 +15,9 @@ import functools
 import math
 import re
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -197,35 +197,68 @@ def init_params(
     )
 
 
+@dataclass(frozen=True)
+class TokenStore:
+    """The token ids of a list of texts, in one flat array: text (row) ``i``'s ids are
+    ``ids[offsets[i]:offsets[i + 1]]``, in token order, and every text has at least one.
+
+    ``ids`` is int16 when the vocabulary has at most 32,768 ids, so that every id fits,
+    and int32 otherwise; ``offsets`` is int64, one longer than the rows.
+    ``token_store`` builds one."""
+
+    ids: np.ndarray
+    offsets: np.ndarray
+
+
+# Texts tokenized at a time by token_store: their lists of ids live only until copied into the store.
+_STORE_BLOCK = 1024
+
+
+def token_store(texts: Iterable[str], tokenizer: Tokenizer) -> TokenStore:
+    """Tokenize each text once, in order, into a ``TokenStore`` whose row ``i`` is text ``i``;
+    a text with no token is E_EMPTY_TOKENS, named by its index."""
+    dtype = np.int16 if tokenizer.vocab_size <= 1 << 15 else np.int32
+    texts = iter(texts)
+    id_blocks, count_blocks = [np.zeros(0, dtype)], [np.zeros(0, np.int64)]
+    done = 0
+    while block := list(islice(texts, _STORE_BLOCK)):
+        per_text = list(map(tokenizer, block))
+        counts = np.fromiter(map(len, per_text), dtype=np.int64, count=len(block))
+        if not counts.all():
+            i = int(np.argmin(counts))
+            raise DataError("E_EMPTY_TOKENS", f"text {done + i} produced no tokens: {block[i]!r}")
+        id_blocks.append(np.fromiter(chain.from_iterable(per_text), dtype=dtype, count=int(counts.sum())))
+        count_blocks.append(counts)
+        done += len(block)
+    offsets = np.zeros(done + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(count_blocks), out=offsets[1:])
+    return TokenStore(np.concatenate(id_blocks), offsets)
+
+
 @dataclass
 class EncodeCache:
-    """Intermediate activations kept for the backward pass."""
+    """Intermediate activations kept for the backward pass; no masks when dropout was off."""
 
     pooled_ids: np.ndarray  # the ids each text's pooling averages, one text after another
     counts: np.ndarray  # how many of those ids are each text's
     pooled: np.ndarray
-    mask1: np.ndarray
-    mask2: np.ndarray
+    mask1: np.ndarray | None
+    mask2: np.ndarray | None
     hidden: np.ndarray
     norms: np.ndarray
     outputs: np.ndarray
 
 
-def pooled_ids(
-    texts: Sequence[str], params: EncoderParams, token_ids: Mapping[str, Sequence[int]] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ids each text's pooling averages, one text after another in token order, and a
-    count per text: all of a text's ids for mean pooling, only its last for last_token.
-    Each text is tokenized once, or its ids are looked up in ``token_ids``."""
-    ids_of = params.tokenizer if token_ids is None else token_ids.__getitem__
-    per_text = [ids_of(text) for text in texts]
-    counts = np.fromiter(map(len, per_text), dtype=np.intp, count=len(per_text))
-    if not counts.all():
-        i = int(np.argmin(counts))
-        raise DataError("E_EMPTY_TOKENS", f"text {i} produced no tokens: {texts[i]!r}")
+def pooled_ids(rows: np.ndarray, store: TokenStore, params: EncoderParams) -> tuple[np.ndarray, np.ndarray]:
+    """The ids each of ``store``'s ``rows`` pools, one row after another in token order,
+    and a count per row: all of a row's ids for mean pooling, only its last for last_token."""
+    starts, ends = store.offsets[rows], store.offsets[rows + 1]
     if params.pooling == POOLING_MEAN:
-        return np.fromiter(chain.from_iterable(per_text), dtype=np.intp, count=counts.sum()), counts
-    return np.fromiter((ids[-1] for ids in per_text), dtype=np.intp, count=len(per_text)), np.ones_like(counts)
+        counts = ends - starts
+        # Position j of the batch's ids is its row's start plus j less the ids of the rows before it.
+        shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        return store.ids[np.arange(len(shift)) + shift].astype(np.intp), counts
+    return store.ids[ends - 1].astype(np.intp), np.ones_like(ends)
 
 
 def _dropout_masks(shape: tuple[int, int], p: float, rng: np.random.Generator) -> np.ndarray:
@@ -233,58 +266,63 @@ def _dropout_masks(shape: tuple[int, int], p: float, rng: np.random.Generator) -
     return (rng.random(shape) >= p) / (1.0 - p)
 
 
-def _adapted(x: np.ndarray, mask: np.ndarray, params: EncoderParams, layer: str) -> np.ndarray:
+def _masked(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    # No mask is dropout off: an all-ones mask would change no bit.
+    return x if mask is None else x * mask
+
+
+def _adapted(x: np.ndarray, mask: np.ndarray | None, params: EncoderParams, layer: str) -> np.ndarray:
     """Affine layer ``layer`` ("1" or "2") plus its adapter, applied to the dropout-masked input."""
     t = params.tensors
     adapter = t[f"lora_A{layer}"].T @ t[f"lora_B{layer}"].T
-    return x @ t[f"W{layer}"] + t[f"b{layer}"] + params.scale * ((x * mask) @ adapter)
+    return x @ t[f"W{layer}"] + t[f"b{layer}"] + params.scale * (_masked(x, mask) @ adapter)
 
 
 def _adapted_backward(
-    x: np.ndarray, mask: np.ndarray, grad_out: np.ndarray, params: EncoderParams, layer: str,
-    grads: dict[str, np.ndarray],
-) -> np.ndarray:
-    """Accumulate ``_adapted``'s gradients into the tensors ``grads`` holds; return d(loss)/d(x)."""
+    x: np.ndarray, mask: np.ndarray | None, grad_out: np.ndarray, params: EncoderParams, layer: str,
+    grads: dict[str, np.ndarray], input_grad: bool = True,
+) -> np.ndarray | None:
+    """Accumulate ``_adapted``'s gradients into the tensors ``grads`` holds; return
+    d(loss)/d(x), or None without ``input_grad``."""
     t, scale = params.tensors, params.scale
     w, a, b = t[f"W{layer}"], t[f"lora_A{layer}"], t[f"lora_B{layer}"]
     if f"W{layer}" in grads:
         grads[f"W{layer}"] += x.T @ grad_out
         grads[f"b{layer}"] += grad_out.sum(axis=0)
-    g = (x * mask).T @ grad_out
+    g = _masked(x, mask).T @ grad_out
     grads[f"lora_A{layer}"] += scale * (g @ b).T
     grads[f"lora_B{layer}"] += scale * g.T @ a.T
-    return grad_out @ w.T + (scale * grad_out @ (a.T @ b.T).T) * mask
+    if not input_grad:
+        return None
+    return grad_out @ w.T + _masked(scale * grad_out @ (a.T @ b.T).T, mask)
 
 
 def forward_batch(
-    texts: Sequence[str],
+    rows: np.ndarray,
+    store: TokenStore,
     params: EncoderParams,
     train_mode: bool = False,
     seed: int = 0,
-    *,
-    token_ids: Mapping[str, Sequence[int]] | None = None,
 ) -> tuple[np.ndarray, EncodeCache]:
-    """Encode texts with the params' pooling and keep activations for backpropagation.
-
-    ``token_ids``, when given, maps each text to its ids under ``params.tokenizer``,
-    so a caller that encodes the same texts many times tokenizes each once.
-    """
-    ids, counts = pooled_ids(texts, params, token_ids)
-    filled = np.arange(counts.max(initial=0)) < counts[:, None]
-    table = np.zeros(filled.shape, dtype=np.intp)  # row i: text i's ids, then pads of id 0
-    table[filled] = ids
-    rows = params.tensors["E"][table]
+    """Encode ``store``'s ``rows`` with the params' pooling, one output row each, and keep
+    activations for backpropagation."""
+    ids, counts = pooled_ids(rows, store, params)
+    # Position-major: column i holds row i's ids, then pads of id 0, so the sum over
+    # positions adds whole contiguous (rows, d_emb) blocks, in token order as a per-row sum does.
+    filled = np.arange(counts.max(initial=0))[:, None] < counts
+    table = np.zeros(filled.shape, dtype=np.intp)
+    table.T[filled.T] = ids
+    gathered = params.tensors["E"][table]
     # A pad adds +0.0: it changes no sum, except that a sum of only -0.0 becomes +0.0.
-    rows[~filled] = 0.0
-    pooled = rows.sum(axis=1) / counts[:, None]
+    gathered[~filled] = 0.0
+    pooled = gathered.sum(axis=0) / counts[:, None]
 
-    shapes = (pooled.shape, (len(pooled), params.tensors["W1"].shape[1]))
+    mask1 = mask2 = None
     p = params.lora_dropout
     if train_mode and p > 0.0:
         rng = np.random.default_rng(seed)
+        shapes = (pooled.shape, (len(pooled), params.tensors["W1"].shape[1]))
         mask1, mask2 = (_dropout_masks(shape, p, rng) for shape in shapes)
-    else:
-        mask1, mask2 = (np.ones(shape) for shape in shapes)
 
     hidden = np.tanh(_adapted(pooled, mask1, params, "1"))
     raw_out = _adapted(hidden, mask2, params, "2")
@@ -305,8 +343,9 @@ def backward_batch(
     grad_u = (grad_outputs - (y * grad_outputs).sum(axis=1, keepdims=True) * y) / norms
     grad_hidden = _adapted_backward(hidden, cache.mask2, grad_u, params, "2", grads)
     grad_pre = grad_hidden * (1.0 - hidden * hidden)
-    grad_pooled = _adapted_backward(cache.pooled, cache.mask1, grad_pre, params, "1", grads)
-    if "E" in grads:
+    # Layer 1's input is the pooled rows, whose gradient only E's needs.
+    grad_pooled = _adapted_backward(cache.pooled, cache.mask1, grad_pre, params, "1", grads, "E" in grads)
+    if grad_pooled is not None:
         # Each pooled id gets its text's gradient over the count. One 1-D np.add.at on the
         # flat (contiguous) buffer adds the shares in text order, which a repeated id needs.
         counts, d_emb = cache.counts, grad_pooled.shape[1]
@@ -321,7 +360,7 @@ def encode_batch(
     seed: int = 0,
 ) -> np.ndarray:
     """Encode texts into unit-norm embedding vectors, one row per text."""
-    outputs, _ = forward_batch(texts, params, train_mode, seed)
+    outputs, _ = forward_batch(np.arange(len(texts)), token_store(texts, params.tokenizer), params, train_mode, seed)
     return outputs
 
 

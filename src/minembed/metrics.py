@@ -36,7 +36,8 @@ class RetrievalTask:
     gold: Mapping[str, str]
 
     def __post_init__(self) -> None:
-        _keep_copies(self, "gold")
+        _keep_copies(self)
+        object.__setattr__(self, "gold", MappingProxyType(dict(self.gold)))
         cand_ids = _check_ids(self)
         missing = [g for g in self.gold.values() if g not in cand_ids]
         if missing:
@@ -46,17 +47,37 @@ class RetrievalTask:
             raise DataError("E_MISSING_GOLD", f"queries without a gold candidate: {no_gold[:5]}")
 
 
+class _Qrels(Mapping):
+    """A read-only copy of graded judgments that groups its relevant ones by query once."""
+
+    def __init__(self, qrels: Mapping[tuple[str, str], float]) -> None:
+        self._pairs = dict(qrels)
+        self.relevant = _group_relevant(self._pairs)
+
+    def __getitem__(self, pair: tuple[str, str]) -> float:
+        return self._pairs[pair]
+
+    def __iter__(self):
+        return iter(self._pairs)
+
+    def __len__(self) -> int:
+        return len(self._pairs)
+
+
 @dataclass(frozen=True)
 class GradedTask:
     """Queries with graded relevance judgments instead of a single gold id;
-    frozen, with tuples and a read-only ``qrels``, as a ``RetrievalTask``."""
+    frozen, with tuples and a read-only ``qrels``, as a ``RetrievalTask``.
+    ``qrels`` also keeps its relevant judgments grouped by query, so every
+    metric of the task reads one grouping."""
 
     queries: Sequence[tuple[str, np.ndarray]]
     candidates: Sequence[tuple[str, np.ndarray]]
     qrels: Mapping[tuple[str, str], int]
 
     def __post_init__(self) -> None:
-        _keep_copies(self, "qrels")
+        _keep_copies(self)
+        object.__setattr__(self, "qrels", _Qrels(self.qrels))
         _check_ids(self)
 
 
@@ -99,11 +120,10 @@ def _unit_rows(pairs: Sequence[tuple[str, np.ndarray]]) -> np.ndarray:
     return matrix / norms
 
 
-def _keep_copies(task: RetrievalTask | GradedTask, judgments: str) -> None:
-    """Stores a frozen task's pairs as tuples and its ``judgments`` field as a read-only copy."""
+def _keep_copies(task: RetrievalTask | GradedTask) -> None:
+    """Stores a frozen task's pairs as tuples."""
     object.__setattr__(task, "queries", tuple(task.queries))
     object.__setattr__(task, "candidates", tuple(task.candidates))
-    object.__setattr__(task, judgments, MappingProxyType(dict(getattr(task, judgments))))
 
 
 def _check_ids(task: RetrievalTask | GradedTask) -> dict[str, int]:
@@ -205,7 +225,10 @@ def _gain(grade: int, gain: str) -> float:
     raise DataError("E_BAD_GAIN", f"gain must be 'linear' or 'exp', got {gain!r}")
 
 
-def _group_relevant(qrels: Mapping[tuple[str, str], float]) -> dict[str, dict[str, float]]:
+def _group_relevant(qrels: Mapping[tuple[str, str], float]) -> Mapping[str, dict[str, float]]:
+    """Per query id, its candidates graded above 0 and their grades, in ``qrels`` order."""
+    if isinstance(qrels, _Qrels):
+        return qrels.relevant
     by_query: dict[str, dict[str, float]] = {}
     for (qid, cid), grade in qrels.items():
         if grade > 0:
@@ -213,9 +236,8 @@ def _group_relevant(qrels: Mapping[tuple[str, str], float]) -> dict[str, dict[st
     return by_query
 
 
-def _mean_over_relevant(ranks: Ranks, qrels: Mapping[tuple[str, str], float], score: Callable) -> float:
+def _mean_over_relevant(ranks: Ranks, by_query: Mapping[str, dict[str, float]], score: Callable) -> float:
     """Mean of score(query's ranks, its relevant grades or gains) over queries with relevant candidates."""
-    by_query = _group_relevant(qrels)
     scores = [score(by_cand, by_query[qid]) for qid, by_cand in ranks.items() if by_query.get(qid)]
     if not scores:
         raise DataError("E_NO_RELEVANT", "no query has a relevant candidate")
@@ -228,9 +250,11 @@ def ndcg_at_10(ranks: Ranks, qrels: Mapping[tuple[str, str], int], gain: str = G
     Every relevant pair's gain is taken before any query is scored: one that a
     float cannot hold, or a query's ideal DCG that is not finite, is E_BAD_GRADE.
     """
-    gains = {pair: _gain(grade, gain) for pair, grade in qrels.items() if grade > 0}
-    huge = [pair for pair, g in gains.items() if g == math.inf]
-    if huge:
+    # Per query, each relevant candidate's gain, kept only if above 0 as its grade is.
+    gains = {qid: {cid: g for cid, grade in relevant.items() if (g := _gain(grade, gain)) > 0}
+             for qid, relevant in _group_relevant(qrels).items()}
+    if any(g == math.inf for relevant in gains.values() for g in relevant.values()):
+        huge = [pair for pair, grade in qrels.items() if grade > 0 and _gain(grade, gain) == math.inf]
         raise DataError("E_BAD_GRADE", f"grades whose {gain} gain is past the largest float, at pairs {huge[:5]}")
 
     def ndcg(by_cand: Mapping[str, int], relevant: dict[str, float]) -> float:
@@ -255,7 +279,7 @@ def recall_at_k(ranks: Ranks, qrels: Mapping[tuple[str, str], int], k: int) -> f
     def recall(by_cand: Mapping[str, int], relevant: dict[str, int]) -> float:
         return sum(1 for cid, r in by_cand.items() if r <= k and cid in relevant) / len(relevant)
 
-    return _mean_over_relevant(ranks, qrels, recall)
+    return _mean_over_relevant(ranks, _group_relevant(qrels), recall)
 
 
 def _average_ranks(values: Sequence[float]) -> np.ndarray:

@@ -19,16 +19,17 @@ All arithmetic runs in double precision; checkpoints store float32.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import storage
-from .encoder import EncodeCache, EncoderParams, backward_batch, forward_batch, pooled_ids, save_checkpoint
+from .encoder import (
+    EncodeCache, EncoderParams, Tokenizer, TokenStore, backward_batch, forward_batch, pooled_ids, save_checkpoint,
+    token_store,
+)
 from .errors import DataError, NumericError
 from .triplets import Triplet
 
@@ -214,61 +215,74 @@ def _role_seed(seed: int, role: int) -> int:
     return int(np.random.SeedSequence([seed, role]).generate_state(1)[0])
 
 
-def _encode_roles(
-    batch: Sequence[Triplet],
-    params: EncoderParams,
-    train_mode: bool,
-    seed: int,
-    token_ids: Mapping[str, Sequence[int]] | None,
-) -> list[tuple[np.ndarray, EncodeCache]]:
-    """Forward the anchor, positive and negative texts, in that order."""
-    roles = ([t.anchor_text for t in batch], [t.positive_text for t in batch], [t.negative_text for t in batch])
-    return [
-        forward_batch(texts, params, train_mode, _role_seed(seed, role), token_ids=token_ids)
-        for role, texts in enumerate(roles)
+def index_triplets(
+    triplet_sets: Sequence[Sequence[Triplet]], tokenizer: Tokenizer
+) -> tuple[TokenStore, list[np.ndarray]]:
+    """One ``TokenStore`` over the distinct texts of every set, and each set's (n, 3)
+    rows into it: a triplet's anchor, positive and negative text, in that order.
+
+    Texts are numbered as first met, set by set, so each is tokenized once and an
+    E_EMPTY_TOKENS text index counts the distinct texts before it."""
+    row_of: dict[str, int] = {}
+    sets = [
+        np.fromiter(
+            (row_of.setdefault(text, len(row_of)) for t in triplets
+             for text in (t.anchor_text, t.positive_text, t.negative_text)),
+            dtype=np.intp, count=3 * len(triplets),
+        ).reshape(-1, 3)
+        for triplets in triplet_sets
     ]
+    return token_store(row_of, tokenizer), sets
+
+
+def _encode_roles(
+    rows: np.ndarray, store: TokenStore, params: EncoderParams, train_mode: bool, seed: int
+) -> list[tuple[np.ndarray, EncodeCache]]:
+    """Forward the anchor, positive and negative rows, in that order."""
+    return [forward_batch(rows[:, role], store, params, train_mode, _role_seed(seed, role)) for role in range(3)]
 
 
 def batch_loss(
-    batch: Sequence[Triplet],
+    rows: np.ndarray,
+    store: TokenStore,
     params: EncoderParams,
     config: TrainConfig,
     train_mode: bool = True,
     seed: int = 0,
-    *,
-    token_ids: Mapping[str, Sequence[int]] | None = None,
 ) -> BatchLossReport:
-    """Forward-only loss evaluation (used by validation and gradient checks)."""
-    if not batch:
+    """Forward-only loss of a batch of (n, 3) triplet rows into ``store`` (used by
+    validation and gradient checks)."""
+    if not len(rows):
         raise DataError("E_EMPTY_BATCH", "cannot evaluate an empty batch")
-    (a, _), (p, _), (n, _) = _encode_roles(batch, params, train_mode, seed, token_ids)
+    (a, _), (p, _), (n, _) = _encode_roles(rows, store, params, train_mode, seed)
     return _infonce(a, p, n, config.temperature)[0]
 
 
 def infonce_gradient(
-    batch: Sequence[Triplet],
+    rows: np.ndarray,
+    store: TokenStore,
     params: EncoderParams,
     config: TrainConfig,
     train_mode: bool = True,
     seed: int = 0,
     *,
-    token_ids: Mapping[str, Sequence[int]] | None = None,
     out: OptimizerState | None = None,
 ) -> tuple[dict[str, np.ndarray], BatchLossReport]:
-    """Exact analytic gradient of the batch loss for every trained tensor.
+    """Exact analytic gradient of the loss of a batch of (n, 3) triplet rows into
+    ``store``, for every trained tensor.
 
-    ``token_ids`` is handed to ``forward_batch``. ``out.grads``, or a fresh
-    ``init_optimizer_state``'s without ``out``, is zeroed, filled and
-    returned. A buffer with rows R in ``out.live_rows`` is zeroed on R only,
-    since the batch's gradient reaches no other row and they are still zero.
+    ``out.grads``, or a fresh ``init_optimizer_state``'s without ``out``, is
+    zeroed, filled and returned. A buffer with rows R in ``out.live_rows`` is
+    zeroed on R only, since the batch's gradient reaches no other row and they
+    are still zero.
     """
-    if not batch:
+    if not len(rows):
         raise DataError("E_EMPTY_BATCH", "cannot take gradients of an empty batch")
     state = out if out is not None else init_optimizer_state(params, config.train_lora_only)
     stray = sorted(set(state.grads).symmetric_difference(params.trainable_names(config.train_lora_only)))
     if stray:
         raise DataError("E_SHAPE_MISMATCH", f"gradient buffers do not match the trained tensors at {stray[0]!r}")
-    roles = _encode_roles(batch, params, train_mode, seed, token_ids)
+    roles = _encode_roles(rows, store, params, train_mode, seed)
     (a, _), (p, _), (n, _) = roles
     report, grad_sims = _infonce(a, p, n, config.temperature)
 
@@ -398,54 +412,39 @@ def _epoch_batches(n: int, batch_size: int, perm: np.ndarray) -> list[np.ndarray
     return [perm[start : start + batch_size] for start in range(0, n, batch_size)]
 
 
-def evaluation_loss(
-    triplets: Sequence[Triplet],
-    params: EncoderParams,
-    config: TrainConfig,
-    *,
-    token_ids: Mapping[str, Sequence[int]] | None = None,
-) -> float:
-    """Mean per-anchor loss over a triplet set, dropout off, batched."""
-    if not triplets:
+def evaluation_loss(rows: np.ndarray, store: TokenStore, params: EncoderParams, config: TrainConfig) -> float:
+    """Mean per-anchor loss over (n, 3) triplet rows into ``store``, dropout off, batched."""
+    if not len(rows):
         raise DataError("E_EMPTY_BATCH", "cannot evaluate an empty triplet set")
     losses: list[float] = []
-    for start in range(0, len(triplets), config.batch_size):
-        chunk = triplets[start : start + config.batch_size]
-        report = batch_loss(chunk, params, config, train_mode=False, token_ids=token_ids)
+    for start in range(0, len(rows), config.batch_size):
+        chunk = rows[start : start + config.batch_size]
+        report = batch_loss(chunk, store, params, config, train_mode=False)
         losses.append(report.loss * len(chunk))
-    return math.fsum(losses) / len(triplets)
+    return math.fsum(losses) / len(rows)
 
 
 def train(
-    triplets: Sequence[Triplet],
+    rows: np.ndarray,
+    store: TokenStore,
     params: EncoderParams,
     config: TrainConfig,
-    val_triplets: Sequence[Triplet] | None = None,
+    val_rows: np.ndarray | None = None,
     out_dir: str | Path | None = None,
 ) -> tuple[EncoderParams, list[EpochReport]]:
-    """Train in place over seeded epoch shuffles; returns per-epoch reports.
+    """Train in place over seeded epoch shuffles of the (n, 3) triplet ``rows`` into
+    ``store`` (see ``index_triplets``), validating on ``val_rows``; returns per-epoch reports.
 
     Writes ``epoch-<n>.cemb`` checkpoints and a per-step JSONL log when
     ``out_dir`` is given. Bit-deterministic for fixed inputs and config.
-    Each distinct text is tokenized once per run, and one state from
-    ``init_optimizer_state`` holds the buffers every step reuses. Unless
-    only the adapters train, each step zeroes and checks only the ``E``
-    rows that train texts pool, and AdamW keeps moments for and gives the
-    full update to only those rows (``OptimizerState.live_rows``), and the
-    logged ``grad_norm`` reads only those rows.
+    One state from ``init_optimizer_state`` holds the buffers every step
+    reuses. Unless only the adapters train, each step zeroes and checks only
+    the ``E`` rows that train texts pool, and AdamW keeps moments for and
+    gives the full update to only those rows (``OptimizerState.live_rows``),
+    and the logged ``grad_norm`` reads only those rows.
     """
-    if not triplets:
+    if not len(rows):
         raise DataError("E_NO_TRAIN_DATA", "no training triplets")
-    # Each triplet's anchor, positive and negative text, the train triplets' first.
-    texts = [text for t in chain(triplets, val_triplets or ())
-             for text in (t.anchor_text, t.positive_text, t.negative_text)]
-    # Stored as int64 arrays: a third of the memory of lists of Python ints.
-    token_ids = {text: array("q", params.tokenizer(text)) for text in dict.fromkeys(texts)}
-    # Fail before step 0, not when a batch holding the text is encoded.
-    for i, (text, ids) in enumerate(token_ids.items()):
-        if not ids:
-            raise DataError("E_EMPTY_TOKENS", f"text {i} produced no tokens: {text!r}")
-    # Made only once every text has passed, so a run that fails on its inputs leaves no directory.
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         try:
@@ -457,22 +456,20 @@ def train(
         # R: the E rows that train texts pool, marked in a mask, which sorts no copy of every
         # pooled id. Validation takes no gradient, so its texts stay out.
         pooled = np.zeros(len(params.tensors["E"]), dtype=bool)
-        pooled[pooled_ids(texts[: 3 * len(triplets)], params, token_ids)[0]] = True
+        pooled[pooled_ids(np.unique(rows), store, params)[0]] = True
         live_rows["E"] = np.flatnonzero(pooled)
     state = init_optimizer_state(params, config.train_lora_only, live_rows)
-    steps_per_epoch = math.ceil(len(triplets) / config.batch_size)
+    steps_per_epoch = math.ceil(len(rows) / config.batch_size)
     total_steps = steps_per_epoch * config.epochs
     reports: list[EpochReport] = []
     log_rows: list[dict] = []
     step = 0
     for epoch in range(config.epochs):
-        perm = np.random.default_rng([config.seed, 1, epoch]).permutation(len(triplets))
+        perm = np.random.default_rng([config.seed, 1, epoch]).permutation(len(rows))
         epoch_losses: list[float] = []
-        for batch_idx, chosen in enumerate(_epoch_batches(len(triplets), config.batch_size, perm)):
-            batch = [triplets[i] for i in chosen]
+        for batch in _epoch_batches(len(rows), config.batch_size, perm):
             grads, report = infonce_gradient(
-                batch, params, config, train_mode=True, seed=_role_seed(config.seed, 3 + step),
-                token_ids=token_ids, out=state,
+                rows[batch], store, params, config, train_mode=True, seed=_role_seed(config.seed, 3 + step), out=state,
             )
             if not math.isfinite(report.loss):
                 raise NumericError("E_NONFINITE_GRAD", f"non-finite loss at step {step}")
@@ -481,8 +478,8 @@ def train(
             epoch_losses.append(report.loss * len(batch))
             log_rows.append({"step": step, "lr": lr, **vars(report), "grad_norm": _grad_norm(grads, state.live_rows)})
             step += 1
-        mean_train = math.fsum(epoch_losses) / len(triplets)
-        val_loss = evaluation_loss(val_triplets, params, config, token_ids=token_ids) if val_triplets else None
+        mean_train = math.fsum(epoch_losses) / len(rows)
+        val_loss = evaluation_loss(val_rows, store, params, config) if val_rows is not None and len(val_rows) else None
         if val_loss is not None and not math.isfinite(val_loss):
             raise NumericError("E_NONFINITE_GRAD", f"non-finite validation loss in epoch {epoch}")
         checkpoint = None
@@ -516,7 +513,8 @@ def gradient_check(
         raise DataError("E_BAD_SAMPLES", f"samples must be >= 1, got {samples}")
     if config is None:
         config = TrainConfig()
-    grads, _ = infonce_gradient(batch, params, config, train_mode=True, seed=seed)
+    store, (rows,) = index_triplets([batch], params.tokenizer)
+    grads, _ = infonce_gradient(rows, store, params, config, train_mode=True, seed=seed)
 
     names = list(params.trainable_names(config.train_lora_only))
     tensors = params.tensors
@@ -534,9 +532,9 @@ def gradient_check(
         theta = tensors[name]
         original = theta.flat[local]
         theta.flat[local] = original + h
-        loss_plus = batch_loss(batch, params, config, train_mode=True, seed=seed).loss
+        loss_plus = batch_loss(rows, store, params, config, train_mode=True, seed=seed).loss
         theta.flat[local] = original - h
-        loss_minus = batch_loss(batch, params, config, train_mode=True, seed=seed).loss
+        loss_minus = batch_loss(rows, store, params, config, train_mode=True, seed=seed).loss
         theta.flat[local] = original
         fd = (loss_plus - loss_minus) / (2.0 * h)
         analytic = grads[name].flat[local]

@@ -50,6 +50,23 @@ def small_params():
     return init_params(11, vocab_size=512, d_emb=16, d_hid=24, d_out=12, lora_rank=4, lora_alpha=8.0)
 
 
+def as_rows(triplets, params) -> tuple[np.ndarray, object]:
+    """The (n, 3) rows of ``triplets`` and their token store, the first arguments of
+    ``trainer.infonce_gradient``, ``batch_loss`` and ``evaluation_loss``."""
+    from minembed.trainer import index_triplets
+
+    store, (rows,) = index_triplets([triplets], params.tokenizer)
+    return rows, store
+
+
+def train_triplets(triplets, params, config, val_triplets=None, out_dir=None):
+    """``trainer.train`` on lists of triplets, indexed as the train command indexes them."""
+    from minembed import trainer
+
+    store, (rows, val_rows) = trainer.index_triplets([triplets, val_triplets or []], params.tokenizer)
+    return trainer.train(rows, store, params, config, val_rows=val_rows, out_dir=out_dir)
+
+
 def role_gradients(monkeypatch, a: np.ndarray, p: np.ndarray, n: np.ndarray, tau: float):
     """``trainer.infonce_gradient`` on fixed anchor, positive and negative
     embeddings: its batch report and the three gradients it hands to
@@ -61,7 +78,7 @@ def role_gradients(monkeypatch, a: np.ndarray, p: np.ndarray, n: np.ndarray, tau
     config = trainer.TrainConfig(temperature=tau, train_lora_only=True)
     # The stubs are undone on return, so the caller's later steps run the real encoder.
     with monkeypatch.context() as m:
-        m.setattr(trainer, "_encode_roles", lambda batch, params, train_mode, seed, token_ids: [(a, None), (p, None), (n, None)])
+        m.setattr(trainer, "_encode_roles", lambda *args: [(a, None), (p, None), (n, None)])
         m.setattr(trainer, "backward_batch", lambda grad, cache, params, grads: handed.append(grad))
-        _, report = trainer.infonce_gradient([None] * len(a), params, config)
+        _, report = trainer.infonce_gradient(np.zeros((len(a), 3), dtype=np.intp), None, params, config)
     return report, tuple(handed)

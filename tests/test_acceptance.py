@@ -34,6 +34,7 @@ from minembed.trainer import (
     _grad_norm,
     _infonce,
     gradient_check,
+    index_triplets,
     infonce_gradient,
     infonce_loss,
     lr_at_step,
@@ -41,7 +42,7 @@ from minembed.trainer import (
 )
 from minembed.triplets import NegativePolicy, Triplet, build_triplets
 
-from conftest import role_gradients, two_cluster_records
+from conftest import as_rows, role_gradients, two_cluster_records
 
 
 def _verdict(name: str, ok: bool, detail: str = "") -> None:
@@ -139,7 +140,8 @@ def test_two_cluster_training_gain():
     params = init_params(seed, pooling="mean")
     config = TrainConfig(batch_size=32, seed=seed)
     pre_acc, pre_mrr = _pair_metrics(params, test_pairs)
-    train(train_triplets, params, config)
+    store, (rows,) = index_triplets([train_triplets], params.tokenizer)
+    train(rows, store, params, config)
     post_acc, post_mrr = _pair_metrics(params, test_pairs)
     elapsed = time.monotonic() - started
 
@@ -510,7 +512,7 @@ def test_overflow_safety(monkeypatch):
     # Same regime through the full encoder gradient in double precision.
     params = init_params(500, vocab_size=64, d_emb=8, d_hid=8, d_out=4, lora_rank=2)
     batch = [Triplet("a", "alpha beta", "alpha beta", "n", "alpha beta", "train")] * 2
-    grads, report = infonce_gradient(batch, params, TrainConfig(), train_mode=False)
+    grads, report = infonce_gradient(*as_rows(batch, params), params, TrainConfig(), train_mode=False)
     ok = ok and math.isfinite(report.loss) and all(bool(np.all(np.isfinite(g))) for g in grads.values())
     # The real encoder backward ran: the base tensors got a nonzero gradient.
     ok = ok and bool(np.any(grads["W1"])) and _grad_norm(grads, {}) > 0.0

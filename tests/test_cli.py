@@ -513,19 +513,44 @@ def test_train_rejects_a_val_text_with_no_token_before_step_zero(tmp_path, capsy
     assert calls == []
 
 
+def test_no_triplet_is_alive_while_training(tmp_path, monkeypatch):
+    # The train command keeps only the token store and the row arrays past its
+    # start: every Triplet, with its ids and texts, is freed before step 0.
+    import gc
+
+    from minembed import trainer
+    from minembed.triplets import Triplet
+
+    live = []
+    real = trainer.adamw_step
+
+    def adamw_step(*args, **kwargs):
+        live.append(sum(1 for obj in gc.get_objects() if isinstance(obj, Triplet)))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "adamw_step", adamw_step)
+    trips = tmp_path / "trips.jsonl"
+    trips.write_text("".join(json.dumps({**TRIPLET_ROW, "anchor_id": f"a{i}", "anchor_text": f"left atrium {i}",
+                                         "split": "train" if i < 12 else "val"}) + "\n" for i in range(16)),
+                     encoding="utf-8")
+    assert run(["train", "--triplets", str(trips), "--config", str(small_train_config(tmp_path, epochs=2)),
+                "--out-dir", str(tmp_path / "out"), "--seed", "1"]) == 0
+    assert live == [0] * 4  # two epochs of two steps of 8 rows
+
+
 def test_train_val_file_rows_are_all_validation(tmp_path, capsys, monkeypatch):
     # With --val, the triplets file gives only its train rows, and every row of the
     # val file validates, whatever its split says.
     from minembed import trainer
 
     seen = {}
-    real_train = trainer.train
+    real_index = trainer.index_triplets
 
-    def train(train_rows, params, config, val_triplets=None, out_dir=None):
-        seen["train"], seen["val"] = [t.anchor_id for t in train_rows], [t.anchor_id for t in val_triplets]
-        return real_train(train_rows, params, config, val_triplets=val_triplets, out_dir=out_dir)
+    def index_triplets(triplet_sets, tokenizer):
+        seen["train"], seen["val"] = ([t.anchor_id for t in triplets] for triplets in triplet_sets)
+        return real_index(triplet_sets, tokenizer)
 
-    monkeypatch.setattr(trainer, "train", train)
+    monkeypatch.setattr(trainer, "index_triplets", index_triplets)
     rows = [{**TRIPLET_ROW, "anchor_id": f"a{i}", "anchor_text": f"left atrium {i}",
              "split": "train" if i < 8 else "val"} for i in range(10)]
     trips, val = tmp_path / "trips.jsonl", tmp_path / "val.jsonl"

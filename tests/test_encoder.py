@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minembed import encoder as encoder_mod
 from minembed.encoder import (
     POOLINGS,
     EncoderParams,
@@ -22,7 +23,9 @@ from minembed.encoder import (
     forward_batch,
     init_params,
     load_checkpoint,
+    pooled_ids,
     save_checkpoint,
+    token_store,
 )
 from minembed.encoder import _token_ids
 from minembed.errors import DataError
@@ -153,6 +156,7 @@ def test_empty_tokens_rejected(small_params):
     with pytest.raises(DataError) as err:
         encode_batch(["valid text", "!!!"], small_params)
     assert err.value.code == "E_EMPTY_TOKENS"
+    assert str(err.value) == "E_EMPTY_TOKENS: text 1 produced no tokens: '!!!'"
 
 
 def test_eval_mode_deterministic(small_params):
@@ -231,18 +235,67 @@ def test_adapter_scale_is_alpha_over_rank():
     assert np.max(np.abs(ours[0] - y / np.linalg.norm(y))) <= 1e-12
 
 
+def reference_pooled_ids(texts, params):
+    """``pooled_ids`` as it was before the token store: each text tokenized on its
+    own, its ids (or its last) chained into one intp array, and a count per text."""
+    per_text = [params.tokenizer(text) for text in texts]
+    counts = np.array([len(ids) for ids in per_text], dtype=np.intp)
+    if params.pooling == "mean":
+        return np.array([i for ids in per_text for i in ids], dtype=np.intp), counts
+    return np.array([ids[-1] for ids in per_text], dtype=np.intp), np.ones_like(counts)
+
+
+@pytest.mark.parametrize("block", [7, 1024])  # texts tokenized at a time
+@pytest.mark.parametrize("vocab_size", [256, 32_768, 40_000])
+@pytest.mark.parametrize("pooling", POOLINGS)
+def test_store_pools_the_ids_of_per_text_tokenizing(monkeypatch, block, vocab_size, pooling):
+    monkeypatch.setattr(encoder_mod, "_STORE_BLOCK", block)
+    params = replace(init_params(3, vocab_size=vocab_size, d_emb=2, d_hid=2, d_out=2, lora_rank=1), pooling=pooling)
+    texts = reference_texts(40, seed=vocab_size)
+    store = token_store(texts, params.tokenizer)
+    # Every id of a vocabulary of at most 32,768 fits int16; a larger one takes int32.
+    assert store.ids.dtype == (np.int16 if vocab_size <= 32_768 else np.int32)
+    assert store.offsets.dtype == np.int64 and len(store.offsets) == len(texts) + 1
+    assert vocab_size <= 32_768 or store.ids.max() > 32_767  # ids past int16's range are kept whole
+    rng = np.random.default_rng(vocab_size)
+    batches = [
+        np.arange(len(texts)),
+        rng.integers(0, len(texts), 64),  # out of order, with repeats
+        np.array([2]),  # a 1-row batch
+        np.array([1]),  # the one-token text
+        np.array([1, 0, 1]),  # which ends as text 0 does
+    ]
+    for rows in batches:
+        ids, counts = pooled_ids(rows, store, params)
+        ref_ids, ref_counts = reference_pooled_ids([texts[r] for r in rows], params)
+        assert same_bits(ids, ref_ids) and same_bits(counts.astype(np.intp), ref_counts), rows
+
+
+@pytest.mark.parametrize("block", [1, 2, 1024])
+def test_store_names_an_empty_text_by_its_place(monkeypatch, small_params, block):
+    monkeypatch.setattr(encoder_mod, "_STORE_BLOCK", block)
+    with pytest.raises(DataError) as err:
+        token_store(iter(["a b", "c", "-- !!", "d", ""]), small_params.tokenizer)
+    assert str(err.value) == "E_EMPTY_TOKENS: text 2 produced no tokens: '-- !!'"
+
+
+def forward_texts(texts, params, train_mode=False, seed=0):
+    """``forward_batch`` over every row of a store of ``texts``, as ``encode_batch`` runs it."""
+    return forward_batch(np.arange(len(texts)), token_store(texts, params.tokenizer), params, train_mode, seed)
+
+
 def test_pooling_strategies_differ(small_params):
     # Multi-token text whose token embeddings differ: mean and last-token
     # pooling must produce different pre-projection vectors.
     text = "alpha beta gamma delta"
-    _, cache_mean = forward_batch([text], replace(small_params, pooling="mean"))
-    _, cache_last = forward_batch([text], replace(small_params, pooling="last_token"))
+    _, cache_mean = forward_texts([text], replace(small_params, pooling="mean"))
+    _, cache_last = forward_texts([text], replace(small_params, pooling="last_token"))
     assert not np.array_equal(cache_mean.pooled, cache_last.pooled)
 
 
 def test_single_token_pooling_agrees(small_params):
-    _, cache_mean = forward_batch(["word"], replace(small_params, pooling="mean"))
-    _, cache_last = forward_batch(["word"], replace(small_params, pooling="last_token"))
+    _, cache_mean = forward_texts(["word"], replace(small_params, pooling="mean"))
+    _, cache_last = forward_texts(["word"], replace(small_params, pooling="last_token"))
     assert np.array_equal(cache_mean.pooled, cache_last.pooled)
 
 
@@ -503,11 +556,13 @@ def test_token_table_encoder_matches_per_text_reference(n, pooling):
     assert n == 1 or token_ids[0][-1] == token_ids[1][-1]  # and across texts, for both poolings
     grad_outputs = rng.normal(0, 1, (n, 12))
     for train_mode in (False, True):
-        outputs, cache = forward_batch(texts, params, train_mode, seed=9)
+        outputs, cache = forward_texts(texts, params, train_mode, seed=9)
         ref_outputs, ref_cache = reference_forward(texts, params, train_mode, seed=9)
         assert same_bits(outputs, ref_outputs)
-        for name in ("pooled", "mask1", "mask2", "hidden", "norms"):
+        for name in ("pooled", "hidden", "norms"):
             assert same_bits(getattr(cache, name), ref_cache[name]), name
+        for name in ("mask1", "mask2"):  # dropout off keeps no all-ones mask
+            assert same_bits(getattr(cache, name), ref_cache[name]) if train_mode else getattr(cache, name) is None
         for lora_only in (False, True):
             names = params.trainable_names(lora_only)
             grads = {name: np.zeros_like(params.tensors[name]) for name in names}

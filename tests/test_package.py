@@ -19,7 +19,8 @@ from conftest import two_cluster_records
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-# Every name the package exported when its __init__ imported each submodule eagerly.
+# Every name the package exported when its __init__ imported each submodule eagerly, and
+# index_triplets, which makes the rows that train takes.
 EXPORTED = {
     "corpus": ["CorpusStats", "RawDocument", "SentenceRecord", "build_manifest", "clean_text", "corpus_stats",
                "deduplicate", "filter_short", "segment_sentences", "stratified_split"],
@@ -29,7 +30,7 @@ EXPORTED = {
                 "mean_positive_similarity", "mean_reciprocal_rank", "ndcg_at_10", "rank_candidates", "recall_at_k",
                 "spearman_rho"],
     "trainer": ["BatchLossReport", "OptimizerState", "TrainConfig", "adamw_step", "gradient_check",
-                "infonce_gradient", "infonce_loss", "lr_at_step", "train"],
+                "index_triplets", "infonce_gradient", "infonce_loss", "lr_at_step", "train"],
     "triplets": ["NegativePolicy", "SubprocessProvider", "Triplet", "build_triplets", "fallback_paraphrase",
                  "generate_positive", "sample_hard_negative"],
 }

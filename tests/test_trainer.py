@@ -26,12 +26,11 @@ from minembed.trainer import (
     infonce_loss,
     init_optimizer_state,
     lr_at_step,
-    train,
 )
 from minembed.trainer import _infonce
 from minembed.triplets import Triplet
 
-from conftest import role_gradients, two_cluster_records
+from conftest import as_rows, role_gradients, train_triplets, two_cluster_records
 
 
 def unit(v) -> np.ndarray:
@@ -231,9 +230,9 @@ def finite_difference_probe(params, batch, config, name, index, h=1e-6, seed=0):
     tensor = params.tensors[name]
     original = tensor.flat[index]
     tensor.flat[index] = original + h
-    up = batch_loss(batch, params, config, train_mode=True, seed=seed).loss
+    up = batch_loss(*as_rows(batch, params), params, config, train_mode=True, seed=seed).loss
     tensor.flat[index] = original - h
-    down = batch_loss(batch, params, config, train_mode=True, seed=seed).loss
+    down = batch_loss(*as_rows(batch, params), params, config, train_mode=True, seed=seed).loss
     tensor.flat[index] = original
     return (up - down) / (2 * h)
 
@@ -241,7 +240,7 @@ def finite_difference_probe(params, batch, config, name, index, h=1e-6, seed=0):
 def test_gradient_matches_finite_differences(small_params):
     batch = make_batch(4, seed=1)
     config = small_config()
-    grads, report = infonce_gradient(batch, small_params, config, train_mode=True, seed=5)
+    grads, report = infonce_gradient(*as_rows(batch, small_params), small_params, config, train_mode=True, seed=5)
     assert math.isfinite(report.loss) and report.loss >= 0.0
     rng = np.random.default_rng(2)
     for name in ("E", "W1", "b1", "W2", "b2", "lora_A1", "lora_B1", "lora_A2", "lora_B2"):
@@ -323,8 +322,8 @@ def test_gradient_check_detects_corruption(small_params):
     config = small_config()
     original = trainer_mod.infonce_gradient
 
-    def corrupted(batch_, params_, config_, train_mode=True, seed=0):
-        grads, report = original(batch_, params_, config_, train_mode=train_mode, seed=seed)
+    def corrupted(rows, store, params_, config_, train_mode=True, seed=0):
+        grads, report = original(rows, store, params_, config_, train_mode=train_mode, seed=seed)
         grads["W2"] = grads["W2"] * 2.0
         return grads, report
 
@@ -339,7 +338,7 @@ def test_gradient_check_detects_corruption(small_params):
 def test_gradient_structure_at_b_zero(small_params):
     # With B = 0 the chain rule sends no gradient to A but does to B.
     batch = make_batch(4, seed=6)
-    grads, _ = infonce_gradient(batch, small_params, small_config(), train_mode=False)
+    grads, _ = infonce_gradient(*as_rows(batch, small_params), small_params, small_config(), train_mode=False)
     assert np.max(np.abs(grads["lora_A1"])) == 0.0
     assert np.max(np.abs(grads["lora_A2"])) == 0.0
     assert np.max(np.abs(grads["lora_B1"])) > 0.0
@@ -350,23 +349,24 @@ def test_gradient_does_not_depend_on_the_layout_of_e(small_params):
     # A column-major E once got zeros_like buffers of its layout, whose flat view
     # was a copy, so the E scatter was lost and E's gradient came back zero.
     batch = make_batch(4, seed=6)
-    row_major, _ = infonce_gradient(batch, small_params, small_config(), train_mode=False)
+    row_major, _ = infonce_gradient(*as_rows(batch, small_params), small_params, small_config(), train_mode=False)
     small_params.tensors["E"] = np.asfortranarray(small_params.tensors["E"])
-    column_major, _ = infonce_gradient(batch, small_params, small_config(), train_mode=False)
+    column_major, _ = infonce_gradient(*as_rows(batch, small_params), small_params, small_config(), train_mode=False)
     assert np.any(row_major["E"] != 0.0)
     assert all(_same_bits(row_major[n], column_major[n]) for n in row_major)
 
 
 def test_gradient_lora_only_restricts_tensors(small_params):
     batch = make_batch(3, seed=7)
-    grads, _ = infonce_gradient(batch, small_params, small_config(train_lora_only=True))
+    grads, _ = infonce_gradient(*as_rows(batch, small_params), small_params, small_config(train_lora_only=True))
     assert set(grads) == {"lora_A1", "lora_B1", "lora_A2", "lora_B2"}
 
 
 def test_duplicated_triplet_finite(small_params):
     t = make_batch(1, seed=8)[0]
     duplicated = Triplet(t.anchor_id, t.anchor_text, t.anchor_text + " extra", t.negative_id, t.anchor_text, "train")
-    grads, report = infonce_gradient([duplicated, duplicated], small_params, small_config(), train_mode=False)
+    rows, store = as_rows([duplicated, duplicated], small_params)
+    grads, report = infonce_gradient(rows, store, small_params, small_config(), train_mode=False)
     assert math.isfinite(report.loss)
     for g in grads.values():
         assert np.all(np.isfinite(g))
@@ -374,7 +374,7 @@ def test_duplicated_triplet_finite(small_params):
 
 def test_empty_batch_rejected(small_params):
     with pytest.raises(DataError) as err:
-        infonce_gradient([], small_params, small_config())
+        infonce_gradient(*as_rows([], small_params), small_params, small_config())
     assert err.value.code == "E_EMPTY_BATCH"
 
 
@@ -390,7 +390,7 @@ def test_gradient_rejects_buffers_for_other_tensors(small_params, built_for):
         out = init_optimizer_state(small_params, lora_only=built_for == "lora-only")
     stray = set(out.grads).symmetric_difference(small_params.trainable_names(config.train_lora_only))
     with pytest.raises(DataError) as err:
-        infonce_gradient(make_batch(3, seed=2), small_params, config, out=out)
+        infonce_gradient(*as_rows(make_batch(3, seed=2), small_params), small_params, config, out=out)
     assert err.value.code == "E_SHAPE_MISMATCH" and repr(sorted(stray)[0]) in str(err.value)
 
 
@@ -599,9 +599,9 @@ def test_in_place_adamw_matches_reference_bit_for_bit(
         g.fill(np.nan)  # stale values must not leak in
     for step in range(6):
         batch = make_batch(6, seed=step)
-        ref_grads, ref_report = infonce_gradient(batch, ref_params, config, seed=step)
+        ref_grads, ref_report = infonce_gradient(*as_rows(batch, ref_params), ref_params, config, seed=step)
         # From step 1 on the buffers hold the last step's gradient, which must not leak in either.
-        grads, report = infonce_gradient(batch, params, config, seed=step, out=buffers)
+        grads, report = infonce_gradient(*as_rows(batch, params), params, config, seed=step, out=buffers)
         assert grads is buffers.grads and sorted(grads) == sorted(names)
         assert all(_same_bits(grads[n], ref_grads[n]) for n in names)
         assert vars(report) == vars(ref_report)
@@ -621,8 +621,8 @@ def test_in_place_adamw_matches_reference_bit_for_bit(
 def test_reused_buffers_do_not_leak_to_other_callers(small_params, tmp_path):
     batch = make_batch(4, seed=3)
     config = small_config()
-    first, _ = infonce_gradient(batch, small_params, config)
-    second, _ = infonce_gradient(batch, small_params, config)
+    first, _ = infonce_gradient(*as_rows(batch, small_params), small_params, config)
+    second, _ = infonce_gradient(*as_rows(batch, small_params), small_params, config)
     assert all(not np.shares_memory(first[n], second[n]) for n in first)
 
     state = init_optimizer_state(small_params)
@@ -740,8 +740,8 @@ def test_grad_norm_reads_r_and_writes_no_gradient(monkeypatch, chunk):
     state = init_optimizer_state(params, live_rows={"E": live})
     config = TrainConfig(batch_size=64)
     for seed in range(3):
-        grads, _ = infonce_gradient(batch, params, config, seed=seed, out=state)
-        fresh, _ = infonce_gradient(batch, params, config, seed=seed)
+        grads, _ = infonce_gradient(*as_rows(batch, params), params, config, seed=seed, out=state)
+        fresh, _ = infonce_gradient(*as_rows(batch, params), params, config, seed=seed)
         assert all(_same_bits(grads[n], fresh[n]) for n in fresh)
         norm = trainer_mod._grad_norm(grads, state.live_rows)
         assert all(_same_bits(grads[n], fresh[n]) for n in fresh)
@@ -808,7 +808,8 @@ def test_logged_grad_norm_has_the_bits_of_the_norm_before_adamw(tmp_path, monkey
     rng = np.random.default_rng(31)
     triplets = _norm_batch(rng)[:48]
     params = init_params(8, pooling="mean")  # the default vocabulary: R's rows lie all over E
-    train(triplets, params, TrainConfig(batch_size=16, epochs=2, seed=4, train_lora_only=lora_only), out_dir=tmp_path)
+    config = TrainConfig(batch_size=16, epochs=2, seed=4, train_lora_only=lora_only)
+    train_triplets(triplets, params, config, out_dir=tmp_path)
     logged = [row["grad_norm"] for row in read_jsonl(tmp_path / "train-log.jsonl")]
     assert len(logged) == len(expected) == 6 and all(x > 0.0 for x in expected)
     assert all(_same_bits(x, y) for x, y in zip(logged, expected))
@@ -839,7 +840,7 @@ def test_step_memory_is_gradients_compact_e_moments_and_scratch(monkeypatch):
     monkeypatch.setattr(trainer_mod, "init_optimizer_state", recorded)
     params = init_params(6, pooling="mean")
     batch = _norm_batch(np.random.default_rng(29))
-    train(batch, params, TrainConfig(batch_size=32, epochs=1))
+    train_triplets(batch, params, TrainConfig(batch_size=32, epochs=1))
     (state,) = states
     live, grads, emb = state.live_rows["E"], state.grads, params.tensors["E"]
     assert _same_bits(live, _pooled_rows(batch, params)) and 0 < live.size < emb.shape[0] // 4
@@ -912,7 +913,7 @@ def test_train_gradient_reaches_only_r_and_bytes_match_full_update(tmp_path, mon
     def run(out_dir, step):
         monkeypatch.setattr(trainer_mod, "adamw_step", step)
         params = init_params(2, vocab_size=512, d_emb=16, d_hid=24, d_out=12, lora_rank=4, pooling=pooling)
-        train(train_set, params, config, val_triplets=val_set, out_dir=out_dir)
+        train_triplets(train_set, params, config, val_triplets=val_set, out_dir=out_dir)
         return params
 
     params = run(tmp_path / "split", checked)
@@ -1016,7 +1017,7 @@ def test_default_shape_r_sized_optimizer_work_matches_row_split_bytes(tmp_path, 
     def run(out_dir, step):
         monkeypatch.setattr(trainer_mod, "adamw_step", step)
         params = init_params(3, pooling="mean")
-        train(train_set, params, config, val_triplets=val_set, out_dir=out_dir)
+        train_triplets(train_set, params, config, val_triplets=val_set, out_dir=out_dir)
         return params
 
     params = run(tmp_path / "changed", checked)
@@ -1045,8 +1046,8 @@ def test_default_shape_r_sized_optimizer_work_matches_row_split_bytes(tmp_path, 
         # Buffers with R are zeroed on R only, and give the bits of fresh buffers.
         buffers = init_optimizer_state(params, live_rows={"E": live})
         buffers.grads["E"][live] = np.nan
-        fresh, _ = infonce_gradient(batch, params, config, seed=1)
-        reused, _ = infonce_gradient(batch, params, config, seed=1, out=buffers)
+        fresh, _ = infonce_gradient(*as_rows(batch, params), params, config, seed=1)
+        reused, _ = infonce_gradient(*as_rows(batch, params), params, config, seed=1, out=buffers)
         assert all(_same_bits(reused[n], fresh[n]) for n in fresh)
     # gradient_check takes fresh, fully zeroed buffers and no R.
     assert gradient_check(params, batch, samples=20, config=config, seed=2) <= 1e-4
@@ -1063,7 +1064,7 @@ def small_toy_run(tmp_path, seed=7, **config_kw):
     triplets = build_triplets(manifest, policy).triplets
     params = init_params(seed, vocab_size=2048, d_emb=32, d_hid=48, d_out=24, pooling="mean")
     config = TrainConfig(batch_size=16, epochs=2, seed=seed, **config_kw)
-    return train(triplets, params, config, val_triplets=triplets[:16], out_dir=tmp_path)
+    return train_triplets(triplets, params, config, val_triplets=triplets[:16], out_dir=tmp_path)
 
 
 def test_train_loss_decreases_on_toy_corpus(tmp_path):
@@ -1078,7 +1079,7 @@ def test_train_loss_decreases_on_toy_corpus(tmp_path):
 def test_train_zero_epochs_unchanged(small_params):
     batch = make_batch(4, seed=1)
     before = {k: v.copy() for k, v in small_params.tensors.items()}
-    params, reports = train(batch, small_params, small_config(epochs=0))
+    params, reports = train_triplets(batch, small_params, small_config(epochs=0))
     assert reports == []
     for name, tensor in params.tensors.items():
         assert np.array_equal(tensor, before[name])
@@ -1104,7 +1105,7 @@ def test_train_different_seed_differs(tmp_path):
 def test_train_rejects_empty():
     params = init_params(0, vocab_size=16, d_emb=2, d_hid=2, d_out=2, lora_rank=1)
     with pytest.raises(DataError) as err:
-        train([], params, TrainConfig())
+        train_triplets([], params, TrainConfig())
     assert err.value.code == "E_NO_TRAIN_DATA"
 
 
@@ -1116,8 +1117,8 @@ def test_train_tokenizes_each_distinct_text_once(tmp_path, monkeypatch):
     monkeypatch.setattr(encoder.Tokenizer, "__call__", lambda self, text: calls.append(text) or tokenize(self, text))
     train_set = make_batch(12, seed=4)
     val_set = make_batch(5, seed=5) + train_set[:3]  # val texts of their own, and some shared with train
-    train(train_set, init_params(2, vocab_size=512, d_emb=16, d_hid=24, d_out=12, lora_rank=4, pooling="mean"),
-          small_config(epochs=3), val_triplets=val_set, out_dir=tmp_path)
+    params = init_params(2, vocab_size=512, d_emb=16, d_hid=24, d_out=12, lora_rank=4, pooling="mean")
+    train_triplets(train_set, params, small_config(epochs=3), val_triplets=val_set, out_dir=tmp_path)
     distinct = {text for t in train_set + val_set for text in (t.anchor_text, t.positive_text, t.negative_text)}
     assert len(calls) == len(distinct) and set(calls) == distinct
 
@@ -1151,7 +1152,7 @@ def test_train_allocates_its_step_memory_once(monkeypatch):
     params = init_params(4, pooling="mean")
     tracemalloc.start()
     try:
-        train(train_set, params, TrainConfig(batch_size=16, epochs=2, seed=1))
+        train_triplets(train_set, params, TrainConfig(batch_size=16, epochs=2, seed=1))
     finally:
         tracemalloc.stop()
     # A step that allocated E's gradient buffer (8.4 MB) again would rise by all of it.
@@ -1217,8 +1218,8 @@ def test_config_validation():
 def test_evaluation_loss_matches_batch_loss(small_params):
     batch = make_batch(6, seed=2)
     config = small_config(batch_size=6)
-    direct = batch_loss(batch, small_params, config, train_mode=False).loss
-    assert evaluation_loss(batch, small_params, config) == pytest.approx(direct, abs=1e-12)
+    direct = batch_loss(*as_rows(batch, small_params), small_params, config, train_mode=False).loss
+    assert evaluation_loss(*as_rows(batch, small_params), small_params, config) == pytest.approx(direct, abs=1e-12)
 
 
 @given(st.integers(min_value=1, max_value=400), st.integers(min_value=2, max_value=400))
